@@ -94,7 +94,10 @@ class Fabric:
                        timeout_ms: float = 600_000.0) -> bool:
         """Drive the backend until ``predicate()`` holds or the timeout
         elapses; returns whether it held.  This is how synchronous
-        client calls block on replies on both backends."""
+        client calls block on replies on both backends.  The predicate
+        is re-evaluated after each callback the fabric delivers; a
+        predicate that changes by any other means is seen only at the
+        timeout."""
         raise NotImplementedError
 
     # -- observability ---------------------------------------------------

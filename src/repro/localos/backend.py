@@ -42,6 +42,8 @@ class ManagedProcess:
     command: str
     parent: Optional[GlobalPid]
     started_at: float
+    #: The child handle, for processes this backend spawned itself;
+    #: released once the exit has been reaped.
     popen: Optional[subprocess.Popen] = None
     exited: bool = False
     exit_status: Optional[int] = None
@@ -57,7 +59,13 @@ class RealBackend:
 
     def __init__(self, host_name: Optional[str] = None) -> None:
         self.host_name = host_name or socket.gethostname()
+        #: Every record, exit records included (section 2: exit
+        #: information is retained).
         self._managed: Dict[int, ManagedProcess] = {}
+        #: The records not yet seen to exit — what creation, reaping
+        #: and /proc sampling walk, so their cost follows the number
+        #: of live processes, not the length of the history.
+        self._live: Dict[int, ManagedProcess] = {}
 
     # ------------------------------------------------------------------
     # Creation (the backend is the creation server)
@@ -66,6 +74,7 @@ class RealBackend:
     def spawn(self, argv: Sequence[str], name: Optional[str] = None,
               parent: Optional[GlobalPid] = None) -> GlobalPid:
         """Start a child process; returns its ``<host, pid>`` identity."""
+        self._reap()
         popen = subprocess.Popen(
             list(argv), stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL, stdin=subprocess.DEVNULL)
@@ -73,15 +82,32 @@ class RealBackend:
                                 command=name or os.path.basename(argv[0]),
                                 parent=parent, started_at=time.time(),
                                 popen=popen)
-        self._managed[popen.pid] = record
+        self._managed[popen.pid] = self._live[popen.pid] = record
         return GlobalPid(self.host_name, popen.pid)
+
+    def _reap(self) -> None:
+        """Collect children that have exited, so a killed child is a
+        zombie only until the next creation or snapshot."""
+        for record in list(self._live.values()):
+            if record.popen is not None and record.popen.poll() is not None:
+                self._record_exit(record)
+
+    def _record_exit(self, record: ManagedProcess) -> None:
+        del self._live[record.pid]
+        record.exited = True
+        record.ended_at = time.time()
+        popen, record.popen = record.popen, None
+        if popen is not None:
+            try:
+                record.exit_status = popen.wait(timeout=2.0)
+            except subprocess.TimeoutExpired:  # pragma: no cover
+                record.exit_status = None
 
     def _discover_descendants(self) -> None:
         """Adoption of descendants: pull newly forked children of
         managed processes into management via /proc."""
         index = procfs.children_map()
-        frontier = [pid for pid, rec in self._managed.items()
-                    if not rec.exited]
+        frontier = list(self._live)
         while frontier:
             pid = frontier.pop()
             for child in index.get(pid, []):
@@ -90,7 +116,7 @@ class RealBackend:
                 stat = procfs.read_stat(child)
                 if stat is None:
                     continue
-                self._managed[child] = ManagedProcess(
+                self._managed[child] = self._live[child] = ManagedProcess(
                     pid=child, command=stat.command,
                     parent=GlobalPid(self.host_name, pid),
                     started_at=time.time())
@@ -104,23 +130,13 @@ class RealBackend:
         """Sample /proc, reap exits, keep exit records (section 2's
         retention rule: exit information survives)."""
         self._discover_descendants()
-        for record in self._managed.values():
-            if record.exited:
-                continue
+        for record in list(self._live.values()):
             stat = procfs.read_stat(record.pid)
             if stat is not None and stat.state != "exited":
                 record.last_utime_ms = stat.utime_ms
                 record.last_stime_ms = stat.stime_ms
-                continue
-            record.exited = True
-            record.ended_at = time.time()
-            if record.popen is not None:
-                record.exit_status = record.popen.poll()
-                if record.exit_status is None:
-                    try:
-                        record.exit_status = record.popen.wait(timeout=2.0)
-                    except subprocess.TimeoutExpired:  # pragma: no cover
-                        record.exit_status = None
+            else:
+                self._record_exit(record)
 
     def state_of(self, gpid: GlobalPid) -> str:
         self._require_local(gpid)
@@ -137,6 +153,10 @@ class RealBackend:
 
     def managed_pids(self) -> List[int]:
         return sorted(self._managed)
+
+    def manages(self, pid: int) -> bool:
+        """Whether ``pid`` is (or was) a process of this backend."""
+        return pid in self._managed
 
     # ------------------------------------------------------------------
     # Control
@@ -172,8 +192,8 @@ class RealBackend:
     def wait_all(self, timeout_s: float = 30.0) -> None:
         """Wait for every directly spawned child to finish."""
         deadline = time.time() + timeout_s
-        for record in list(self._managed.values()):
-            if record.popen is None or record.exited:
+        for record in list(self._live.values()):
+            if record.popen is None:
                 continue
             remaining = max(deadline - time.time(), 0.01)
             try:
@@ -225,15 +245,13 @@ class RealBackend:
     def shutdown(self) -> None:
         """Kill everything still alive (the time-to-die action)."""
         self.refresh()
-        for record in self._managed.values():
-            if record.exited:
-                continue
+        for record in self._live.values():
             try:
                 os.kill(record.pid, signal.SIGKILL)
             except ProcessLookupError:
                 continue
-        for record in self._managed.values():
-            if record.popen is not None and record.popen.poll() is None:
+        for record in self._live.values():
+            if record.popen is not None:
                 try:
                     record.popen.wait(timeout=5.0)
                 except subprocess.TimeoutExpired:  # pragma: no cover

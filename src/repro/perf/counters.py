@@ -161,6 +161,11 @@ Real network backend (``repro.realnet``):
 ``real_connects``
     Outbound TCP connections opened by the realnet fabric (bootstrap,
     tool, and sibling channels).
+``real_pump_wakeups``
+    Predicate re-evaluations after a blocking wait in
+    ``AsyncioFabric.run_until_true``: one per fabric delivery (message,
+    close, connect outcome, accept, timer) a pumping client woke for.
+    A timer-polled pump would show here as wake-ups with no delivery.
 
 Operational surface (``repro.ops``):
 
@@ -241,6 +246,7 @@ _COUNTERS = (
     "real_frames_received",
     "real_partial_reads",
     "real_connects",
+    "real_pump_wakeups",
     "doctor_runs",
     "doctor_checks_failed",
     "ops_alerts_raised",

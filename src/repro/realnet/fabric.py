@@ -8,6 +8,23 @@ simulator backend advances virtual time inside the same call.  That
 keeps the protocol stack's callback model identical on both backends:
 callbacks fire while the caller is blocked in ``run_until_true``.
 
+The pump is event-driven: ``run_until_true`` sleeps in the selector
+and re-evaluates its predicate only after the fabric handed something
+to protocol code, which is wherever realnet calls upward and then
+:meth:`AsyncioFabric.wake` —
+
+* ``RealEndpoint.dispatch`` (after ``on_message``) and
+  ``RealEndpoint._closed`` (after ``on_close``),
+* the ``connect`` outcomes, ``on_established`` / ``on_failed``,
+* the acceptor call in ``RealNode._accept_connection`` (a client and a
+  node may share one fabric),
+* every timer armed through :meth:`AsyncioFabric.schedule`,
+* and the pump's own timeout, which makes it return ``False``.
+
+A predicate that changes by any other means is seen only at the
+timeout.  ``run_until_true`` is not re-entrant: a callback running
+under it (or under a serve process's ``run_forever``) must not call it.
+
 The clock is wall time in milliseconds since the fabric was built, so
 span tracers (which only need a ``now_ms``) produce real latency
 histograms over real sockets.
@@ -25,10 +42,6 @@ from ..perf.spans import DEFAULT_MAX_SPANS, SpanTracer
 from .framing import FrameDecoder, encode_frame
 from .node import RealEndpoint
 from .registry import HostRegistry
-
-#: How long one pump of the event loop lasts inside ``run_until_true``
-#: (the latency floor for noticing a predicate became true).
-_PUMP_S = 0.002
 
 
 class AsyncioFabric(Fabric):
@@ -48,6 +61,9 @@ class AsyncioFabric(Fabric):
         self.loop = loop if loop is not None else asyncio.new_event_loop()
         self._epoch = time.monotonic()
         self.tracer = None
+        #: The future a blocked ``run_until_true`` sleeps on; None while
+        #: nobody pumps (always, in a serve process).
+        self._waiter: Optional[asyncio.Future] = None
 
     # -- clock and timers ------------------------------------------------
 
@@ -58,20 +74,49 @@ class AsyncioFabric(Fabric):
     def schedule(self, delay_ms: float, callback: Callable, *args,
                  label: str = "", owner=None):
         return self.loop.call_later(max(0.0, delay_ms) / 1000.0,
-                                    callback, *args)
+                                    self._fire, callback, args)
+
+    def _fire(self, callback: Callable, args: tuple) -> None:
+        callback(*args)
+        self.wake()
 
     def cancel(self, handle) -> None:
         if handle is not None:
             handle.cancel()
 
+    def wake(self) -> None:
+        """Protocol code just ran: let a blocked ``run_until_true``
+        re-evaluate its predicate.  Called by realnet after every
+        upward callback; a no-op when nobody is pumping."""
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
     def run_until_true(self, predicate: Callable[[], bool],
                        timeout_ms: float = 600_000.0) -> bool:
-        deadline = time.monotonic() + timeout_ms / 1000.0
-        while not predicate():
-            if time.monotonic() >= deadline:
-                return False
-            self.loop.run_until_complete(asyncio.sleep(_PUMP_S))
-        return True
+        if predicate():
+            return True
+        if self._waiter is not None:
+            raise RuntimeError("run_until_true is not re-entrant")
+        expired = []
+
+        def expire() -> None:
+            expired.append(True)
+            self.wake()
+
+        timer = self.loop.call_later(max(0.0, timeout_ms) / 1000.0, expire)
+        try:
+            while True:
+                self._waiter = self.loop.create_future()
+                self.loop.run_until_complete(self._waiter)
+                PERF.real_pump_wakeups += 1
+                if predicate():
+                    return True
+                if expired:
+                    return False
+        finally:
+            self._waiter = None
+            timer.cancel()
 
     # -- observability ---------------------------------------------------
 
@@ -101,16 +146,19 @@ class AsyncioFabric(Fabric):
 
     async def _dial(self, src: str, dst: str, service: str, payload,
                     on_established, on_failed) -> None:
+        def failed(reason: str) -> None:
+            if on_failed is not None:
+                on_failed(reason)
+            self.wake()
+
         address = self.registry.lookup(dst)
         if address is None:
-            if on_failed is not None:
-                on_failed("unreachable: %s not in registry" % (dst,))
+            failed("unreachable: %s not in registry" % (dst,))
             return
         try:
             reader, writer = await asyncio.open_connection(*address)
         except OSError as exc:
-            if on_failed is not None:
-                on_failed("connect refused: %s" % (exc,))
+            failed("connect refused: %s" % (exc,))
             return
         PERF.real_connects += 1
         writer.write(encode_frame({"connect": service, "src": src,
@@ -121,24 +169,21 @@ class AsyncioFabric(Fabric):
             data = await reader.read(65536)
             if not data:
                 writer.close()
-                if on_failed is not None:
-                    on_failed("closed during handshake")
+                failed("closed during handshake")
                 return
             frames = decoder.feed(data)
         answer = frames[0]
         if not isinstance(answer, dict) or not answer.get("ok"):
             writer.close()
-            if on_failed is not None:
-                reason = "refused"
-                if isinstance(answer, dict):
-                    reason = answer.get("error", "refused")
-                on_failed(reason)
+            failed(answer.get("error", "refused")
+                   if isinstance(answer, dict) else "refused")
             return
         endpoint = RealEndpoint(self, reader, writer, local_name=src,
                                 peer_name=answer.get("host", dst),
                                 decoder=decoder)
         if on_established is not None:
             on_established(endpoint)
+        self.wake()
         # Frames that rode in behind the accept (e.g. an eager
         # HELLO_ACK) dispatch only after the caller installed handlers.
         for frame in frames[1:]:

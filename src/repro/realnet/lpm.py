@@ -328,7 +328,7 @@ class RealLpm:
     def _locate_local(self, payload: dict) -> dict:
         pid = payload.get("pid")
         found = payload.get("host") == self.name and \
-            pid in self.backend.managed_pids()
+            isinstance(pid, int) and self.backend.manages(pid)
         answer = {"ok": found, "host": self.name, "pid": pid}
         if found:
             answer["state"] = self.backend.state_of(

@@ -14,7 +14,7 @@ it exactly as it uses a netsim ``StreamEndpoint``.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional, Set
 
 from ..errors import ConnectionClosedError
 from .framing import FrameDecoder, FramingError, encode_frame
@@ -32,7 +32,8 @@ class RealEndpoint:
     def __init__(self, fabric, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter, local_name: str,
                  peer_name: str,
-                 decoder: Optional[FrameDecoder] = None) -> None:
+                 decoder: Optional[FrameDecoder] = None,
+                 forget: Optional[Callable] = None) -> None:
         self.fabric = fabric
         self.reader = reader
         self.writer = writer
@@ -44,6 +45,9 @@ class RealEndpoint:
         self.context = None
         self._decoder = decoder if decoder is not None else FrameDecoder()
         self._reader_task: Optional[asyncio.Task] = None
+        #: ``forget(endpoint)`` runs once when this endpoint closes,
+        #: whichever side closed first (the accepting node's cleanup).
+        self._forget = forget
 
     def start(self) -> None:
         """Begin pulling frames off the socket (idempotent)."""
@@ -70,6 +74,7 @@ class RealEndpoint:
     def dispatch(self, frame) -> None:
         if self.open and self.on_message is not None:
             self.on_message(frame, self)
+            self.fabric.wake()
 
     def send(self, payload, nbytes: Optional[int] = None,
              extra_delay_ms: float = 0.0) -> None:
@@ -87,24 +92,26 @@ class RealEndpoint:
         ``on_close`` does not fire."""
         if not self.open:
             return
-        self.open = False
+        self._shut()
         if self._reader_task is not None:
             self._reader_task.cancel()
-        try:
-            self.writer.close()
-        except OSError:
-            pass
 
     def _closed(self, reason: str) -> None:
         if not self.open:
             return
+        self._shut()
+        if self.on_close is not None:
+            self.on_close(reason, self)
+            self.fabric.wake()
+
+    def _shut(self) -> None:
         self.open = False
+        if self._forget is not None:
+            self._forget(self)
         try:
             self.writer.close()
         except OSError:
             pass
-        if self.on_close is not None:
-            self.on_close(reason, self)
 
     def __repr__(self) -> str:
         return "RealEndpoint(%s <-> %s, %s)" % (
@@ -126,8 +133,9 @@ class RealNode:
         self.services: Dict[str, Callable] = {}
         self.server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None
-        #: every endpoint accepted by this node, for shutdown cleanup.
-        self._accepted: List[RealEndpoint] = []
+        #: the open endpoints this node accepted, for shutdown cleanup
+        #: (an endpoint removes itself when it closes).
+        self._accepted: Set[RealEndpoint] = set()
         self.listen(STATUS_SERVICE, self._on_status)
 
     # -- service registry (NetworkNode.listen/unlisten equivalent) -------
@@ -183,10 +191,12 @@ class RealNode:
         endpoint = RealEndpoint(self.fabric, reader, writer,
                                 local_name=self.host_name,
                                 peer_name=hello.get("src", "?"),
-                                decoder=decoder)
-        self._accepted.append(endpoint)
+                                decoder=decoder,
+                                forget=self._accepted.discard)
+        self._accepted.add(endpoint)
         writer.write(encode_frame({"ok": True, "host": self.host_name}))
         acceptor(endpoint, hello.get("payload"))
+        self.fabric.wake()
         for frame in frames[1:]:
             endpoint.dispatch(frame)
         endpoint.start()
@@ -201,5 +211,4 @@ class RealNode:
             self.server = None
         for endpoint in list(self._accepted):
             endpoint.close()
-        self._accepted.clear()
         self.registry.withdraw(self.host_name)

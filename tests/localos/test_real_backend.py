@@ -166,6 +166,46 @@ class TestTreeControl:
         assert "quickjob" in text
 
 
+class TestReaping:
+    def test_killed_children_are_reaped_at_the_next_create(self, backend):
+        """Create/kill cycles must not pile zombies under a long-lived
+        manager, and must not drag dead ``Popen`` handles along with
+        the exit records the paper wants kept."""
+
+        def zombies():
+            stats = (read_stat(pid) for pid in backend.managed_pids())
+            return [stat.pid for stat in stats
+                    if stat is not None and stat.state == "exited"]
+
+        cycles, created = 50, []
+        for _ in range(cycles):
+            gpid = backend.spawn(["sleep", "30"])
+            # Creation reaped everything killed before it.
+            assert zombies() == []
+            for earlier in created:
+                record = backend._managed[earlier.pid]
+                assert record.exited and record.exit_status == -9
+                assert record.popen is None
+            created.append(gpid)
+            assert backend.manages(gpid.pid)
+            backend.control(gpid, ControlAction.KILL)
+            assert wait_for(lambda: backend.state_of(gpid) == "exited",
+                            interval_s=0.002)
+            assert len(zombies()) <= 1
+        assert not backend.manages(1 << 21)
+
+        # The reports read as they always did.
+        reported = {record.gpid: record for record in backend.rstats()}
+        assert sorted(reported) == sorted(created)
+        for record in reported.values():
+            assert record.state == "exited" and record.exit_status == -9
+            assert record.end_ms is not None
+            assert record.rusage["signals"] == 1
+        assert len(backend.snapshot(prune=False)) == cycles
+        assert len(backend.snapshot(prune=True)) == 0
+        assert zombies() == [] and not backend._live
+
+
 class TestShutdown:
     def test_shutdown_kills_survivors(self):
         backend = RealBackend()

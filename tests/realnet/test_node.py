@@ -5,45 +5,9 @@ client share the fabric, and ``run_until_true`` pumps both sides, so
 the tests exercise real sockets without spawning processes.
 """
 
-import socket
-
-import pytest
-
-from repro.realnet.fabric import AsyncioFabric
 from repro.realnet.node import RealNode
 from repro.realnet.pmd import RealPmd
-from repro.realnet.registry import HostRegistry
 from repro.unixsim.inetd import INETD_SERVICE, PPM_SERVICE
-
-
-def _loopback_available() -> bool:
-    try:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.bind(("127.0.0.1", 0))
-        probe.close()
-        return True
-    except OSError:
-        return False
-
-
-pytestmark = pytest.mark.skipif(not _loopback_available(),
-                                reason="loopback sockets unavailable")
-
-
-@pytest.fixture
-def fabric(tmp_path):
-    registry = HostRegistry(str(tmp_path / "reg.json"))
-    fabric = AsyncioFabric(registry, local_host="alpha")
-    yield fabric
-    fabric.close()
-
-
-@pytest.fixture
-def node(fabric):
-    node = RealNode(fabric, "alpha", fabric.registry)
-    node.start()
-    yield node
-    node.close()
 
 
 def test_port_zero_discovery_and_publication(fabric, node):
@@ -171,3 +135,48 @@ def test_node_close_withdraws_registry_entry(fabric):
     assert fabric.registry.lookup("alpha") is not None
     node.close()
     assert fabric.registry.lookup("alpha") is None
+
+
+def test_node_forgets_endpoints_as_they_close(fabric, node):
+    """A serve process lives for days: what it keeps per connection
+    must go when the connection goes, whichever side closed it."""
+    server_side, gone = [], []
+
+    def acceptor(endpoint, payload):
+        server_side.append(endpoint)
+        endpoint.on_close = lambda reason, ep: gone.append(ep)
+
+    node.listen("quiet", acceptor)
+    rounds = 300
+    for _ in range(rounds):
+        holder = {}
+        fabric.connect("tester", "alpha", "quiet",
+                       on_established=lambda ep: holder.update(ep=ep))
+        assert fabric.run_until_true(lambda: "ep" in holder,
+                                     timeout_ms=5_000)
+        holder["ep"].close()
+        # Half the time the node closes first; otherwise its client
+        # has vanished and it learns that from EOF.
+        if len(server_side) % 2:
+            server_side[-1].close()
+        assert len(node._accepted) <= 4
+    assert fabric.run_until_true(
+        lambda: len(gone) == rounds - rounds // 2, timeout_ms=5_000)
+    assert len(node._accepted) == 0
+    assert not any(endpoint.open for endpoint in server_side)
+
+
+def test_node_close_closes_what_is_still_open(fabric):
+    node = RealNode(fabric, "alpha", fabric.registry)
+    node.start()
+    server_side = []
+    node.listen("quiet", lambda ep, payload: server_side.append(ep))
+    client_side = []
+    fabric.connect("tester", "alpha", "quiet",
+                   on_established=client_side.append)
+    assert fabric.run_until_true(
+        lambda: bool(server_side) and bool(client_side), timeout_ms=5_000)
+    assert len(node._accepted) == 1
+    node.close()
+    assert not server_side[0].open and not node._accepted
+    client_side[0].close()
