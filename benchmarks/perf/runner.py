@@ -66,13 +66,11 @@ runs through:
     per-source tree (~n−1 forwards), and repeated failed lookups are
     refused from the negative cache without any traffic.  Records
     open-link counts and per-locate flood forwards for both shapes.
-    Harness-based (``benchmarks.perf.scenarios``): honours ``--shards``.
 
 ``locate_500_hosts``
     The sparse overlay alone at 500 hosts (48 under --smoke) on a
     two-level hub topology — 10 fully meshed backbone hosts with the
-    rest hanging off them, O(n) physical links.  The scale the lockstep
-    sharding exists for; honours ``--shards``.
+    rest hanging off them, O(n) physical links.
 
 ``multitenant_50x24``
     The multi-tenant claim: 50 users x 24 hosts (8 x 6 under --smoke)
@@ -82,15 +80,13 @@ runs through:
     SLOs (p50/p95/p99) for both modes plus the steady-state inter-host
     connection counts: with sharing, co-located users' sibling
     channels collapse onto one circuit per host pair (target >= 5x
-    fewer connections at full scale).  Harness-based; honours
-    ``--shards``.
+    fewer connections at full scale).
 
 Usage::
 
     PYTHONPATH=src python -m benchmarks.perf.runner [--smoke]
         [--label before|after] [--output BENCH_core.json]
-        [--budget-s SECONDS] [--trace-out trace.json]
-        [--shards K] [--check-identity] [--profile]
+        [--budget-s SECONDS] [--trace-out trace.json] [--profile]
 
 Wall-clock and counter deltas are merged into ``BENCH_core.json`` at
 the repo root under the given label, so successive PRs accumulate a
@@ -100,16 +96,11 @@ assert the benchmarks still *run* without caring about timings;
 summed measured wall time exceeds the budget, so a hot-path regression
 fails the build rather than slipping through.
 
-``--shards K`` runs the harness-based locate scenarios on K lockstep
-worker processes (``repro.netsim.parallel``); ``--check-identity``
-additionally replays them single-threaded and fails on any divergence
-in results or merged counters.  ``--profile`` wraps every scenario in
-cProfile and prints the top 20 cumulative entries next to its result
-(for a sharded scenario this profiles the coordinator process — the
-workers' time shows up inside the pipe receives).
+``--profile`` wraps every scenario in cProfile and prints the top 20
+cumulative entries next to its result.
 
 Every run also appends each scenario's wall time to
-``wall_history.json`` (keyed by smoke/full mode and shard count);
+``wall_history.json`` (keyed by smoke/full mode);
 under ``--smoke`` the run fails (exit status 3) when a scenario takes
 more than twice its best recorded time, so CI catches gross wall-clock
 regressions without timing full-size runs.
@@ -146,7 +137,6 @@ _REPORTED = (
     "tree_forwards", "tree_prunes", "tree_repairs",
     "locate_cache_hits", "locate_cache_stale",
     "circuit_shares", "circuit_lanes_attached", "auth_cache_hits",
-    "shard_windows", "cross_shard_msgs", "barrier_waits",
 )
 
 
@@ -576,74 +566,37 @@ def bench_watch_steady(smoke: bool = False) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenarios 9/10: steady-state LOCATE at scale (harness-based, shardable)
+# Scenarios 9-11: LOCATE at scale and multi-tenancy (scenarios.py)
 # ----------------------------------------------------------------------
 
-def _scenario_metrics(outcome) -> dict:
-    """Shape a :class:`ShardedOutcome` like :func:`_measure`'s dict."""
-    measure = outcome.measure
-    metrics = {"wall_s": round(measure["wall_s"], 4)}
-    counters = measure["counters"]
-    metrics.update({name: counters[name] for name in _REPORTED})
-    if isinstance(outcome.result, dict):
-        metrics.update(outcome.result)
-    metrics["shards"] = outcome.shards
-    if outcome.shards > 1:
-        metrics["barrier_rounds"] = outcome.barrier_rounds
-        metrics["cross_shard_ships"] = outcome.ships
-    return metrics
-
-
-def _bench_scenario(scenario, kwargs: dict, shards: int,
-                    check_identity: bool) -> dict:
-    from repro.netsim.parallel import identity_diff, run_scenario
-
-    outcome = run_scenario(scenario, kwargs=kwargs, shards=shards)
-    metrics = _scenario_metrics(outcome)
-    if check_identity and shards > 1:
-        local = run_scenario(scenario, kwargs=kwargs, shards=1)
-        diffs = identity_diff(local, outcome)
-        metrics["identity_ok"] = not diffs
-        metrics["single_thread_wall_s"] = round(local.measure["wall_s"], 4)
-        if diffs:
-            raise AssertionError(
-                "%d-shard run diverged from single-threaded: %s"
-                % (shards, "; ".join(diffs)))
-    return metrics
-
-
-def bench_locate(smoke: bool = False, shards: int = 1,
-                 check_identity: bool = False) -> dict:
+def bench_locate(smoke: bool = False) -> dict:
     from .scenarios import locate_scenario
 
-    kwargs = dict(n_hosts=24 if smoke else 200,
-                  mesh_locates=2,                     # each refloods the mesh
-                  sparse_locates=5 if smoke else 8)   # cached, nearly free
-    return _bench_scenario(locate_scenario, kwargs, shards, check_identity)
+    return _measure(locate_scenario(
+        n_hosts=24 if smoke else 200,
+        mesh_locates=2,                     # each refloods the mesh
+        sparse_locates=5 if smoke else 8))  # cached, nearly free
 
 
-def bench_locate_500(smoke: bool = False, shards: int = 1,
-                     check_identity: bool = False) -> dict:
+def bench_locate_500(smoke: bool = False) -> dict:
     from .scenarios import locate_scenario
 
-    kwargs = dict(n_hosts=48 if smoke else 500,
-                  sparse_locates=5 if smoke else 8,
-                  policies=("sparse",),
-                  hubs=4 if smoke else 10)
-    return _bench_scenario(locate_scenario, kwargs, shards, check_identity)
+    return _measure(locate_scenario(
+        n_hosts=48 if smoke else 500,
+        sparse_locates=5 if smoke else 8,
+        policies=("sparse",),
+        hubs=4 if smoke else 10))
 
 
-def bench_multitenant(smoke: bool = False, shards: int = 1,
-                      check_identity: bool = False) -> dict:
+def bench_multitenant(smoke: bool = False) -> dict:
     from .scenarios import multitenant_scenario
 
-    kwargs = dict(n_users=8 if smoke else 50,
-                  n_hosts=6 if smoke else 24,
-                  gateways=2 if smoke else 4,
-                  fanout=3 if smoke else 10,
-                  horizon_ms=20_000.0 if smoke else 120_000.0)
-    return _bench_scenario(multitenant_scenario, kwargs, shards,
-                           check_identity)
+    return _measure(multitenant_scenario(
+        n_users=8 if smoke else 50,
+        n_hosts=6 if smoke else 24,
+        gateways=2 if smoke else 4,
+        fanout=3 if smoke else 10,
+        horizon_ms=20_000.0 if smoke else 120_000.0))
 
 
 # ----------------------------------------------------------------------
@@ -664,10 +617,6 @@ SCENARIOS = {
     "multitenant_50x24": bench_multitenant,
 }
 
-#: Scenarios that run through the shard harness and honour --shards.
-_SHARDABLE = ("locate_200_hosts", "locate_500_hosts",
-              "multitenant_50x24")
-
 
 def _profiled(call):
     """Run ``call()`` under cProfile; return (result, top-20 text)."""
@@ -687,8 +636,8 @@ def _profiled(call):
     return result, stream.getvalue()
 
 
-def run_all(smoke: bool = False, trace_out=None, shards: int = 1,
-            check_identity: bool = False, profile: bool = False) -> dict:
+def run_all(smoke: bool = False, trace_out=None,
+            profile: bool = False) -> dict:
     results = {}
     for name, fn in SCENARIOS.items():
         print("running %s%s ..." % (name, " (smoke)" if smoke else ""),
@@ -701,9 +650,6 @@ def run_all(smoke: bool = False, trace_out=None, shards: int = 1,
         PERF.reset()
         if name == "span_overhead":
             call = lambda: fn(smoke=smoke, trace_out=trace_out)  # noqa: E731
-        elif name in _SHARDABLE:
-            call = lambda fn=fn: fn(smoke=smoke, shards=shards,  # noqa: E731
-                                    check_identity=check_identity)
         else:
             call = lambda fn=fn: fn(smoke=smoke)  # noqa: E731
         if profile:
@@ -734,11 +680,9 @@ def update_wall_history(path: str, mode: str, results: dict,
     """Append each scenario's wall time to the history file and return
     regressions: scenarios slower than 2x their best recorded time.
 
-    Histories are keyed by mode (smoke/full) and shard count — a
-    4-shard wall time is not comparable to a single-threaded one.  Only
-    ``enforce`` (smoke) runs report regressions, and only above an
-    absolute floor, so timing noise on sub-second scenarios never fails
-    a build.
+    Histories are keyed by mode (smoke/full).  Only ``enforce``
+    (smoke) runs report regressions, and only above an absolute floor,
+    so timing noise on sub-second scenarios never fails a build.
     """
     data = {"schema": 1, "modes": {}}
     if os.path.exists(path):
@@ -748,15 +692,13 @@ def update_wall_history(path: str, mode: str, results: dict,
     stamp = time.strftime("%Y-%m-%d %H:%M:%S")
     regressions = []
     for name, metrics in results.items():
-        shard_count = metrics.get("shards", 1)
-        key = name if shard_count == 1 else "%s@%d" % (name, shard_count)
-        history = bucket.setdefault(key, [])
+        history = bucket.setdefault(name, [])
         wall_s = metrics["wall_s"]
         prior = [entry["wall_s"] for entry in history]
         if enforce and prior:
             best = min(prior)
             if wall_s > 2.0 * best and wall_s > _HISTORY_FLOOR_S:
-                regressions.append((key, wall_s, best))
+                regressions.append((name, wall_s, best))
         history.append({"wall_s": wall_s, "at": stamp})
         del history[:-_HISTORY_LIMIT]
     with open(path, "w", encoding="utf-8") as handle:
@@ -795,20 +737,11 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-out", default=None,
                         help="export the span_overhead scenario's traced "
                              "run as Chrome trace-event JSON to this path")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="lockstep worker processes for the "
-                             "harness-based locate scenarios (1 = "
-                             "single-threaded)")
-    parser.add_argument("--check-identity", action="store_true",
-                        help="replay sharded scenarios single-threaded "
-                             "and fail on any result/counter divergence")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile each scenario; print the top 20 "
                              "cumulative entries next to its result")
     args = parser.parse_args(argv)
     results = run_all(smoke=args.smoke, trace_out=args.trace_out,
-                      shards=args.shards,
-                      check_identity=args.check_identity,
                       profile=args.profile)
     if not args.no_write and not args.smoke:
         merge_into(args.output, args.label, results)

@@ -1,57 +1,40 @@
-"""Harness-based benchmark scenarios — runnable on 1..K lockstep shards.
+"""The world-scale benchmark scenarios: LOCATE at scale, multi-tenancy.
 
-The LOCATE-at-scale benchmarks live here as *scenario functions* under
-the ``repro.netsim.parallel`` contract (``scenario(harness, **kwargs)
--> dict``): world construction is plain replicated code, and everything
-after ``harness.attach`` drives the simulation only through the harness
-(``run_for`` / ``run_until_true`` / ``call_on``) and reads results only
-through coordinated reductions (``sum_hosts``) or authority-side
-asserts.  The same function therefore runs bit-identically on the
-single-threaded :class:`~repro.netsim.shard.LocalHarness` and on K
-forked lockstep workers — which is what ``--check-identity`` verifies.
-
-Two rules this module obeys that the old inline benchmark did not need:
-
-* **Build every world before the first attach.**  Construction must be
-  replicated byte-for-byte in every worker; creating circuits in one
-  world while another is attached would consume per-shard ids.
-
-* **Settle before coordinated reads.**  After a predicate stop,
-  non-authority workers may have overrun the stop instant by up to one
-  lookahead window; a ``run_for`` longer than one window realigns every
-  worker's clock before ``sum_hosts`` snapshots per-host statistics.
-  (The single-threaded harness performs the same ``run_for``, so the
-  numbers stay comparable — the drain window is simply part of the
-  scenario.)
+Each scenario function builds its worlds (outside the measured window —
+a 200-host full mesh takes most of a minute to wire) and returns the
+measured phase as a zero-argument callable producing the result dict,
+which ``benchmarks.perf.runner`` times and counts like the ``run``
+closure of every other scenario.  Stimuli are issued as one zero-delay
+scheduled event at the current instant rather than called directly, so
+the event counts match the recorded ``BENCH_core.json`` rows.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro import PPMClient, PPMConfig, install, spinner_spec
 from repro.netsim import HostClass
 from repro.unixsim import World
 
-#: Post-locate drain: lets duplicate storms, prune feedback, and any
-#: worker overrun settle before per-host statistics are snapshotted.
+#: Post-locate drain: lets duplicate storms and prune feedback settle
+#: before per-host statistics are read.
 DRAIN_MS = 10_000.0
 
 
-def _flood_forwards(harness, world) -> int:
-    """Total broadcast forwards across the fleet (coordinated read)."""
-    return harness.sum_hosts(
-        lambda name: world.lpms[(name, "lfc")].broadcast.forwards
-        if (name, "lfc") in world.lpms else 0)
+def _flood_forwards(world) -> int:
+    """Total broadcast forwards across the fleet."""
+    return sum(lpm.broadcast.forwards for lpm in world.lpms.values())
 
 
-def _open_links(harness, world) -> int:
+def _open_links(world) -> int:
     """Open overlay links across the fleet (each counted at both ends)."""
-    return harness.sum_hosts(
-        lambda name: len(world.lpms[(name, "lfc")].transport.authenticated())
-        if (name, "lfc") in world.lpms else 0) // 2
+    return sum(len(lpm.transport.authenticated())
+               for lpm in world.lpms.values()) // 2
 
 
 def _build_world(policy: str, n_hosts: int, seed: int, hubs: int):
-    """Build one fully converged PPM world (replicated construction).
+    """Build one fully converged PPM world.
 
     ``hubs == 0`` wires the classic single-Ethernet full mesh of links.
     ``hubs > 0`` builds the two-level topology used at 500 hosts: the
@@ -84,14 +67,9 @@ def _build_world(policy: str, n_hosts: int, seed: int, hubs: int):
         if name == names[-1]:
             target = gpid
 
-    def links() -> int:
-        return sum(
-            len(world.lpms[(n, "lfc")].transport.authenticated())
-            for n in names if (n, "lfc") in world.lpms) // 2
-
     if policy == "full_mesh":
         want = n_hosts * (n_hosts - 1) // 2
-        world.run_until_true(lambda: links() == want,
+        world.run_until_true(lambda: _open_links(world) == want,
                              timeout_ms=3_600_000.0)
     else:
         # Sparse: wait for membership gossip to converge, then let the
@@ -105,17 +83,13 @@ def _build_world(policy: str, n_hosts: int, seed: int, hubs: int):
     return world, names, target
 
 
-def _locate_seq(harness, world, names, target, count: int,
-                policy: str) -> None:
+def _locate_seq(world, names, target, count: int, policy: str) -> None:
     """Sequential lookups from a non-origin host, each seeing the caches
     (route, tree, negative) the previous one left behind.
 
-    The locate call is issued as an owned event on the caller host (the
-    driver, so its reply list is live on the authority worker), and each
-    completion is awaited with a coordinated predicate stop.  The settle
-    timeout must outlast the mesh duplicate storm: the caller's
-    dispatcher drains ~n load-scaled duplicate arrivals before it can
-    process the LOCATE_ACK.
+    The settle timeout must outlast the mesh duplicate storm: the
+    caller's dispatcher drains ~n load-scaled duplicate arrivals before
+    it can process the LOCATE_ACK.
     """
     results: list = []
     caller = names[1]
@@ -125,120 +99,111 @@ def _locate_seq(harness, world, names, target, count: int,
                 target.host, target.pid, results.append,
                 timeout_ms=600_000.0)
 
-        harness.call_on(caller, issue)
-        found = harness.run_until_true(lambda k=k: len(results) == k + 1,
-                                       timeout_ms=1_200_000.0)
+        world.sim.schedule(0.0, issue, label="locate from %s" % (caller,))
+        found = world.run_until_true(lambda k=k: len(results) == k + 1,
+                                     timeout_ms=1_200_000.0)
         assert found, "locate %d timed out on the %s overlay" % (k, policy)
-
-    def verify() -> None:
-        assert all(r is not None for r in results), \
-            "locate failed on the %s overlay" % (policy,)
-
-    harness.on_authority(verify)
+    assert all(r is not None for r in results), \
+        "locate failed on the %s overlay" % (policy,)
 
 
-def locate_scenario(harness, n_hosts: int = 200, mesh_locates: int = 2,
+def locate_scenario(n_hosts: int = 200, mesh_locates: int = 2,
                     sparse_locates: int = 8,
                     policies=("full_mesh", "sparse"), hubs: int = 0,
-                    seed: int = 31) -> dict:
+                    seed: int = 31) -> Callable[[], dict]:
     """Steady-state LOCATE cost at scale — full mesh vs sparse overlay.
 
-    The harness-based port of the ``locate_200_hosts`` benchmark (see
-    the module docstring of ``benchmarks.perf.runner`` for what it
-    measures); ``locate_500_hosts`` runs the same function sparse-only
-    on the two-level hub topology.
+    The ``locate_200_hosts`` benchmark (see the module docstring of
+    ``benchmarks.perf.runner`` for what it measures);
+    ``locate_500_hosts`` runs the same function sparse-only on the
+    two-level hub topology.
     """
     worlds = {policy: _build_world(policy, n_hosts, seed, hubs)
               for policy in policies}
 
-    harness.begin_measure()
-    result = {"n_hosts": n_hosts}
-    per_locate = {}
-    for policy in policies:
-        world, names, target = worlds[policy]
-        harness.attach(world.network, names[1])
-        base = _flood_forwards(harness, world)
-        _locate_seq(harness, world, names, target, 1, policy)
-        # The reply races the flood it rode in on: let duplicate
-        # arrivals and prune feedback drain before the steady window,
-        # so the tree is fully pruned when it's measured.
-        harness.run_for(DRAIN_MS)
-        warm = _flood_forwards(harness, world) - base
-        repeats = mesh_locates if policy == "full_mesh" else sparse_locates
-        _locate_seq(harness, world, names, target, repeats, policy)
-        harness.run_for(DRAIN_MS)
-        steady = _flood_forwards(harness, world) - base - warm
-        per_locate[policy] = steady / repeats
-        result.update({
-            "links_%s" % policy: _open_links(harness, world),
-            "warm_flood_forwards_%s" % policy: warm,
-            "steady_locates_%s" % policy: repeats,
-            "steady_forwards_per_locate_%s" % policy:
-                round(per_locate[policy], 1),
-        })
+    def run() -> dict:
+        result = {"n_hosts": n_hosts}
+        per_locate = {}
+        for policy in policies:
+            world, names, target = worlds[policy]
+            base = _flood_forwards(world)
+            _locate_seq(world, names, target, 1, policy)
+            # The reply races the flood it rode in on: let duplicate
+            # arrivals and prune feedback drain before the steady
+            # window, so the tree is fully pruned when it's measured.
+            world.run_for(DRAIN_MS)
+            warm = _flood_forwards(world) - base
+            repeats = (mesh_locates if policy == "full_mesh"
+                       else sparse_locates)
+            _locate_seq(world, names, target, repeats, policy)
+            world.run_for(DRAIN_MS)
+            steady = _flood_forwards(world) - base - warm
+            per_locate[policy] = steady / repeats
+            result.update({
+                "links_%s" % policy: _open_links(world),
+                "warm_flood_forwards_%s" % policy: warm,
+                "steady_locates_%s" % policy: repeats,
+                "steady_forwards_per_locate_%s" % policy:
+                    round(per_locate[policy], 1),
+            })
 
-        if policy == "sparse":
-            # A failed lookup on a routeless host floods once — in tree
-            # mode, ~n−1 forwards — and its repeat is refused from the
-            # negative cache with no traffic at all.
-            caller = names[1]
-            misses: list = []
-            before_miss = _flood_forwards(harness, world)
-            for k in range(2):
-                harness.call_on(
-                    caller,
-                    lambda: world.lpms[(caller, "lfc")].locate(
-                        "h-gone", 99_999, misses.append))
-                found = harness.run_until_true(
-                    lambda k=k: len(misses) == k + 1,
-                    timeout_ms=120_000.0)
-                assert found, "miss lookup %d timed out" % (k,)
-            harness.run_for(DRAIN_MS)
-            harness.on_authority(
-                lambda: None if misses == [None, None] else
-                (_ for _ in ()).throw(AssertionError(
-                    "negative lookups resolved: %r" % (misses,))))
-            result["miss_flood_forwards_sparse"] = \
-                _flood_forwards(harness, world) - before_miss
-            result["sim_ms_sparse"] = round(harness.now, 3)
-        harness.detach()
+            if policy == "sparse":
+                # A failed lookup on a routeless host floods once — in
+                # tree mode, ~n−1 forwards — and its repeat is refused
+                # from the negative cache with no traffic at all.
+                caller = names[1]
+                misses: list = []
+                before_miss = _flood_forwards(world)
+                for k in range(2):
+                    world.sim.schedule(
+                        0.0, lambda: world.lpms[(caller, "lfc")].locate(
+                            "h-gone", 99_999, misses.append),
+                        label="miss locate from %s" % (caller,))
+                    found = world.run_until_true(
+                        lambda k=k: len(misses) == k + 1,
+                        timeout_ms=120_000.0)
+                    assert found, "miss lookup %d timed out" % (k,)
+                world.run_for(DRAIN_MS)
+                assert misses == [None, None], \
+                    "negative lookups resolved: %r" % (misses,)
+                result["miss_flood_forwards_sparse"] = \
+                    _flood_forwards(world) - before_miss
+                result["sim_ms_sparse"] = round(world.sim.now_ms, 3)
 
-    if "full_mesh" in per_locate and "sparse" in per_locate:
-        result["link_reduction_x"] = round(
-            result["links_full_mesh"] / max(1, result["links_sparse"]), 1)
-        result["forward_reduction_x"] = round(
-            per_locate["full_mesh"] / max(1.0, per_locate["sparse"]), 1)
-    harness.end_measure()
-    return result
+        if "full_mesh" in per_locate and "sparse" in per_locate:
+            result["link_reduction_x"] = round(
+                result["links_full_mesh"] / max(1, result["links_sparse"]),
+                1)
+            result["forward_reduction_x"] = round(
+                per_locate["full_mesh"] / max(1.0, per_locate["sparse"]), 1)
+        return result
 
-
-def _pool_of(world, name: str):
-    return getattr(world.hosts[name], "_circuit_pool", None)
+    return run
 
 
-def _physical_links(harness, world, sharing: bool) -> int:
+def _pools(world) -> list:
+    """The circuit pools of the hosts that grew one."""
+    pools = (getattr(host, "_circuit_pool", None)
+             for host in world.hosts.values())
+    return [pool for pool in pools if pool is not None]
+
+
+def _physical_links(world, sharing: bool) -> int:
     """Steady-state inter-host connections, counted once per circuit.
 
     With sharing on, the physical connections are the pools' circuits;
     with sharing off every authenticated sibling link is its own
-    connection (the per-host lambda sums that host's LPMs only, so the
-    read stays owned under sharding).
+    connection.
     """
     if sharing:
-        return harness.sum_hosts(
-            lambda name: 0 if _pool_of(world, name) is None
-            else _pool_of(world, name).open_circuit_count()) // 2
-    return harness.sum_hosts(
-        lambda name: sum(
-            len(lpm.transport.authenticated())
-            for (host, _user), lpm in world.lpms.items()
-            if host == name)) // 2
+        return sum(pool.open_circuit_count() for pool in _pools(world)) // 2
+    return _open_links(world)
 
 
-def multitenant_scenario(harness, n_users: int = 50, n_hosts: int = 24,
+def multitenant_scenario(n_users: int = 50, n_hosts: int = 24,
                          gateways: int = 4, fanout: int = 10,
                          horizon_ms: float = 120_000.0,
-                         seed: int = 47) -> dict:
+                         seed: int = 47) -> Callable[[], dict]:
     """M users x N hosts under the open-loop workload — shared circuits
     vs one private circuit per user pair (``benchmarks.workloads``).
 
@@ -249,8 +214,7 @@ def multitenant_scenario(harness, n_users: int = 50, n_hosts: int = 24,
     channels collapse onto one circuit per host pair.
     """
     from benchmarks.workloads import (build_multitenant_world,
-                                      merge_gathered, schedule_sessions,
-                                      slo_block)
+                                      schedule_sessions, slo_block)
 
     modes = (("shared", True), ("private", False))
     worlds = {}
@@ -261,43 +225,38 @@ def multitenant_scenario(harness, n_users: int = 50, n_hosts: int = 24,
                                   leaf_names=names[gateways:],
                                   fanout=fanout, horizon_ms=horizon_ms,
                                   seed=seed + 1)
-        worlds[mode] = (world, names, state)
+        worlds[mode] = (world, state)
 
-    harness.begin_measure()
-    result = {"n_users": n_users, "n_hosts": n_hosts,
-              "gateways": gateways, "fanout": fanout}
-    failed = 0
-    for mode, sharing in modes:
-        world, names, state = worlds[mode]
-        harness.attach(world.network, names[0])
-        harness.run_for(horizon_ms + DRAIN_MS)
-        # Open-loop arrivals have a heavy tail; top up in bounded slices
-        # until every session has reported done (or failed).
-        rounds = 0
-        while (harness.sum_hosts(lambda n: state.done.get(n, 0)) < n_users
-               and rounds < 60):
-            harness.run_for(30_000.0)
-            rounds += 1
-        completed = harness.sum_hosts(lambda n: state.done.get(n, 0))
-        assert completed == n_users, \
-            "%s: only %d/%d sessions finished" % (mode, completed, n_users)
-        failed += harness.sum_hosts(lambda n: state.failures.get(n, 0))
-        # Sessions leave their fan-out processes running, so the links
-        # counted here are the steady state a populated fleet holds.
-        result["links_%s" % mode] = _physical_links(harness, world,
-                                                    sharing)
-        if sharing:
-            result["lanes_shared"] = harness.sum_hosts(
-                lambda name: 0 if _pool_of(world, name) is None
-                else _pool_of(world, name).lane_count()) // 2
-        merged = merge_gathered(
-            harness.gather_hosts(lambda name: state.hist_state(name)))
-        result["slo_%s" % mode] = slo_block(merged)
-        result["sim_ms_%s" % mode] = round(harness.now, 3)
-        harness.detach()
+    def run() -> dict:
+        result = {"n_users": n_users, "n_hosts": n_hosts,
+                  "gateways": gateways, "fanout": fanout}
+        failed = 0
+        for mode, sharing in modes:
+            world, state = worlds[mode]
+            world.run_for(horizon_ms + DRAIN_MS)
+            # Open-loop arrivals have a heavy tail; top up in bounded
+            # slices until every session has reported done (or failed).
+            rounds = 0
+            while state.done < n_users and rounds < 60:
+                world.run_for(30_000.0)
+                rounds += 1
+            assert state.done == n_users, \
+                "%s: only %d/%d sessions finished" % (mode, state.done,
+                                                      n_users)
+            failed += state.failures
+            # Sessions leave their fan-out processes running, so the
+            # links counted here are the steady state a populated fleet
+            # holds.
+            result["links_%s" % mode] = _physical_links(world, sharing)
+            if sharing:
+                result["lanes_shared"] = sum(
+                    pool.lane_count() for pool in _pools(world)) // 2
+            result["slo_%s" % mode] = slo_block(state.hists)
+            result["sim_ms_%s" % mode] = round(world.sim.now_ms, 3)
 
-    result["failed_sessions"] = failed
-    result["link_reduction_x"] = round(
-        result["links_private"] / max(1, result["links_shared"]), 1)
-    harness.end_measure()
-    return result
+        result["failed_sessions"] = failed
+        result["link_reduction_x"] = round(
+            result["links_private"] / max(1, result["links_shared"]), 1)
+        return result
+
+    return run

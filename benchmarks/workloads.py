@@ -14,22 +14,18 @@ series of tools", section 4) — so every op re-runs the Figure-2
 bootstrap and a login wave hammers the pmd authentication path the
 incarnation-keyed auth cache exists for.
 
-Per-operation latencies land in :class:`repro.perf.histogram.
-LatencyHistogram` ladders kept **per home host**, so the same code runs
-under the lockstep shard harness: every session executes entirely as
-events owned by its home host, and the per-host ladders are merged
-through a coordinated ``gather_hosts`` read at the end.  SLOs
-(p50/p95/p99 per op) come from the merged ladders.
+Per-operation latencies land in one :class:`repro.perf.histogram.
+LatencyHistogram` ladder per op; SLOs (p50/p95/p99 per op) come from
+those ladders.
 
-Run standalone (single-threaded harness, prints the SLO table)::
+Run standalone (prints the SLO table)::
 
     PYTHONPATH=src python -m benchmarks.workloads [--smoke]
         [--users M] [--hosts N] [--budget-s S]
 
 or as the ``multitenant_50x24`` scenario of ``benchmarks.perf.runner``
-(recorded in BENCH_core.json, honours ``--shards K --check-identity``),
-which runs it twice — shared circuits vs private — and records the
-steady-state link counts of both.
+(recorded in BENCH_core.json), which runs it twice — shared circuits vs
+private — and records the steady-state link counts of both.
 """
 
 from __future__ import annotations
@@ -49,16 +45,14 @@ OPS = ("login", "create", "locate", "tool_call", "gather", "session")
 
 
 # ----------------------------------------------------------------------
-# One user session (fully event-driven: shard-harness safe)
+# One user session (fully event-driven)
 # ----------------------------------------------------------------------
 
 class Session:
     """One user's session as a callback state machine.
 
     Never drives the simulation (no ``run_until_true``): every step is
-    a fabric callback, so hundreds of sessions interleave open-loop and
-    the whole thing executes as events owned by the session's home
-    host — the property the lockstep shard harness needs.
+    a fabric callback, so hundreds of sessions interleave open-loop.
     """
 
     def __init__(self, world, user: str, home: str,
@@ -227,7 +221,7 @@ class Session:
 
 
 # ----------------------------------------------------------------------
-# World + schedule construction (replicated, shard-deterministic)
+# World + schedule construction
 # ----------------------------------------------------------------------
 
 def build_multitenant_world(n_users: int, n_hosts: int, gateways: int,
@@ -261,36 +255,28 @@ def build_multitenant_world(n_users: int, n_hosts: int, gateways: int,
 
 
 class WorkloadState:
-    """Per-world run state: schedules, per-host ladders, completion."""
+    """Per-world run state: schedules, per-op ladders, completion."""
 
     def __init__(self) -> None:
-        #: home host -> {op: LatencyHistogram} (written only by events
-        #: owned by that host — shard-safe).
-        self.hists: Dict[str, Dict[str, LatencyHistogram]] = {}
-        #: home host -> sessions finished there (integer, sum-able).
-        self.done: Dict[str, int] = {}
-        #: home host -> sessions that aborted there.
-        self.failures: Dict[str, int] = {}
+        self.hists: Dict[str, LatencyHistogram] = {
+            op: LatencyHistogram() for op in OPS}
+        #: Sessions finished (failed ones included).
+        self.done = 0
+        #: Sessions that aborted.
+        self.failures = 0
         self.sessions: List[Session] = []
-
-    def hist_state(self, host: str) -> dict:
-        """Picklable per-host ladder snapshot for ``gather_hosts``."""
-        ladders = self.hists.get(host, {})
-        return {op: (hist.counts, hist.count, hist.sum_ms,
-                     hist.min_ms, hist.max_ms)
-                for op, hist in ladders.items() if hist.count}
 
 
 def schedule_sessions(world, users: List[str], homes: Dict[str, str],
                       leaf_names: List[str], fanout: int,
                       horizon_ms: float, seed: int) -> WorkloadState:
     """Draw the open-loop arrival schedule and pre-register every
-    session as a future event owned by its home host.
+    session as a future event.
 
     All randomness (arrival times, fan-out target sets, locate picks)
-    is drawn *here*, from one seeded RNG, during replicated
-    construction — session execution itself draws nothing, so a
-    sharded run replays the identical workload.
+    is drawn *here*, from one seeded RNG — session execution itself
+    draws nothing, so the shared and private runs replay the identical
+    workload.
     """
     rng = random.Random(seed)
     state = WorkloadState()
@@ -299,61 +285,38 @@ def schedule_sessions(world, users: List[str], homes: Dict[str, str],
     mean_gap_ms = horizon_ms / max(1, len(users))
     sigma = 1.0
     mu = math.log(mean_gap_ms) - sigma * sigma / 2.0
+
+    def record(op: str, value_ms: float) -> None:
+        state.hists[op].record(value_ms)
+
+    def on_done(session: Session) -> None:
+        state.done += 1
+        if session.failed:
+            state.failures += 1
+
     arrival_ms = 0.0
     for user in users:
         arrival_ms += rng.lognormvariate(mu, sigma)
-        home = homes[user]
         fan = min(fanout, len(leaf_names))
         targets = rng.sample(leaf_names, fan)
         locate_index = rng.randrange(fan)
-        ladders = state.hists.setdefault(
-            home, {op: LatencyHistogram() for op in OPS})
-
-        def record(op: str, value_ms: float, ladders=ladders) -> None:
-            ladders[op].record(value_ms)
-
-        def on_done(session: Session, home=home) -> None:
-            state.done[home] = state.done.get(home, 0) + 1
-            if session.failed:
-                state.failures[home] = state.failures.get(home, 0) + 1
-
-        session = Session(world, user, home, targets, locate_index,
+        session = Session(world, user, homes[user], targets, locate_index,
                           record, on_done)
         state.sessions.append(session)
         world.fabric.schedule(arrival_ms, session.start,
-                              label="session %s" % (user,), owner=home)
+                              label="session %s" % (user,))
     return state
 
 
 # ----------------------------------------------------------------------
-# Merging per-host ladders and reporting SLOs
+# Reporting SLOs
 # ----------------------------------------------------------------------
 
-def merge_gathered(gathered: Dict[str, dict]) -> Dict[str, LatencyHistogram]:
-    """Merge ``gather_hosts`` ladder snapshots into one ladder per op."""
-    merged: Dict[str, LatencyHistogram] = {op: LatencyHistogram()
-                                           for op in OPS}
-    for _host, ladders in sorted(gathered.items()):
-        for op, (counts, count, sum_ms, min_ms, max_ms) in ladders.items():
-            target = merged[op]
-            for index, bucket in enumerate(counts):
-                target.counts[index] += bucket
-            target.count += count
-            target.sum_ms += sum_ms
-            if min_ms is not None and (target.min_ms is None
-                                       or min_ms < target.min_ms):
-                target.min_ms = min_ms
-            if max_ms is not None and (target.max_ms is None
-                                       or max_ms > target.max_ms):
-                target.max_ms = max_ms
-    return merged
-
-
-def slo_block(merged: Dict[str, LatencyHistogram]) -> dict:
+def slo_block(hists: Dict[str, LatencyHistogram]) -> dict:
     """The per-op p50/p95/p99 block recorded in BENCH_core.json."""
     block = {}
     for op in OPS:
-        summary = merged[op].summary()
+        summary = hists[op].summary()
         block[op] = {"count": summary["count"],
                      "p50_ms": summary["p50_ms"],
                      "p95_ms": summary["p95_ms"],
@@ -411,12 +374,10 @@ def main(argv=None) -> int:
     defaults["seed"] = args.seed
 
     from benchmarks.perf.scenarios import multitenant_scenario
-    from repro.netsim.parallel import run_scenario
 
     start = time.perf_counter()
-    outcome = run_scenario(multitenant_scenario, kwargs=defaults, shards=1)
+    result = multitenant_scenario(**defaults)()
     wall_s = time.perf_counter() - start
-    result = outcome.result
     for mode in ("shared", "private"):
         print("\n--- %s circuits: %d steady-state inter-host links ---"
               % (mode, result["links_%s" % mode]))

@@ -99,8 +99,7 @@ class RexecDaemon:
                 self._reply(endpoint, {"ok": False,
                                        "error": "bad request"})
 
-        self.host.sim.schedule(cost, act, owner=self.host.name,
-                               label="rexecd %s" % (request,))
+        self.host.sim.schedule(cost, act, label="rexecd %s" % (request,))
 
     def _reply(self, endpoint, payload: dict) -> None:
         if endpoint.open:

@@ -12,8 +12,6 @@ Subcommands:
   trigger alerts the session raised).
 * ``trace`` — the same session, exported as Chrome trace-event JSON
   (load the file at https://ui.perfetto.dev).
-* ``shards`` — run the lockstep-shard demo and verify K-shard
-  execution is byte-identical to the single-threaded run.
 * ``serve`` — become one *real* PPM host: an asyncio TCP listener in
   this OS process (the realnet backend; see ``docs/BACKENDS.md``).
 * ``run-real`` — launch N serve processes and drive the demo session
@@ -198,33 +196,6 @@ def cmd_trace(args) -> int:
           % (count, len(tracer.spans), tracer.dropped, args.out))
     print("open https://ui.perfetto.dev and load the file "
           "(one process row per simulated host)")
-    return 0
-
-
-def cmd_shards(args) -> int:
-    """Run the lockstep-shard demo scenario and check K-shard output
-    against the single-threaded run."""
-    from .netsim.parallel import demo_scenario, identity_diff, run_scenario
-
-    print("running demo scenario single-threaded ...")
-    local = run_scenario(demo_scenario, shards=1)
-    print("  sim_ms=%.3f messages=%d wall=%.3fs"
-          % (local.result["sim_ms"], local.result["messages"],
-             local.measure["wall_s"]))
-    print("running demo scenario on %d lockstep shards ..." % args.shards)
-    sharded = run_scenario(demo_scenario, shards=args.shards)
-    print("  sim_ms=%.3f messages=%d wall=%.3fs "
-          "(%d barrier rounds, %d cross-shard ships)"
-          % (sharded.result["sim_ms"], sharded.result["messages"],
-             sharded.measure["wall_s"], sharded.barrier_rounds,
-             sharded.ships))
-    diffs = identity_diff(local, sharded)
-    if diffs:
-        for diff in diffs:
-            print("DIVERGED: %s" % diff)
-        return 1
-    print("byte-identical: results and merged counters match the "
-          "single-threaded run")
     return 0
 
 
@@ -447,13 +418,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace.add_argument("--out", default="trace.json",
                        help="output path (default: trace.json)")
     trace.set_defaults(fn=cmd_trace)
-
-    shards = sub.add_parser(
-        "shards", help="run the lockstep-shard demo and verify K-shard "
-                       "execution is byte-identical to single-threaded")
-    shards.add_argument("--shards", type=int, default=2,
-                        help="number of worker processes (default: 2)")
-    shards.set_defaults(fn=cmd_shards)
 
     serve = sub.add_parser(
         "serve", help="run one real PPM host process (asyncio TCP "

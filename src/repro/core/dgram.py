@@ -128,7 +128,7 @@ class DatagramEndpoint:
             datagram, nbytes=nbytes, extra_delay_ms=extra_delay_ms)
         timer = lpm.sim.schedule(
             config.datagram_rto_ms * tries,  # linear backoff
-            self._retransmit, seq, nbytes, owner=self.local_name,
+            self._retransmit, seq, nbytes,
             label="dgram rto %s->%s#%d" % (self.local_name,
                                            self.peer_name, seq))
         self._unacked[seq] = [timer, datagram, tries]
@@ -260,7 +260,6 @@ class DatagramFabric:
     def _arm_keepalive(self) -> None:
         self._keepalive_timer = self.lpm.sim.schedule(
             self.lpm.config.datagram_keepalive_ms, self._keepalive_tick,
-            owner=self.lpm.name,
             label="dgram keepalive %s" % (self.lpm.name,))
 
     def _keepalive_tick(self) -> None:
@@ -272,7 +271,6 @@ class DatagramFabric:
                 self.lpm.sim.schedule(
                     self._keepalive_offset_ms(endpoint.peer_name),
                     self._ping_endpoint, endpoint.peer_name,
-                    owner=self.lpm.name,
                     label="dgram ping %s->%s" % (self.lpm.name,
                                                  endpoint.peer_name))
         self._arm_keepalive()

@@ -79,10 +79,9 @@ class Fabric:
         raise NotImplementedError
 
     def schedule(self, delay_ms: float, callback: Callable, *args,
-                 label: str = "", owner=None):
+                 label: str = ""):
         """Run ``callback(*args)`` after ``delay_ms``; returns a timer
-        handle for :meth:`cancel`.  ``owner`` is the shard-ownership
-        stamp (netsim lockstep sharding); real backends ignore it."""
+        handle for :meth:`cancel`."""
         raise NotImplementedError
 
     def cancel(self, handle) -> None:

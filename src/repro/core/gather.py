@@ -116,7 +116,7 @@ class GatherEngine:
                     timeout_ms=timeout_ms, broadcast=broadcast,
                     trace_parent=child_parent)
 
-        lpm.sim.schedule(collect_cost, collected, owner=lpm.name,
+        lpm.sim.schedule(collect_cost, collected,
                          label="gather collect %s" % (lpm.name,))
 
     def _child_reply(self, op: GatherOp, peer: str,
@@ -138,7 +138,6 @@ class GatherEngine:
             merge_cost = self.lpm._cpu_occupy(self.lpm.cost.snapshot_merge_ms)
             self.lpm.sim.schedule(merge_cost, self._merged, op,
                                   reply.payload, merge_span,
-                                  owner=self.lpm.name,
                                   label="gather merge %s<-%s" % (
                                       self.lpm.name, peer))
             return

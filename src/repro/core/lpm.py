@@ -303,7 +303,6 @@ class LocalProcessManager:
             return
         delay = self._cpu_occupy(self.cost.sibling_recv_ms)
         self.sim.schedule(delay, self._handle_sibling, message, endpoint,
-                          owner=self.name,
                           label="lpm recv %s" % (message.kind.value,))
 
     def _handle_sibling(self, message: Message, endpoint) -> None:
@@ -373,7 +372,6 @@ class LocalProcessManager:
 
         # signal delivery plus the kernel's confirmation (section 6).
         self.sim.schedule(self._cpu(self.cost.signal_ms), acted,
-                          owner=self.name,
                           label="control %s" % (message.payload.get(
                               "action"),))
 
@@ -407,7 +405,6 @@ class LocalProcessManager:
 
         # The LPM is the ready process-creation server: a cheap fork.
         self.sim.schedule(self._cpu(self.cost.server_fork_ms), created,
-                          owner=self.name,
                           label="create %s" % (payload.get("command"),))
 
     def _handle_locate(self, message: Message, from_host: str) -> None:
@@ -492,7 +489,7 @@ class LocalProcessManager:
         if self.config.topology_policy == "sparse":
             if self.router.locate_miss_fresh(host, pid):
                 PERF.locate_cache_hits += 1
-                self.sim.schedule(0.0, on_result, None, owner=self.name,
+                self.sim.schedule(0.0, on_result, None,
                                   label="locate negative-cache")
                 return
             route = self.router.outbound_route(host)
@@ -556,7 +553,7 @@ class LocalProcessManager:
                         self.router.locate_misses.discard((host, pid))
                 on_result(reply)
 
-        timer = self.sim.schedule(timeout_ms, on_ack, None, owner=self.name,
+        timer = self.sim.schedule(timeout_ms, on_ack, None,
                                   label="locate timeout")
         self.rpc.register(req_id, on_ack, timer)
         peers, tree_mode = self.treecast.origin_targets(stamp)
@@ -604,7 +601,6 @@ class LocalProcessManager:
             return
         self._ttl_timer = self.sim.schedule(
             self.config.lpm_time_to_live_ms, self._ttl_expired,
-            owner=self.name,
             label="lpm ttl %s@%s" % (self.user, self.name))
 
     def _cancel_ttl(self) -> None:

@@ -296,7 +296,6 @@ class RecoveryManager:
         self._cancel_probe_timer()
         self._probe_timer = self.lpm.sim.schedule(
             self.lpm.config.ccs_probe_interval_ms, self._probe_higher,
-            owner=self.lpm.name,
             label="ccs probe %s" % (self.lpm.name,))
 
     def _probe_higher(self) -> None:
@@ -391,7 +390,6 @@ class RecoveryManager:
                         interval_ms=self.lpm.config.time_to_die_ms)
             self._die_timer = self.lpm.sim.schedule(
                 self.lpm.config.time_to_die_ms, self._time_to_die,
-                owner=self.lpm.name,
                 label="time-to-die %s" % (self.lpm.name,))
         self._arm_retry_timer()
 
@@ -399,7 +397,6 @@ class RecoveryManager:
         self._cancel_retry_timer()
         self._retry_timer = self.lpm.sim.schedule(
             self.lpm.config.recovery_retry_interval_ms, self._retry,
-            owner=self.lpm.name,
             label="recovery retry %s" % (self.lpm.name,))
 
     def _retry(self) -> None:

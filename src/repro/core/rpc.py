@@ -149,7 +149,7 @@ class RequestChannel:
             pending.on_reply(None)
 
         timer = lpm.sim.schedule(timeout_ms + lpm._cpu(handler_cost),
-                                 timed_out, owner=lpm.name,
+                                 timed_out,
                                  label="timeout %s#%d" % (kind.value,
                                                           req_id))
         self.pending[req_id] = PendingRequest(on_reply, timer, handler)
@@ -167,7 +167,6 @@ class RequestChannel:
 
         if handler_cost:
             lpm.sim.schedule(lpm._cpu(handler_cost), transmit,
-                             owner=lpm.name,
                              label="handler %s#%d" % (kind.value, req_id))
         else:
             transmit()
@@ -193,7 +192,6 @@ class RequestChannel:
             (config.datagram_max_retries + 1)
         pending.retry_timer = self.lpm.sim.schedule(
             interval, self._retry, req_id, next_hop, message,
-            owner=self.lpm.name,
             label="request retry %s#%d" % (message.kind.value, req_id))
 
     def _retry(self, req_id: int, next_hop: str,

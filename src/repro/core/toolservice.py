@@ -168,8 +168,7 @@ class ToolService:
 
             cost = lpm._cpu(lpm.cost.fork_ms + lpm.cost.exec_ms
                             + lpm.cost.adopt_ms)
-            lpm.sim.schedule(cost, created, owner=lpm.name,
-                             label="local create")
+            lpm.sim.schedule(cost, created, label="local create")
             return
 
         def remote_ready(link) -> None:
@@ -206,7 +205,7 @@ class ToolService:
                            lpm._apply_control(pid, action))
 
             lpm.sim.schedule(lpm._cpu(lpm.cost.signal_ms), acted,
-                             owner=lpm.name, label="local control")
+                             label="local control")
             return
 
         def send_control(allow_retry: bool = True) -> None:
@@ -286,7 +285,7 @@ class ToolService:
             self.reply(endpoint, message, {"ok": True, "adopted": pids})
 
         lpm.sim.schedule(lpm._cpu(lpm.cost.adopt_ms), adopted,
-                         owner=lpm.name, label="adopt")
+                         label="adopt")
 
     def _tool_tool_set_trace(self, message: Message, endpoint) -> None:
         lpm = self.lpm

@@ -162,11 +162,11 @@ class TopologyManager:
         lpm = self.lpm
         if rewire and self._rewire_timer is None:
             self._rewire_timer = lpm.sim.schedule(
-                REWIRE_DEBOUNCE_MS, self._rewire, owner=lpm.name,
+                REWIRE_DEBOUNCE_MS, self._rewire,
                 label="sparse rewire %s" % (lpm.name,))
         if gossip and self._gossip_timer is None:
             self._gossip_timer = lpm.sim.schedule(
-                REWIRE_DEBOUNCE_MS, self._gossip, owner=lpm.name,
+                REWIRE_DEBOUNCE_MS, self._gossip,
                 label="sparse gossip %s" % (lpm.name,))
 
     def _settled(self, rearm) -> bool:

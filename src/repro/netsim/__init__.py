@@ -21,20 +21,6 @@ from .link import Link
 from .network import Network, NetworkNode
 from .stream import StreamConnection, StreamEndpoint
 from .datagram import DatagramTransport
-from .shard import (
-    LocalHarness,
-    ShardContext,
-    ShardPlan,
-    WorkerHarness,
-    window_bounds,
-    window_index_at,
-)
-from .parallel import (
-    ShardedOutcome,
-    ShardProtocolError,
-    identity_diff,
-    run_scenario,
-)
 
 __all__ = [
     "SimClock",
@@ -52,14 +38,4 @@ __all__ = [
     "StreamConnection",
     "StreamEndpoint",
     "DatagramTransport",
-    "LocalHarness",
-    "ShardContext",
-    "ShardPlan",
-    "WorkerHarness",
-    "window_bounds",
-    "window_index_at",
-    "ShardedOutcome",
-    "ShardProtocolError",
-    "identity_diff",
-    "run_scenario",
 ]

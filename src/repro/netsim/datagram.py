@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..errors import SimulationError, UnreachableHostError
+from ..errors import UnreachableHostError
 from .latency import DEFAULT_COST_MODEL, CostModel
 from .network import Network
 
@@ -23,16 +23,6 @@ class DatagramTransport:
     Receivers register with :meth:`bind`; each delivered datagram invokes
     ``handler(payload, src_name)`` after wire delay plus the per-message
     authentication cost.
-
-    Under a lockstep shard context, a datagram whose destination lives
-    on another worker ships its fully computed delivery descriptor
-    (time, payload, source) to that worker at the window barrier — the
-    delivery instant is byte-identical to the single-threaded run.  A
-    cross-shard drop notice (``on_dropped`` for a dead destination)
-    travels back the same way and is the documented next-window
-    relaxation.  Loss injection draws from the per-process RNG and so
-    cannot be replicated across workers: sending with a non-zero
-    ``loss_rate`` inside a sharded phase raises.
     """
 
     def __init__(self, network: Network,
@@ -45,7 +35,6 @@ class DatagramTransport:
         #: draws come from the seeded simulation RNG.
         self.loss_rate = 0.0
         self.losses_injected = 0
-        network.datagram_transport = self
 
     def bind(self, host: str, port: str,
              handler: Callable[[object, str], None]) -> None:
@@ -63,19 +52,12 @@ class DatagramTransport:
         stats = self.network.stats
         stats.datagrams_sent += 1
         stats.datagram_bytes += nbytes
-        shard = self.sim.shard
-        if self.loss_rate > 0.0:
-            if shard is not None:
-                raise SimulationError(
-                    "datagram loss injection draws from a per-process RNG "
-                    "and cannot stay deterministic across shard workers; "
-                    "set loss_rate to 0 before entering a sharded phase")
-            if self.sim.rng.random() < self.loss_rate:
-                self.losses_injected += 1
-                stats.datagrams_dropped += 1
-                if on_dropped is not None:
-                    on_dropped("lost")
-                return
+        if self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate:
+            self.losses_injected += 1
+            stats.datagrams_dropped += 1
+            if on_dropped is not None:
+                on_dropped("lost")
+            return
         try:
             wire = self.network.transit_delay_ms(src, dst, nbytes)
         except UnreachableHostError:
@@ -86,41 +68,6 @@ class DatagramTransport:
 
         auth = self.cost_model.datagram_auth_ms
         deliver_at = self.sim.now_ms + wire + auth + extra_delay_ms
-        if shard is not None and not shard.owns(dst):
-            if self.sim.current_owner is None:
-                # A send from a *global* event executes in every worker;
-                # the destination's owner runs this same code and
-                # schedules the delivery locally.  A drop notice cannot
-                # route back to a replicated callback deterministically.
-                if on_dropped is not None:
-                    raise SimulationError(
-                        "datagram %s->%s sent from a global event cannot "
-                        "carry on_dropped; issue it from a host-owned "
-                        "event (harness.call_on) instead" % (src, dst))
-                return
-            # Owned send: the receiving worker schedules the delivery;
-            # if the sender wants drop notices, a settle token routes
-            # the verdict back.
-            token = None
-            if on_dropped is not None:
-                token = shard.register_settle(src, on_dropped)
-            shard.ship_datagram(dst, port, payload, deliver_at, src, token)
-            return
-        self._schedule_delivery(dst, port, payload, deliver_at, src,
-                                on_dropped, None)
-
-    def _schedule_delivery(self, dst: str, port: str, payload,
-                           deliver_at: float, src: str,
-                           on_dropped: Optional[Callable[[str], None]],
-                           settle) -> None:
-        """Schedule the delivery event on the destination's timeline.
-
-        ``settle`` is ``(origin_shard, token)`` for a delivery applied
-        from another worker's ship: the outcome (delivered, or dropped
-        with a reason) is shipped back so the sender's shard can retire
-        or fire its ``on_dropped`` callback.
-        """
-        stats = self.network.stats
 
         def deliver() -> None:
             reason = None
@@ -135,20 +82,8 @@ class DatagramTransport:
                     handler(payload, src)
             if reason is not None:
                 stats.datagrams_dropped += 1
-            if settle is not None:
-                shard = self.sim.shard
-                if shard is not None:
-                    shard.ship_settle(settle, reason, self.sim.now_ms, dst)
-            elif reason is not None and on_dropped is not None:
-                on_dropped(reason)
+                if on_dropped is not None:
+                    on_dropped(reason)
 
-        self.sim.schedule_at(deliver_at, deliver, owner=dst,
+        self.sim.schedule_at(deliver_at, deliver,
                              label="dgram %s->%s/%s" % (src, dst, port))
-
-    def apply_remote_datagram(self, dst: str, port: str, payload,
-                              deliver_at: float, src: str,
-                              settle) -> None:
-        """Apply a shipped cross-shard datagram: schedule its delivery
-        here, at the exact instant the sender computed."""
-        self._schedule_delivery(dst, port, payload, deliver_at, src,
-                                None, settle)

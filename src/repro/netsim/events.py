@@ -38,11 +38,11 @@ class Event:
     """
 
     __slots__ = ("time_ms", "seq", "callback", "args", "cancelled", "fired",
-                 "label", "owner", "_queue")
+                 "label", "_queue")
 
     def __init__(self, time_ms: float, seq: int,
                  callback: Callable[..., None], args: tuple,
-                 label: str = "", owner=None) -> None:
+                 label: str = "") -> None:
         self.time_ms = time_ms
         self.seq = seq
         self.callback: Optional[Callable[..., None]] = callback
@@ -51,13 +51,6 @@ class Event:
         #: True once the event has been popped for execution.
         self.fired = False
         self.label = label
-        #: Which host's timeline this event belongs to: a host name, a
-        #: tuple of host names (an event shared between the two ends of
-        #: a circuit), or None for world-global events.  Ownership is
-        #: what lets a lockstep shard worker (``netsim.shard``) execute
-        #: only its slice of the event stream; single-process runs
-        #: never read it.
-        self.owner = owner
         #: The queue currently holding this event; cancellation
         #: bookkeeping flows through this single path.
         self._queue: Optional["EventQueue"] = None
@@ -107,10 +100,6 @@ class EventQueue:
 
         In-order arrivals (the common monotone-timer case) append to the
         FIFO in O(1); everything else heap-sifts.
-
-        ``events_scheduled`` is charged by :meth:`Simulator.schedule_at`
-        (which knows event ownership), not here — a replicated global
-        event pushed by every shard worker is one logical schedule.
         """
         event._queue = self
         fifo = self._fifo

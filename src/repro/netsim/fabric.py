@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .simulator import _INHERIT, Simulator
+from .simulator import Simulator
 from .stream import DEFAULT_DETECT_MS, StreamConnection
 
 
@@ -46,9 +46,8 @@ class SimFabric:
         return self.sim.now_ms
 
     def schedule(self, delay_ms: float, callback: Callable, *args,
-                 label: str = "", owner=_INHERIT):
-        return self.sim.schedule(delay_ms, callback, *args,
-                                 label=label, owner=owner)
+                 label: str = ""):
+        return self.sim.schedule(delay_ms, callback, *args, label=label)
 
     def cancel(self, handle) -> None:
         self.sim.cancel(handle)

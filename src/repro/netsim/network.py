@@ -15,7 +15,6 @@ TCP keepalive or failed send would.
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
@@ -48,45 +47,19 @@ class NetworkNode:
         #: callable returning the host's current load average; installed
         #: by the unixsim host so the network can expose it to cost hooks.
         self.load_fn: Callable[[], float] = lambda: 0.0
-        #: back-reference set by :meth:`Network.add_node`, so dynamic
-        #: service registrations can be advertised across shard workers.
-        self.sim: Optional[Simulator] = None
 
     def listen(self, service: str, acceptor: Callable) -> None:
-        """Register an acceptor for a named service.
-
-        Under lockstep sharding a registration made mid-run (an LPM
-        spawned by a login wave advertises its accept service) exists
-        only on the owning worker; the other workers receive a presence
-        *marker* at the next barrier so their connect-time service
-        checks reach the same verdict.  The marker is never invoked —
-        the acceptor half of a cross-shard connect executes on the
-        owning worker, against the real registration.
-        """
+        """Register an acceptor for a named service."""
         self.services[service] = acceptor
-        sim = self.sim
-        if sim is not None and sim.shard is not None:
-            sim.shard.ship_listen(self.name, service, sim.now_ms)
 
     def unlisten(self, service: str) -> None:
         """Remove a service registration; unknown names are ignored."""
         self.services.pop(service, None)
-        sim = self.sim
-        if sim is not None and sim.shard is not None:
-            sim.shard.ship_unlisten(self.name, service, sim.now_ms)
 
     def __repr__(self) -> str:
         state = "up" if self.up else "DOWN"
         return "NetworkNode(%s, %s, %s)" % (self.name,
                                             self.host_class.value, state)
-
-
-def remote_service_marker(endpoint, payload) -> None:  # pragma: no cover
-    """Placeholder acceptor for a service registered on another shard
-    worker.  Its presence makes connect-time service checks succeed; the
-    real acceptor runs on the owning worker, so invoking the marker is a
-    sharding-protocol violation."""
-    raise SimulationError("remote service marker invoked as an acceptor")
 
 
 class NetworkStats:
@@ -138,35 +111,14 @@ class Network:
         self._connections: List = []
         #: callbacks run after every topology change (crash, heal, ...).
         self._topology_listeners: List[Callable[[], None]] = []
-        #: Every circuit ever created, keyed by its global id — how a
-        #: shard worker resolves a shipped cross-shard delivery onto its
-        #: local replica of the circuit.  Weak values: a circuit nobody
-        #: holds any more cannot receive anything.
-        self._conns_by_gid: "weakref.WeakValueDictionary" = \
-            weakref.WeakValueDictionary()
-        #: The datagram transport bound to this network (set by
-        #: ``DatagramTransport.__init__``); the shard layer routes
-        #: cross-shard datagram ships through it.
-        self.datagram_transport = None
-        #: Circuit id counters (see ``StreamConnection.__init__``).
-        #: Per-network, so one world's sharded phase cannot desync the
-        #: ids of a world built later in the same process.
+        #: Circuit id counter; per-network, so ids restart with every
+        #: world built in the same process.
         self._next_conn_id = 0
-        self._next_global_conn_id = 0
 
     def next_conn_id(self) -> int:
-        """The next circuit id for replicated-construction or
-        shard-local circuits."""
+        """The next circuit id."""
         self._next_conn_id += 1
         return self._next_conn_id
-
-    def next_global_conn_id(self) -> int:
-        """The next circuit id for circuits created by *global* events
-        during a sharded phase.  Global events execute identically in
-        every worker, so this counter stays aligned fleet-wide — which
-        is exactly what makes the resulting gids match."""
-        self._next_global_conn_id += 1
-        return self._next_global_conn_id
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -179,7 +131,6 @@ class Network:
         if name in self.nodes:
             raise SimulationError("duplicate host name %r" % (name,))
         node = NetworkNode(name, host_class)
-        node.sim = self.sim
         self.nodes[name] = node
         return node
 
@@ -214,23 +165,6 @@ class Network:
             if link.endpoints() == wanted:
                 return link
         return None
-
-    def min_link_latency_ms(self) -> Optional[float]:
-        """The smallest link latency in the topology, or None when no
-        links exist.
-
-        This is the conservative-synchronization *lookahead*: no message
-        sent at time ``t`` can affect any other host before ``t + L``
-        (every path crosses at least one link, and serialization and
-        processing delays only add).  The lockstep shard scheduler uses
-        it as the window length — events inside one window are causally
-        independent across shards.  Partitioned or administratively-down
-        links still bound the lookahead: they may come back up at any
-        event.
-        """
-        if not self.links:
-            return None
-        return min(link.latency_ms for link in self.links)
 
     def ethernet(self, names: Iterable[str], latency_ms: float = 5.0) -> None:
         """Join hosts with a full mesh of links, approximating one shared
@@ -390,15 +324,6 @@ class Network:
         """Track an established circuit for topology re-checks."""
         self._connections.append(conn)
         self.stats.connections_opened += 1
-
-    def index_connection(self, conn) -> None:
-        """Make a circuit resolvable by its global id (shard ships)."""
-        self._conns_by_gid[conn.gid] = conn
-
-    def connection_by_gid(self, gid):
-        """The local replica of the circuit with this global id, or
-        None when it was never created here or already collected."""
-        return self._conns_by_gid.get(gid)
 
     def unregister_connection(self, conn) -> None:
         """Forget a closed or broken circuit; idempotent."""

@@ -4,16 +4,6 @@ The :class:`Simulator` owns the clock and the event queue.  All higher
 layers (hosts, daemons, LPMs, tools) are callback-driven state machines:
 they never block, they only schedule future work.  Given a seed, a run is
 fully deterministic.
-
-Every event carries an *owner* — the host whose timeline it belongs to.
-Owners propagate implicitly: while an event executes, anything it
-schedules inherits its owner, so a whole causal chain rooted at one host
-stays stamped with that host.  The netsim delivery seams (stream
-segments, datagrams, circuit setup) re-stamp the owner at every
-cross-host hop.  Single-process runs never look at owners; the lockstep
-shard workers of :mod:`repro.netsim.shard` use them to execute only
-their partition of the event stream (see ``docs/PERF.md``,
-"Parallel simulation").
 """
 
 from __future__ import annotations
@@ -25,9 +15,6 @@ from ..errors import SimulationError
 from ..perf import PERF
 from .clock import SimClock
 from .events import Event, EventQueue
-
-#: Sentinel: "inherit the owner of the currently-executing event".
-_INHERIT = object()
 
 
 class Simulator:
@@ -43,14 +30,6 @@ class Simulator:
         #: Optional :class:`repro.perf.spans.SpanTracer`; None keeps
         #: every instrumentation site zero-cost.
         self.tracer = None
-        #: Owner of the event currently executing (None at top level);
-        #: newly scheduled events inherit it.
-        self.current_owner = None
-        #: Optional :class:`repro.netsim.shard.ShardContext`.  When set,
-        #: this simulator is one lockstep worker: it executes only events
-        #: owned by its shard (plus global events) and ships cross-shard
-        #: deliveries at window barriers.  None everywhere else.
-        self.shard = None
 
     @property
     def now_ms(self) -> float:
@@ -67,35 +46,24 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def schedule(self, delay_ms: float, callback: Callable[..., None],
-                 *args, label: str = "", owner=_INHERIT) -> Event:
+                 *args, label: str = "") -> Event:
         """Run ``callback(*args)`` after ``delay_ms`` simulated ms."""
         if delay_ms < 0:
             raise SimulationError("cannot schedule into the past "
                                   "(delay_ms=%r)" % (delay_ms,))
         return self.schedule_at(self.now_ms + delay_ms, callback, *args,
-                                label=label, owner=owner)
+                                label=label)
 
     def schedule_at(self, time_ms: float, callback: Callable[..., None],
-                    *args, label: str = "", owner=_INHERIT) -> Event:
-        """Run ``callback(*args)`` at absolute simulated time ``time_ms``.
-
-        ``owner`` stamps the event's host timeline; by default it
-        inherits the owner of the event currently executing, so causal
-        chains stay on their host without every call site knowing about
-        sharding.  Cross-host seams pass the receiving host explicitly.
-        """
+                    *args, label: str = "") -> Event:
+        """Run ``callback(*args)`` at absolute simulated time ``time_ms``."""
         if time_ms < self.now_ms:
             raise SimulationError(
                 "cannot schedule into the past (t=%.3f, now=%.3f)"
                 % (time_ms, self.now_ms))
-        if owner is _INHERIT:
-            owner = self.current_owner
-        shard = self.shard
-        if shard is None or shard.counts(owner):
-            PERF.events_scheduled += 1
+        PERF.events_scheduled += 1
         self._seq += 1
-        event = Event(time_ms, self._seq, callback, args, label=label,
-                      owner=owner)
+        event = Event(time_ms, self._seq, callback, args, label=label)
         self.queue.push(event)
         return event
 
@@ -111,96 +79,26 @@ class Simulator:
         """
         if event is None or event.cancelled or event.fired:
             return
-        shard = self.shard
-        if shard is None or shard.counts(event.owner):
-            PERF.events_cancelled += 1
+        PERF.events_cancelled += 1
         event.cancel()
 
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
 
-    def executes_host(self, host: str) -> bool:
-        """True when this process runs ``host``'s side of shared events
-        (always true single-process; shard workers own a subset)."""
-        shard = self.shard
-        return shard is None or shard.owns(host)
-
     def step(self) -> bool:
-        """Execute the next event.  Returns False when the queue is empty.
-
-        Under a shard context, events owned by other shards are popped
-        (they keep the clock and queue bit-identical to the replicated
-        construction) but not executed and not counted: their owning
-        worker runs them.  ``current_owner`` is restored by assignment,
-        not try/finally — an exception out of a callback abandons the
-        run anyway, and this is the hottest loop in the repo.
-        """
+        """Execute the next event.  Returns False when the queue is empty."""
         event = self.queue.pop()
         if event is None:
             return False
         self.clock.advance_to(event.time_ms)
         callback, args = event.callback, event.args
         event.callback, event.args = None, ()
-        shard = self.shard
-        if shard is None:
-            self._events_run += 1
-            PERF.events_run += 1
-            if callback is not None:
-                prev = self.current_owner
-                self.current_owner = event.owner
-                callback(*args)
-                self.current_owner = prev
-            return True
-        owner = event.owner
-        if shard.executes(owner):
-            if shard.counts(owner):
-                self._events_run += 1
-                PERF.events_run += 1
-            if callback is not None:
-                prev = self.current_owner
-                self.current_owner = owner
-                callback(*args)
-                self.current_owner = prev
+        self._events_run += 1
+        PERF.events_run += 1
+        if callback is not None:
+            callback(*args)
         return True
-
-    def run_window(self, end_ms: float,
-                   predicate: Optional[Callable[[], bool]] = None,
-                   max_events: int = 10_000_000,
-                   inclusive: bool = False) -> Optional[float]:
-        """Execute every event strictly before ``end_ms``.
-
-        The lockstep inner loop: a shard worker runs one lookahead
-        window with this, then exchanges cross-shard deliveries at the
-        barrier.  Events *at* ``end_ms`` belong to the next window (a
-        message sent inside this window arrives no earlier than the
-        window's end, so running [start, end) is conservative-safe).
-        The clock is left at the last executed event; the caller decides
-        whether to advance it to the boundary.  ``inclusive`` also runs
-        events exactly at ``end_ms`` — used for the final partial
-        segment of a lockstep op, whose target instant is inclusive just
-        like :meth:`run_until` / :meth:`run_until_true`.
-
-        With a ``predicate``, it is checked after every executed event
-        (exactly like :meth:`run_until_true`); the first time it holds,
-        execution stops and the stop time is returned.  Returns None
-        when the window completed without a predicate stop.
-        """
-        executed = 0
-        queue = self.queue
-        while True:
-            next_time = queue.peek_time()
-            if next_time is None or (next_time > end_ms if inclusive
-                                     else next_time >= end_ms):
-                return None
-            if executed >= max_events:
-                raise SimulationError(
-                    "run_window(%.3f) exceeded %d events; likely a "
-                    "scheduling loop" % (end_ms, max_events))
-            self.step()
-            executed += 1
-            if predicate is not None and predicate():
-                return self.now_ms
 
     def run_until(self, time_ms: float, max_events: int = 10_000_000) -> None:
         """Run every event scheduled at or before ``time_ms``.
@@ -242,7 +140,9 @@ class Simulator:
         """Run until ``predicate()`` holds or ``timeout_ms`` passes.
 
         Returns True if the predicate became true.  The predicate is
-        checked after every executed event.
+        checked after every executed event.  On a timeout the clock
+        ends exactly on the deadline, like :meth:`run_until`; events
+        later than the deadline stay queued.
         """
         deadline = self.now_ms + timeout_ms
         executed = 0
@@ -251,6 +151,7 @@ class Simulator:
         while True:
             next_time = self.queue.peek_time()
             if next_time is None or next_time > deadline:
+                self.clock.advance_to(deadline)
                 return False
             if executed >= max_events:
                 raise SimulationError(

@@ -22,18 +22,6 @@ arrival.  Arrival times are byte-identical to scheduling one event per
 segment — only the event volume changes, which is what keeps chatty
 circuits (gather storms, broadcast replies, history streaming) from
 flooding the event queue.  See ``docs/NETSIM.md``.
-
-Sharding seams.  Under a lockstep shard context (``netsim.shard``) a
-circuit whose two ends live in different worker processes exists as a
-replica in both.  The sender computes each segment's arrival time
-exactly as it would single-threaded (same floor, same floats) and
-*ships* the ``(arrival, payload)`` descriptor instead of scheduling
-locally; the receiving worker applies it at the next window barrier and
-arms its own delivery timer.  Circuit setup is one event owned by *both*
-ends: each worker executes its half (acceptor on the server's shard,
-``on_established`` on the client's).  Orderly close and break are the
-one relaxation: they notify the remote end at the next window boundary
-instead of the same instant (see ``docs/PERF.md``).
 """
 
 from __future__ import annotations
@@ -41,11 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
-from ..errors import (
-    ConnectionClosedError,
-    SimulationError,
-    UnreachableHostError,
-)
+from ..errors import ConnectionClosedError, UnreachableHostError
 from ..perf import PERF
 from .network import Network
 
@@ -117,38 +101,16 @@ class StreamEndpoint:
 class StreamConnection:
     """A reliable, ordered, authenticated-at-setup virtual circuit."""
 
-    __slots__ = ("network", "sim", "conn_id", "gid", "a", "b",
+    __slots__ = ("network", "sim", "conn_id", "a", "b",
                  "detect_ms", "established", "_last_delivery_ms",
                  "_inflight", "_delivery_timer", "_detect_timer",
-                 "_break_scheduled", "__weakref__")
+                 "_break_scheduled")
 
     def __init__(self, network: Network, a_name: str, b_name: str,
-                 detect_ms: float = DEFAULT_DETECT_MS, _gid=None) -> None:
+                 detect_ms: float = DEFAULT_DETECT_MS) -> None:
         self.network = network
         self.sim = network.sim
-        #: Global circuit id, stable across shard workers.  Circuits
-        #: created during replicated construction carry tag -1 and the
-        #: same per-network conn_id everywhere; circuits created by a
-        #: *global* event inside a lockstep phase (every worker runs the
-        #: constructor) carry tag -2 and a separate replicated counter;
-        #: circuits created by an owned event are tagged with the
-        #: creating shard's index, so ids never collide between workers.
-        #: A replica built from a shipped connect reuses the shipped id
-        #: (``_gid``) and consumes no counter.
-        shard = self.sim.shard
-        if _gid is not None:
-            self.gid = _gid
-            self.conn_id = _gid[1]
-        elif shard is None:
-            self.conn_id = network.next_conn_id()
-            self.gid = (-1, self.conn_id)
-        elif self.sim.current_owner is None:
-            self.conn_id = network.next_global_conn_id()
-            self.gid = (-2, self.conn_id)
-        else:
-            self.conn_id = network.next_conn_id()
-            self.gid = (shard.index, self.conn_id)
-        network.index_connection(self)
+        self.conn_id = network.next_conn_id()
         self.a = StreamEndpoint(self, a_name, b_name)
         self.b = StreamEndpoint(self, b_name, a_name)
         self.detect_ms = detect_ms
@@ -185,11 +147,6 @@ class StreamConnection:
         unreachable or not listening, ``on_failed(reason)`` fires instead
         (after one round-trip-worth of delay, as a refused TCP connect
         would).
-
-        The completion event is owned by *both* hosts: under sharding
-        each worker executes its own half of it.  When the server lives
-        on another shard, a connect descriptor is shipped so that shard
-        can build its replica and schedule the same completion.
         """
         conn = cls(network, src, dst, detect_ms=detect_ms)
         sim = network.sim
@@ -208,59 +165,28 @@ class StreamConnection:
                 2 * one_way, on_failed)
             return conn
 
-        complete_at = sim.now_ms + 2 * one_way + setup_ms
-        shard = sim.shard
-        if shard is not None and sim.current_owner is not None:
-            # An owned connect executes in exactly one worker.  The
-            # client half (``on_established`` closure) can only ever run
-            # here, so that worker must own the client host; the server
-            # shard gets a shipped descriptor to build its replica.  A
-            # *global* connect (current_owner is None) runs this very
-            # code in every worker — the replica already exists
-            # everywhere and nothing must be shipped.
-            if not shard.owns(src):
-                raise SimulationError(
-                    "connect %s->%s issued on shard %d, which does not "
-                    "own the client host" % (src, dst, shard.index))
-            if not shard.owns(dst):
-                shard.ship_connect(conn.gid, src, dst, service, payload,
-                                   complete_at, detect_ms)
-        sim.schedule_at(complete_at, conn._complete, service, payload,
-                        on_established, on_failed, owner=(src, dst),
+        sim.schedule_at(sim.now_ms + 2 * one_way + setup_ms, conn._complete,
+                        service, payload, on_established, on_failed,
                         label="connect %s->%s/%s" % (src, dst, service))
         return conn
 
     def _connect_fail(self, reason: str, delay_ms: float,
                       on_failed: Optional[Callable]) -> None:
-        """Deliver a connect failure to the client side after a delay.
-
-        Scheduled only where the client's half executes, so a server
-        shard replaying the shared completion event neither runs nor
-        counts the client's failure delivery.
-        """
-        sim = self.sim
-        src = self.a.local_name
-        if not sim.executes_host(src):
-            return
+        """Deliver a connect failure to the client side after a delay."""
 
         def deliver_failure() -> None:
             if on_failed is not None:
                 on_failed(reason)
 
-        sim.schedule(delay_ms, deliver_failure, owner=src,
-                     label="connect-fail %s->%s" % (src, self.b.local_name))
+        self.sim.schedule(delay_ms, deliver_failure,
+                          label="connect-fail %s->%s" % (self.a.local_name,
+                                                         self.b.local_name))
 
     def _complete(self, service: str, payload,
                   on_established: Optional[Callable],
                   on_failed: Optional[Callable]) -> None:
-        """The handshake finished: establish, accept, notify.
-
-        Runs once single-threaded; under sharding it runs in every
-        worker owning either end, each executing only its own half
-        (``executes_host`` guards) while shared state — established
-        flag, registries — is replicated identically.
-        """
-        network, sim = self.network, self.sim
+        """The handshake finished: establish, accept, notify."""
+        network = self.network
         src, dst = self.a.local_name, self.b.local_name
         # The path may have vanished during the handshake.
         if not network.reachable(src, dst):
@@ -274,16 +200,9 @@ class StreamConnection:
             return
         self.established = True
         network.register_connection(self)
-        if sim.executes_host(dst):
-            prev = sim.current_owner
-            sim.current_owner = dst
-            current_acceptor(self.b, payload)
-            sim.current_owner = prev
-        if on_established is not None and sim.executes_host(src):
-            prev = sim.current_owner
-            sim.current_owner = src
+        current_acceptor(self.b, payload)
+        if on_established is not None:
             on_established(self.a)
-            sim.current_owner = prev
 
     # ------------------------------------------------------------------
     # Data transfer
@@ -304,11 +223,6 @@ class StreamConnection:
         already covers this one: arrival times within a direction are
         non-decreasing, so the head of the queue is always the next due
         arrival and no re-arm is needed on send.
-
-        When the receiving end lives on another shard, the fully
-        computed ``(arrival, payload)`` descriptor is shipped instead —
-        the receiver applies it at the next window barrier, so the
-        arrival float is byte-identical to the single-threaded run.
         """
         peer = self._peer_of(sender)
         try:
@@ -327,42 +241,12 @@ class StreamConnection:
         floor = self._last_delivery_ms[key]
         arrival = max(arrival, floor)
         self._last_delivery_ms[key] = arrival
-        shard = self.sim.shard
-        if shard is not None and not shard.owns(peer.local_name):
-            if self.sim.current_owner is not None:
-                # Owned send: exactly one worker executes it, so it
-                # ships the computed descriptor to the receiver's shard.
-                shard.ship_segment(self.gid,
-                                   "a" if peer is self.a else "b",
-                                   peer.local_name, arrival, payload,
-                                   self.sim.now_ms, sender.local_name)
-            # A send from a *global* event executes in every worker;
-            # the receiver's owner runs this same code and schedules
-            # the delivery locally below, so nobody ships anything.
-            return
         self._inflight[key].append((arrival, payload, self.sim.now_ms))
         if self._delivery_timer[key] is None:
             self._delivery_timer[key] = self.sim.schedule_at(
                 arrival, self._deliver_due, peer,
-                owner=peer.local_name,
                 label="stream %s->%s" % (sender.local_name,
                                          peer.local_name))
-
-    def _accept_remote_segment(self, side: str, arrival_ms: float,
-                               payload, sent_ms: float) -> None:
-        """A shipped segment reached the worker owning this direction's
-        receiving end: enqueue it exactly as the sender-side
-        :meth:`transmit` would have, arrival time already final."""
-        peer = self.a if side == "a" else self.b
-        key = id(peer)
-        if arrival_ms > self._last_delivery_ms[key]:
-            self._last_delivery_ms[key] = arrival_ms
-        self._inflight[key].append((arrival_ms, payload, sent_ms))
-        if self._delivery_timer[key] is None:
-            self._delivery_timer[key] = self.sim.schedule_at(
-                arrival_ms, self._deliver_due, peer,
-                owner=peer.local_name,
-                label="stream %s->%s" % (peer.peer_name, peer.local_name))
 
     def _deliver_due(self, peer: StreamEndpoint) -> None:
         """The delivery timer for ``peer``'s direction fired: drain
@@ -431,51 +315,19 @@ class StreamConnection:
             self._detect_timer = None
         self._break_scheduled = False
 
-    def _ship_teardown(self, reason: str, broke: bool,
-                       _from_remote: bool) -> None:
-        """Tell every other shard holding a replica of this circuit to
-        tear its copy down too.  No-op single-process, and suppressed
-        when this teardown *is* the application of a remote one."""
-        shard = self.sim.shard
-        if shard is None or _from_remote:
-            return
-        if self.sim.current_owner is None:
-            # A teardown inside a global event (crash, partition, heal)
-            # executes in every worker against its own replica; there is
-            # no remote copy left to notify.
-            return
-        shard.ship_teardown(self.gid, reason, broke,
-                            self.a.local_name, self.b.local_name,
-                            self.sim.now_ms)
-
-    def _notify_closed(self, endpoint: StreamEndpoint, reason: str) -> None:
-        """Run one endpoint's ``on_close`` under that host's ownership."""
-        if endpoint.on_close is None:
-            return
-        sim = self.sim
-        prev = sim.current_owner
-        sim.current_owner = endpoint.local_name
-        endpoint.on_close(reason, endpoint)
-        sim.current_owner = prev
-
-    def close(self, initiator: Optional[StreamEndpoint] = None,
-              _from_remote: bool = False) -> None:
+    def close(self, initiator: Optional[StreamEndpoint] = None) -> None:
         """Orderly close: both endpoints see on_close('closed')."""
         if not self.established:
             return
         self.established = False
         self._flush_timers()
         self.network.unregister_connection(self)
-        self._ship_teardown("closed", False, _from_remote)
         for endpoint in (self.a, self.b):
             if endpoint._closed:
                 continue
             endpoint._mark_closed()
-            if endpoint is initiator:
-                continue
-            if not self.sim.executes_host(endpoint.local_name):
-                continue
-            self._notify_closed(endpoint, "closed")
+            if endpoint is not initiator and endpoint.on_close is not None:
+                endpoint.on_close("closed", endpoint)
 
     def recheck(self) -> None:
         """Called by the network after topology changes; breaks the
@@ -501,8 +353,7 @@ class StreamConnection:
             return
         self._break("connection timed out", immediate=True)
 
-    def _break(self, reason: str, immediate: bool = False,
-               _from_remote: bool = False) -> None:
+    def _break(self, reason: str, immediate: bool = False) -> None:
         """Tear the circuit down.
 
         ``immediate`` skips the heal re-check (the caller has already
@@ -522,7 +373,6 @@ class StreamConnection:
         self._flush_timers()
         self.network.unregister_connection(self)
         self.network.stats.connections_broken += 1
-        self._ship_teardown(reason, True, _from_remote)
         for endpoint in (self.a, self.b):
             if endpoint._closed:
                 continue
@@ -530,9 +380,8 @@ class StreamConnection:
             node = self.network.nodes.get(endpoint.local_name)
             if node is not None and not node.up:
                 continue  # a crashed host hears nothing
-            if not self.sim.executes_host(endpoint.local_name):
-                continue
-            self._notify_closed(endpoint, reason)
+            if endpoint.on_close is not None:
+                endpoint.on_close(reason, endpoint)
 
     def endpoints(self) -> List[StreamEndpoint]:
         return [self.a, self.b]
@@ -541,61 +390,3 @@ class StreamConnection:
         return "StreamConnection(#%d %s <-> %s, %s)" % (
             self.conn_id, self.a.local_name, self.b.local_name,
             "up" if self.established else "down")
-
-
-# ----------------------------------------------------------------------
-# Cross-shard ship application (called by netsim.shard at barriers)
-# ----------------------------------------------------------------------
-
-def apply_remote_segment(network: Network, gid, side: str,
-                         arrival_ms: float, payload,
-                         sent_ms: float) -> None:
-    """Apply one shipped stream segment to the local circuit replica.
-
-    A missing or torn-down replica means the circuit closed while the
-    segment was in flight; single-threaded, the close would have flushed
-    the segment from the in-flight queue, so it is dropped silently.
-    """
-    conn = network.connection_by_gid(gid)
-    if conn is None or not conn.established:
-        return
-    conn._accept_remote_segment(side, arrival_ms, payload, sent_ms)
-
-
-def apply_remote_connect(network: Network, gid, src: str, dst: str,
-                         service: str, payload, complete_at: float,
-                         detect_ms: float) -> None:
-    """Build the server shard's replica of a circuit being opened from
-    another shard, and schedule the shared completion event.  The
-    replica re-runs the same reachability/service checks at the same
-    instant against replicated topology, so both sides reach the same
-    verdict; only the server half (the acceptor call) executes here."""
-    conn = StreamConnection(network, src, dst, detect_ms=detect_ms,
-                            _gid=gid)
-    network.sim.schedule_at(complete_at, conn._complete, service, payload,
-                            None, None, owner=(src, dst),
-                            label="connect %s->%s/%s" % (src, dst, service))
-
-
-def apply_remote_teardown(network: Network, gid, reason: str,
-                          broke: bool, t_ship: float) -> None:
-    """Tear down the local replica of a circuit closed on another shard.
-
-    The documented relaxation: the remote end learns of a close/break at
-    the next window boundary rather than the same instant (the event is
-    scheduled at the shipped time, floored by this worker's clock).
-    """
-    conn = network.connection_by_gid(gid)
-    if conn is None or not conn.established:
-        return
-    sim = network.sim
-    owner = (conn.a.local_name, conn.b.local_name)
-
-    def teardown() -> None:
-        if broke:
-            conn._break(reason, immediate=True, _from_remote=True)
-        else:
-            conn.close(_from_remote=True)
-
-    sim.schedule_at(max(t_ship, sim.now_ms), teardown, owner=owner,
-                    label="remote-teardown %s-%s" % owner)

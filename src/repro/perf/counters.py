@@ -128,20 +128,6 @@ pmd authentication (``repro.unixsim.pmd``):
     cache instead of re-running the rhosts/registry checks — the
     login-wave hot path.
 
-Lockstep sharding (``repro.netsim.shard``):
-
-``shard_windows``
-    Lockstep windows synchronised across the worker fleet (counted once
-    per barrier round, on shard 0).  Windows skipped by the
-    coordinator's fast-forward never appear here.
-``cross_shard_msgs``
-    Delivery descriptors shipped between shard workers (stream
-    segments, datagrams, circuit setups, teardowns, drop-notice
-    settles).
-``barrier_waits``
-    Blocking waits on the coordinator, per worker (barrier rounds plus
-    reduction ops); the synchronisation overhead a sharded run pays.
-
 Load average (``repro.unixsim.loadavg``):
 
 ``loadavg_idle_skips``
@@ -238,9 +224,6 @@ _COUNTERS = (
     "circuit_shares",
     "circuit_lanes_attached",
     "auth_cache_hits",
-    "shard_windows",
-    "cross_shard_msgs",
-    "barrier_waits",
     "loadavg_idle_skips",
     "real_frames_sent",
     "real_frames_received",

@@ -40,7 +40,7 @@ from ..core.fabric import DEFAULT_DETECT_MS, Fabric
 from ..perf import PERF
 from ..perf.spans import DEFAULT_MAX_SPANS, SpanTracer
 from .framing import FrameDecoder, encode_frame
-from .node import RealEndpoint
+from .node import READ_BYTES, RealEndpoint, cap_socket_reads
 from .registry import HostRegistry
 
 
@@ -72,7 +72,7 @@ class AsyncioFabric(Fabric):
         return (time.monotonic() - self._epoch) * 1000.0
 
     def schedule(self, delay_ms: float, callback: Callable, *args,
-                 label: str = "", owner=None):
+                 label: str = ""):
         return self.loop.call_later(max(0.0, delay_ms) / 1000.0,
                                     self._fire, callback, args)
 
@@ -161,12 +161,13 @@ class AsyncioFabric(Fabric):
             failed("connect refused: %s" % (exc,))
             return
         PERF.real_connects += 1
+        cap_socket_reads(writer)
         writer.write(encode_frame({"connect": service, "src": src,
                                    "payload": payload}))
         decoder = FrameDecoder()
         frames = []
         while not frames:
-            data = await reader.read(65536)
+            data = await reader.read(READ_BYTES)
             if not data:
                 writer.close()
                 failed("closed during handshake")

@@ -25,6 +25,22 @@ from .registry import HostRegistry
 #: request frame in, one status frame out, no LPM side effects.
 STATUS_SERVICE = "__status__"
 
+#: Most bytes taken off a socket in one read.
+READ_BYTES = 65536
+
+
+def cap_socket_reads(writer: asyncio.StreamWriter) -> None:
+    """Have the transport ask its socket for ``READ_BYTES`` per read
+    instead of asyncio's 256 KiB.  The selector transport allocates
+    its ``recv()`` size afresh for every read and shrinks it to what
+    arrived.  At 256 KiB that is more than malloc keeps spare at the
+    top of the heap, so a process grows and trims its heap once per
+    message (two ``brk`` calls and two page faults, a fifth of a
+    ping's client CPU) or does not, depending on what else it has
+    allocated: the same code ran at two speeds and changed between
+    them in mid-run."""
+    writer.transport.max_size = READ_BYTES
+
 
 class RealEndpoint:
     """One side of a live TCP connection (endpoint contract)."""
@@ -58,7 +74,7 @@ class RealEndpoint:
     async def _read_loop(self) -> None:
         try:
             while self.open:
-                data = await self.reader.read(65536)
+                data = await self.reader.read(READ_BYTES)
                 if not data:
                     self._closed("closed")
                     return
@@ -168,11 +184,12 @@ class RealNode:
 
     async def _accept_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        cap_socket_reads(writer)
         decoder = FrameDecoder()
         frames = []
         try:
             while not frames:
-                data = await reader.read(65536)
+                data = await reader.read(READ_BYTES)
                 if not data:
                     writer.close()
                     return

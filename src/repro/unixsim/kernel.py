@@ -424,7 +424,7 @@ class Kernel:
                 return
             hook(message)
 
-        self.sim.schedule(delay, deliver, owner=self.host_name,
+        self.sim.schedule(delay, deliver,
                           label="kmsg %s pid=%d" % (message.event.value,
                                                     message.pid))
 

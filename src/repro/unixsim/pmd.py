@@ -102,7 +102,6 @@ class ProcessManagerDaemon:
         if self.stable_storage:
             cost += self.host.world.config.pmd_stable_storage_write_ms
         self.host.sim.schedule(cost, self._create_lpm, user, done,
-                               owner=self.host.name,
                                label="pmd create lpm %s@%s"
                                      % (user, self.host.name))
         return done

@@ -63,7 +63,6 @@ class _TimedProgram(Program):
         self._armed_at_ms = kernel.sim.now_ms
         self._timer = kernel.sim.schedule(
             self._remaining_ms, self._finish, kernel, proc,
-            owner=kernel.host_name,
             label="%s pid=%d" % (type(self).__name__, proc.pid))
 
     def _finish(self, kernel, proc) -> None:
@@ -128,7 +127,6 @@ class FileWorkerProgram(_TimedProgram):
         for path, delay_ms in self.close_after_ms:
             timer = kernel.sim.schedule(
                 delay_ms, self._close_one, kernel, proc, path,
-                owner=kernel.host_name,
                 label="close %s pid=%d" % (path, proc.pid))
             self._close_timers.append(timer)
         super().start(kernel, proc)
@@ -236,7 +234,6 @@ class TalkerProgram(_TimedProgram):
             return
         self._send_timer = kernel.sim.schedule(
             self.interval_ms, self._send_one, kernel, proc,
-            owner=kernel.host_name,
             label="talker pid=%d" % (proc.pid,))
 
     def _send_one(self, kernel, proc) -> None:
@@ -291,8 +288,7 @@ class ForkTreeProgram(Program):
         for command, delay_ms, child_program in self.children_spec:
             timer = kernel.sim.schedule(
                 delay_ms, self._spawn_child, kernel, proc, command,
-                child_program, owner=kernel.host_name,
-                label="forktree spawn %s" % (command,))
+                child_program, label="forktree spawn %s" % (command,))
             self._spawn_timers.append(timer)
 
     def _spawn_child(self, kernel, proc, command, child_program) -> None:

@@ -1,8 +1,8 @@
 """Tests for the simulated clock (netsim/clock.py).
 
-The clock's one invariant — time never moves backwards — is what the
-lockstep shard protocol leans on when it advances workers to barrier-
-agreed instants, so the failure mode gets its own coverage.
+The clock's one invariant — time never moves backwards — is what every
+``run_until`` / ``run_until_true`` deadline advance leans on, so the
+failure mode gets its own coverage.
 """
 
 import pytest

@@ -125,9 +125,8 @@ class TestCostModelCalibration:
             DEFAULT_COST_MODEL.sibling_one_way_ms(0)
 
     def test_wire_cost_is_positive(self):
-        # wire_ms is the default Ethernet link latency, which in turn is
-        # the lockstep shard scheduler's lookahead — zero would make
-        # conservative windows degenerate.
+        # wire_ms is the default Ethernet link latency; at zero a
+        # message would reach another host in the instant it was sent.
         assert DEFAULT_COST_MODEL.wire_ms > 0.0
 
     def test_each_extra_hop_adds_wire_plus_forward(self):

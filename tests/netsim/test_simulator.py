@@ -112,9 +112,22 @@ def test_run_until_true_stops_at_predicate():
 
 
 def test_run_until_true_times_out():
-    sim = Simulator()
-    sim.schedule(10_000.0, lambda: None)
+    sim = Simulator(start_ms=50.0)
+    fired = []
+    sim.schedule(10_000.0, fired.append, "late")
     assert not sim.run_until_true(lambda: False, timeout_ms=100.0)
+    # The wait ends on its deadline, and the later event stays queued.
+    assert sim.now_ms == 150.0
+    assert fired == []
+    sim.run_until_idle()
+    assert fired == ["late"]
+    assert sim.now_ms == 10_050.0
+
+
+def test_run_until_true_times_out_on_empty_queue():
+    sim = Simulator(start_ms=50.0)
+    assert not sim.run_until_true(lambda: False, timeout_ms=100.0)
+    assert sim.now_ms == 150.0
 
 
 def test_run_until_true_immediate():

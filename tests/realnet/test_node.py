@@ -5,7 +5,7 @@ client share the fabric, and ``run_until_true`` pumps both sides, so
 the tests exercise real sockets without spawning processes.
 """
 
-from repro.realnet.node import RealNode
+from repro.realnet.node import READ_BYTES, RealNode
 from repro.realnet.pmd import RealPmd
 from repro.unixsim.inetd import INETD_SERVICE, PPM_SERVICE
 
@@ -180,3 +180,31 @@ def test_node_close_closes_what_is_still_open(fabric):
     node.close()
     assert not server_side[0].open and not node._accepted
     client_side[0].close()
+
+
+def test_both_ends_read_in_capped_chunks(fabric, node):
+    """Neither side lets asyncio allocate its 256 KiB ``recv()`` buffer
+    per read (``cap_socket_reads``), and a frame several reads long
+    still arrives whole."""
+    server_side, echoed = [], []
+
+    def acceptor(endpoint, payload):
+        server_side.append(endpoint)
+        endpoint.on_message = lambda frame, ep: ep.send(frame)
+
+    node.listen("echo", acceptor)
+    holder = {}
+
+    def established(endpoint):
+        endpoint.on_message = lambda frame, ep: echoed.append(frame)
+        holder["ep"] = endpoint
+
+    fabric.connect("tester", "alpha", "echo", on_established=established)
+    assert fabric.run_until_true(lambda: "ep" in holder, timeout_ms=5_000)
+    for endpoint in (holder["ep"], server_side[0]):
+        assert endpoint.writer.transport.max_size == READ_BYTES
+    big = {"blob": "x" * (5 * READ_BYTES)}
+    holder["ep"].send(big)
+    assert fabric.run_until_true(lambda: bool(echoed), timeout_ms=5_000)
+    assert echoed == [big]
+    holder["ep"].close()

@@ -21,12 +21,9 @@ The simulator substrate gets its own rules:
 
 5. ``repro.netsim`` is the bottom layer: no module in it may import
    upward (``repro.core``, ``repro.unixsim``, ``repro.tracing``, ...).
-   The lockstep shard machinery made this newly easy to get wrong —
-   worker harnesses coordinate whole-world scenarios and the pull to
-   reach up for PPM types is real.
-6. Only ``netsim/parallel.py`` may import ``multiprocessing``: the
-   process-forking seam stays in the coordinator so every other module
-   remains testable single-process.
+6. No module under ``repro.netsim`` imports ``multiprocessing``: the
+   simulator is one single-threaded event loop (``docs/NETSIM.md``,
+   "Why there is no parallel simulator").
 
 The backend abstraction (``repro.core.fabric``) adds its own rules:
 
@@ -82,16 +79,11 @@ NETSIM_UPWARD = ("repro.core", "repro.unixsim", "repro.tracing",
                  "repro.baselines", "repro.localos", "repro.bench",
                  "repro.cli")
 
-#: The one netsim module allowed to fork worker processes.
-NETSIM_FORKING_MODULE = "parallel"
-
 #: Raised from 600 when the sparse-overlay work added cache-first
 #: LOCATE (probe / flood split) and the tree/topology dispatch rows to
 #: the coordinator; the mechanisms themselves live in
-#: ``spantree.py`` / ``topology.py``.  Raised again to 665 for the
-#: shard-ownership stamps (``owner=self.name`` on the coordinator's
-#: own timers — one argument per schedule site, no new logic).
-LPM_MAX_LINES = 665
+#: ``spantree.py`` / ``topology.py``.
+LPM_MAX_LINES = 660
 
 #: The modules extracted out of the god-class.  None may import lpm.
 LAYER_MODULES = ("transport", "rpc", "router", "gather",
@@ -203,7 +195,6 @@ def check() -> List[str]:
     for filename in sorted(os.listdir(NETSIM)):
         if not filename.endswith(".py"):
             continue
-        module = filename[:-3]
         imports = module_imports(os.path.join(NETSIM, filename),
                                  NETSIM_PACKAGE)
         for name in sorted(imports):
@@ -211,11 +202,10 @@ def check() -> List[str]:
                 errors.append("netsim/%s imports %r: netsim is the "
                               "bottom layer and must not import upward"
                               % (filename, name))
-            if _matches(name, ("multiprocessing",)) and \
-                    module != NETSIM_FORKING_MODULE:
+            if _matches(name, ("multiprocessing",)):
                 errors.append("netsim/%s imports multiprocessing: the "
-                              "process-forking seam belongs to "
-                              "parallel.py alone" % (filename,))
+                              "simulator is single-threaded"
+                              % (filename,))
 
     # Rule 7: the protocol stack never reaches below the fabric seam.
     for filename in sorted(os.listdir(CORE)):
