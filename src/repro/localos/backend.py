@@ -5,6 +5,16 @@ of this Python process, as PPM processes are children of the LPM),
 controls them with genuine signals, tracks descendants through
 ``/proc``, and retains exit information — the paper's single-host
 semantics on real hardware.
+
+Every entry point makes at most one pass over ``/proc`` (``shutdown``
+makes two: before the kill and after it).  A pass lists ``/proc`` once
+and reads the stat of each live managed process plus each process new
+to the machine since the previous pass: the backend keeps the previous
+scan's ``{(pid, inode): ppid}`` memory, so :func:`procfs.children_map`
+reads only what could have changed, and :meth:`RealBackend.refresh`
+hands the one stat it read per live record on to
+:meth:`RealBackend.snapshot`.  A reused pid is always read afresh,
+because ``/proc/<pid>`` of the new process has a new inode.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import socket
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.control import ControlAction
 from ..core.snapshot import ProcessRecord, SnapshotForest
@@ -66,6 +76,9 @@ class RealBackend:
         #: and /proc sampling walk, so their cost follows the number
         #: of live processes, not the length of the history.
         self._live: Dict[int, ManagedProcess] = {}
+        #: The previous /proc scan, ``{(pid, inode): ppid}``, which
+        #: :func:`procfs.children_map` keeps up to date.
+        self._known: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # Creation (the backend is the creation server)
@@ -105,8 +118,10 @@ class RealBackend:
 
     def _discover_descendants(self) -> None:
         """Adoption of descendants: pull newly forked children of
-        managed processes into management via /proc."""
-        index = procfs.children_map()
+        managed processes into management via /proc.  An adopted
+        process's start time is the kernel's, not the moment a scan
+        first saw it."""
+        index = procfs.children_map(self._known)
         frontier = list(self._live)
         while frontier:
             pid = frontier.pop()
@@ -119,24 +134,28 @@ class RealBackend:
                 self._managed[child] = self._live[child] = ManagedProcess(
                     pid=child, command=stat.command,
                     parent=GlobalPid(self.host_name, pid),
-                    started_at=time.time())
+                    started_at=stat.started_at)
                 frontier.append(child)
 
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
 
-    def refresh(self) -> None:
+    def refresh(self) -> Dict[int, procfs.ProcStat]:
         """Sample /proc, reap exits, keep exit records (section 2's
-        retention rule: exit information survives)."""
+        retention rule: exit information survives).  Returns the stat
+        read for each record still live, by pid."""
         self._discover_descendants()
+        stats: Dict[int, procfs.ProcStat] = {}
         for record in list(self._live.values()):
             stat = procfs.read_stat(record.pid)
             if stat is not None and stat.state != "exited":
                 record.last_utime_ms = stat.utime_ms
                 record.last_stime_ms = stat.stime_ms
+                stats[record.pid] = stat
             else:
                 self._record_exit(record)
+        return stats
 
     def state_of(self, gpid: GlobalPid) -> str:
         self._require_local(gpid)
@@ -179,7 +198,6 @@ class RealBackend:
     def control_tree(self, root: GlobalPid,
                      action: ControlAction) -> List[GlobalPid]:
         """The computation-level broadcast: children before parents."""
-        self.refresh()
         forest = self.snapshot(prune=False)
         targets = [gpid for gpid in forest.descendants(root)
                    if not forest.records[gpid].exited]
@@ -209,20 +227,17 @@ class RealBackend:
 
     def snapshot(self, prune: bool = True) -> SnapshotForest:
         """The genealogical snapshot, on real processes."""
-        self.refresh()
+        stats = self.refresh()
         forest = SnapshotForest(taken_at_ms=time.time() * 1000.0)
+        user = str(os.getuid())
         for record in self._managed.values():
-            if record.exited:
-                state = "exited"
-            else:
-                stat = procfs.read_stat(record.pid)
-                state = stat.state if stat is not None else "exited"
             forest.add(ProcessRecord(
                 gpid=GlobalPid(self.host_name, record.pid),
                 parent=record.parent,
-                user=str(os.getuid()),
+                user=user,
                 command=record.command,
-                state=state,
+                state="exited" if record.exited
+                else stats[record.pid].state,
                 start_ms=record.started_at * 1000.0,
                 end_ms=record.ended_at * 1000.0
                 if record.ended_at else None,
@@ -234,7 +249,6 @@ class RealBackend:
 
     def rstats(self) -> List[ProcessRecord]:
         """Exited-process records, for the rstats report."""
-        self.refresh()
         return [record for record in self.snapshot(prune=False).records.values()
                 if record.exited]
 

@@ -100,6 +100,22 @@ class TestGenealogy:
         assert all(g.host == backend.host_name for g in kids)
         assert descendants(root.pid)  # raw procfs agrees
 
+    def test_adopted_child_reports_when_it_started(self, backend):
+        """Not when a snapshot first noticed it: the first snapshot
+        comes 0.5 s after the fork."""
+        root = backend.spawn(["/bin/sh", "-c", "sleep 30 & wait"],
+                             name="forker")
+        time.sleep(0.5)
+        forest = backend.snapshot(prune=False)
+        kids = forest.descendants(root)
+        assert kids
+        for kid in kids:
+            # The kernel stamps the start to the clock tick (10 ms at
+            # 100 Hz), and the shell may fork before spawn() returns.
+            lag_ms = forest.records[kid].start_ms - \
+                forest.records[root].start_ms
+            assert -50.0 < lag_ms < 100.0
+
     def test_control_tree_stops_whole_computation(self, backend):
         root = backend.spawn(
             ["/bin/sh", "-c", "%s -c 'import time; time.sleep(30)' & wait"

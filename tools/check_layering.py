@@ -41,6 +41,15 @@ The backend abstraction (``repro.core.fabric``) adds its own rules:
    are siblings and must not entangle.  (The shared service-name
    constants live in ``repro.unixsim.inetd``, which realnet may use.)
 
+The real backend reads the kernel's process table in one place:
+
+10. Only ``repro.localos.procfs`` passes a ``/proc...`` path — a string
+    literal, an f-string or a ``%``-format — to ``open``, ``os.open``,
+    ``os.listdir`` or ``os.scandir``.  Its scan reads only the
+    processes new since the previous one; a second reader elsewhere
+    would quietly pay for every process on the machine again.
+    (Docstrings and comments mentioning ``/proc`` are not calls.)
+
 Run from the repo root::
 
     python tools/check_layering.py
@@ -84,6 +93,13 @@ NETSIM_UPWARD = ("repro.core", "repro.unixsim", "repro.tracing",
 #: the coordinator; the mechanisms themselves live in
 #: ``spantree.py`` / ``topology.py``.
 LPM_MAX_LINES = 660
+
+#: The one module allowed to open /proc (rule 10), relative to
+#: ``src/repro``.
+PROCFS_MODULE = os.path.join("localos", "procfs.py")
+
+#: Calls that open a path or list a directory (rule 10).
+PATH_CALLS = ("open", "os.open", "os.listdir", "os.scandir")
 
 #: The modules extracted out of the god-class.  None may import lpm.
 LAYER_MODULES = ("transport", "rpc", "router", "gather",
@@ -154,6 +170,38 @@ def module_imports(path: str, package: str) -> Set[str]:
     return found
 
 
+def _is_proc_path(node: ast.AST) -> bool:
+    """Whether ``node`` spells a ``/proc...`` path: a string literal,
+    an f-string or a ``%``-format whose text starts with ``/proc``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        node = node.left
+    elif isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    return isinstance(node, ast.Constant) and \
+        isinstance(node.value, str) and node.value.startswith("/proc")
+
+
+def proc_opens(source: str) -> List[int]:
+    """Line numbers of the calls in ``source`` that pass a ``/proc``
+    path to one of :data:`PATH_CALLS`."""
+    lines: List[int] = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute) and \
+                isinstance(func.value, ast.Name):
+            name = "%s.%s" % (func.value.id, func.attr)
+        else:
+            continue
+        arguments = node.args[:1] + [kw.value for kw in node.keywords]
+        if name in PATH_CALLS and any(map(_is_proc_path, arguments)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def _matches(name: str, prefixes: Sequence[str]) -> bool:
     return any(name == prefix or name.startswith(prefix + ".")
                for prefix in prefixes)
@@ -220,7 +268,8 @@ def check() -> List[str]:
                               "(repro.core.fabric), never on a backend"
                               % (filename, name))
 
-    # Rule 8: real-network primitives confined to their backends.
+    # Rules 8 and 10: real-network primitives confined to their
+    # backends, /proc to procfs.
     for dirpath, dirnames, filenames in os.walk(SRC_ROOT):
         dirnames[:] = [d for d in dirnames if d != "__pycache__"]
         relative = os.path.relpath(dirpath, SRC_ROOT)
@@ -241,6 +290,15 @@ def check() -> List[str]:
                         "to repro.realnet (socket also to repro."
                         "localos)" % (os.path.join(
                             relative, filename).lstrip("./"), name))
+            module = os.path.normpath(os.path.join(relative, filename))
+            if module == PROCFS_MODULE:
+                continue
+            with open(os.path.join(dirpath, filename), "r",
+                      encoding="utf-8") as handle:
+                for line in proc_opens(handle.read()):
+                    errors.append(
+                        "%s:%d opens a /proc path: only repro.localos."
+                        "procfs reads /proc" % (module, line))
 
     # Rule 9: the backends stay siblings.
     for filename in sorted(os.listdir(REALNET)):
