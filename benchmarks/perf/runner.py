@@ -17,13 +17,6 @@ runs through:
     The A4 stress setup (section 8 "into the tens of nodes"): a
     40-host star session, three snapshot gathers.
 
-``gather_merge_40``
-    The gather layer's record merge in isolation at the 40-host scale:
-    the old shape (every child merge re-walks the accumulated record
-    list, then one global sort reaches gpid order) against the single
-    k-way ``heapq.merge`` pass over already-sorted runs, with
-    deterministic record-touch counts for both.
-
 ``stream_flood``
     The stream-transport worst case: N back-to-back sends per circuit
     across M circuits.  The old shape (one simulator event per
@@ -130,7 +123,7 @@ _REPORTED = (
     "bytes_charged", "hmac_computed", "hmac_cache_hits",
     "dedup_checks", "dedup_entries_scanned", "dedup_entries_expired",
     "events_scheduled", "events_run", "events_cancelled",
-    "events_fastpath", "heap_compactions",
+    "heap_compactions",
     "gather_merges", "gather_records_merged",
     "stream_batched_deliveries", "stream_segments_drained",
     "stream_timer_rearms",
@@ -260,59 +253,7 @@ def bench_snapshot(smoke: bool = False) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenario 4: the gather record merge in isolation, 40 sorted runs
-# ----------------------------------------------------------------------
-
-def bench_gather_merge(smoke: bool = False) -> dict:
-    import heapq
-
-    n_runs = 8 if smoke else 40
-    per_run = 10 if smoke else 50
-    rounds = 20 if smoke else 400
-    # Each child run covers an interleaved slice of the host space, the
-    # way sibling subtrees really do, so the merge genuinely interleaves
-    # instead of concatenating pre-sorted blocks.
-    runs = [[{"host": "h%04d" % (r + i * n_runs), "pid": 7,
-              "state": "running"} for i in range(per_run)]
-            for r in range(n_runs)]
-    key = lambda record: (record["host"], record["pid"])  # noqa: E731
-
-    def run() -> dict:
-        # Old shape: each arriving child reply re-walks (copies) the
-        # whole accumulated record list, and gpid order then needs a
-        # global sort — O(N * k) record touches across the gather.
-        touches_old = 0
-        start = time.perf_counter()
-        for _ in range(rounds):
-            accumulated = []
-            for child in runs:
-                accumulated = accumulated + child
-                touches_old += len(accumulated)
-            merged = sorted(accumulated, key=key)
-        rewalk_s = time.perf_counter() - start
-        touches_old //= rounds
-
-        # New shape: one linear k-way pass; every record is touched
-        # exactly once per gather level.
-        start = time.perf_counter()
-        for _ in range(rounds):
-            kway = list(heapq.merge(*runs, key=key))
-        kway_s = time.perf_counter() - start
-        touches_new = n_runs * per_run
-
-        assert kway == merged
-        return {"n_runs": n_runs, "records": n_runs * per_run,
-                "rounds": rounds,
-                "concat_rewalk_wall_s": round(rewalk_s, 4),
-                "kway_merge_wall_s": round(kway_s, 4),
-                "concat_rewalk_record_touches": touches_old,
-                "kway_merge_record_touches": touches_new}
-
-    return _measure(run)
-
-
-# ----------------------------------------------------------------------
-# Scenario 5: stream-transport flood — batched vs per-segment delivery
+# Scenario 4: stream-transport flood — batched vs per-segment delivery
 # ----------------------------------------------------------------------
 
 def bench_stream_flood(smoke: bool = False) -> dict:
@@ -371,7 +312,7 @@ def bench_stream_flood(smoke: bool = False) -> dict:
         # fresh simulator started at the same instant, so the arrival
         # times must match float-for-float.
         sim2, net2 = build()
-        sim2.clock.advance_to(t0)
+        sim2.run_until(t0)
         arrivals_seed = [[] for _ in range(n_circuits)]
         base = PERF.snapshot()
         start = time.perf_counter()
@@ -385,8 +326,7 @@ def bench_stream_flood(smoke: bool = False) -> dict:
                 floor = arrival
                 sim2.schedule_at(
                     arrival,
-                    lambda i=i: arrivals_seed[i].append(sim2.now_ms),
-                    label="stream s%02d->r%02d" % (i, i))
+                    lambda i=i: arrivals_seed[i].append(sim2.now_ms))
         sim2.run_until_idle()
         per_segment_wall_s = time.perf_counter() - start
         pushes_per_segment = PERF.delta_since(base)["events_scheduled"]
@@ -409,7 +349,7 @@ def bench_stream_flood(smoke: bool = False) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenario 6: span-tracing overhead — the same session, off vs on
+# Scenario 5: span-tracing overhead — the same session, off vs on
 # ----------------------------------------------------------------------
 
 def bench_span_overhead(smoke: bool = False, trace_out=None) -> dict:
@@ -465,7 +405,7 @@ def bench_span_overhead(smoke: bool = False, trace_out=None) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenario 7: doctor sweep — the ops layer's read-only guarantee
+# Scenario 6: doctor sweep — the ops layer's read-only guarantee
 # ----------------------------------------------------------------------
 
 def bench_doctor_sweep(smoke: bool = False) -> dict:
@@ -566,7 +506,7 @@ def bench_watch_steady(smoke: bool = False) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenarios 9-11: LOCATE at scale and multi-tenancy (scenarios.py)
+# Scenarios 8-10: LOCATE at scale and multi-tenancy (scenarios.py)
 # ----------------------------------------------------------------------
 
 def bench_locate(smoke: bool = False) -> dict:
@@ -607,7 +547,6 @@ SCENARIOS = {
     "encode_throughput": bench_encode,
     "broadcast_flood": bench_broadcast_flood,
     "snapshot_40_hosts": bench_snapshot,
-    "gather_merge_40": bench_gather_merge,
     "stream_flood": bench_stream_flood,
     "span_overhead": bench_span_overhead,
     "doctor_sweep": bench_doctor_sweep,

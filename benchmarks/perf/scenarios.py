@@ -99,7 +99,7 @@ def _locate_seq(world, names, target, count: int, policy: str) -> None:
                 target.host, target.pid, results.append,
                 timeout_ms=600_000.0)
 
-        world.sim.schedule(0.0, issue, label="locate from %s" % (caller,))
+        world.sim.schedule(0.0, issue)
         found = world.run_until_true(lambda k=k: len(results) == k + 1,
                                      timeout_ms=1_200_000.0)
         assert found, "locate %d timed out on the %s overlay" % (k, policy)
@@ -157,8 +157,7 @@ def locate_scenario(n_hosts: int = 200, mesh_locates: int = 2,
                 for k in range(2):
                     world.sim.schedule(
                         0.0, lambda: world.lpms[(caller, "lfc")].locate(
-                            "h-gone", 99_999, misses.append),
-                        label="miss locate from %s" % (caller,))
+                            "h-gone", 99_999, misses.append))
                     found = world.run_until_true(
                         lambda k=k: len(misses) == k + 1,
                         timeout_ms=120_000.0)

@@ -303,8 +303,7 @@ def schedule_sessions(world, users: List[str], homes: Dict[str, str],
         session = Session(world, user, homes[user], targets, locate_index,
                           record, on_done)
         state.sessions.append(session)
-        world.fabric.schedule(arrival_ms, session.start,
-                              label="session %s" % (user,))
+        world.fabric.schedule(arrival_ms, session.start)
     return state
 
 

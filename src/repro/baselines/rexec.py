@@ -99,7 +99,7 @@ class RexecDaemon:
                 self._reply(endpoint, {"ok": False,
                                        "error": "bad request"})
 
-        self.host.sim.schedule(cost, act, label="rexecd %s" % (request,))
+        self.host.sim.schedule(cost, act)
 
     def _reply(self, endpoint, payload: dict) -> None:
         if endpoint.open:

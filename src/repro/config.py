@@ -11,8 +11,8 @@ the simulated workloads; everything is in simulated milliseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from .errors import ConfigError
 
@@ -72,16 +72,6 @@ class PPMConfig:
     #: each LPM keeps about this many overlay links).
     sparse_degree: int = 6
 
-    #: How long a failed LOCATE is remembered (the negative miss
-    #: cache): repeat lookups of a process the overlay already failed
-    #: to find are answered locally instead of re-flooding.  Only
-    #: consulted under the ``"sparse"`` policy.
-    locate_miss_ttl_ms: float = 30_000.0
-
-    #: How long a cache-first LOCATE probe (unicast along a cached
-    #: route) waits before falling back to the broadcast flood.
-    locate_probe_timeout_ms: float = 2_000.0
-
     #: Transport between sibling LPMs: ``"stream"`` (the paper's TCP
     #: virtual circuits) or ``"datagram"`` (the scalability alternative
     #: discussed in section 3; per-message authentication, no kept
@@ -100,13 +90,6 @@ class PPMConfig:
     datagram_rto_ms: float = 400.0
     datagram_max_retries: int = 5
 
-    #: Keepalive interval under the datagram transport.  Circuits learn
-    #: of a dead peer from the broken connection; datagrams have no
-    #: connection to break, so liveness must be probed (the flip side of
-    #: "TCP connections are also needed to assure message delivery",
-    #: section 3).
-    datagram_keepalive_ms: float = 15_000.0
-
     #: Where the crash coordinator comes from: ``"recovery_file"`` (the
     #: paper's implemented design, section 5) or ``"name_server"`` (the
     #: alternative section 5 sketches: "LPMs would query the name server
@@ -122,15 +105,6 @@ class PPMConfig:
     #: but unimplemented improvement that "would certainly add to the
     #: overhead of creating LPMs" (section 5).
     pmd_stable_storage: bool = False
-
-    #: Extra cost charged to LPM creation when ``pmd_stable_storage`` is on.
-    pmd_stable_storage_write_ms: float = 45.0
-
-    #: Default trace granularity for adopted processes, as flag names from
-    #: :mod:`repro.tracing.events` (section 2: "accept parameters that
-    #: determine the amount of process events recorded").
-    default_trace_flags: Tuple[str, ...] = field(
-        default=("fork", "exec", "exit", "signal", "state"))
 
     def __post_init__(self) -> None:
         if self.lpm_time_to_live_ms <= 0:
@@ -154,10 +128,6 @@ class PPMConfig:
                 "'sparse', got %r" % (self.topology_policy,))
         if self.sparse_degree < 2:
             raise ConfigError("sparse_degree must be at least 2")
-        if self.locate_miss_ttl_ms < 0:
-            raise ConfigError("locate_miss_ttl_ms must be >= 0")
-        if self.locate_probe_timeout_ms <= 0:
-            raise ConfigError("locate_probe_timeout_ms must be positive")
         if self.transport not in ("stream", "datagram"):
             raise ConfigError(
                 "transport must be 'stream' or 'datagram', got %r"

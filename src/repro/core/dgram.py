@@ -39,6 +39,12 @@ from ..util import Deferred
 #: suppression for retransmitted datagrams).
 SEEN_WINDOW = 128
 
+#: Keepalive interval.  Circuits learn of a dead peer from the broken
+#: connection; datagrams have no connection to break, so liveness must
+#: be probed (the flip side of "TCP connections are also needed to
+#: assure message delivery", section 3).
+KEEPALIVE_MS = 15_000.0
+
 
 def _port_name(user: str) -> str:
     return "lpmdg:%s" % (user,)
@@ -128,9 +134,7 @@ class DatagramEndpoint:
             datagram, nbytes=nbytes, extra_delay_ms=extra_delay_ms)
         timer = lpm.sim.schedule(
             config.datagram_rto_ms * tries,  # linear backoff
-            self._retransmit, seq, nbytes,
-            label="dgram rto %s->%s#%d" % (self.local_name,
-                                           self.peer_name, seq))
+            self._retransmit, seq, nbytes)
         self._unacked[seq] = [timer, datagram, tries]
 
     def _retransmit(self, seq: int, nbytes: int) -> None:
@@ -259,8 +263,7 @@ class DatagramFabric:
 
     def _arm_keepalive(self) -> None:
         self._keepalive_timer = self.lpm.sim.schedule(
-            self.lpm.config.datagram_keepalive_ms, self._keepalive_tick,
-            label="dgram keepalive %s" % (self.lpm.name,))
+            KEEPALIVE_MS, self._keepalive_tick)
 
     def _keepalive_tick(self) -> None:
         self._keepalive_timer = None
@@ -270,9 +273,7 @@ class DatagramFabric:
             if endpoint.open and not endpoint._unacked:
                 self.lpm.sim.schedule(
                     self._keepalive_offset_ms(endpoint.peer_name),
-                    self._ping_endpoint, endpoint.peer_name,
-                    label="dgram ping %s->%s" % (self.lpm.name,
-                                                 endpoint.peer_name))
+                    self._ping_endpoint, endpoint.peer_name)
         self._arm_keepalive()
 
     def _ping_endpoint(self, peer: str) -> None:
@@ -298,7 +299,7 @@ class DatagramFabric:
             ("keepalive|%s|%s|%s" % (self.lpm.secret, self.lpm.name,
                                      peer)).encode("utf-8")).digest()
         fraction = int.from_bytes(digest[:4], "big") / 2.0 ** 32
-        return fraction * self.lpm.config.datagram_keepalive_ms
+        return fraction * KEEPALIVE_MS
 
     def endpoint_for(self, peer: str) -> DatagramEndpoint:
         endpoint = self._endpoints.get(peer)

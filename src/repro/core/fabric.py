@@ -78,8 +78,7 @@ class Fabric:
         tracers timestamp from this."""
         raise NotImplementedError
 
-    def schedule(self, delay_ms: float, callback: Callable, *args,
-                 label: str = ""):
+    def schedule(self, delay_ms: float, callback: Callable, *args):
         """Run ``callback(*args)`` after ``delay_ms``; returns a timer
         handle for :meth:`cancel`."""
         raise NotImplementedError

@@ -6,20 +6,21 @@ local records, and merge child replies on the way back up, assembling
 per-host overlay paths that teach the originator routes to distant
 hosts.
 
-Merging is a k-way merge keyed on gpid: each LPM emits its local
-records as a run sorted by ``(host, pid)``, child replies arrive as
-already-sorted runs (inductively), and :func:`heapq.merge` combines
-them in one linear pass — replacing the old concatenate-and-rewalk,
-which re-traversed the whole accumulated list at every level of the
-gather tree.  Record order inside the reply is immaterial to every
-consumer (forests and rstats reports are keyed by gpid), and a JSON
-list's encoded length is permutation-invariant, so the wire byte counts
-— and therefore the simulator's timing — are unchanged.
+Merging is keyed on gpid: each LPM emits its local records as a run
+sorted by ``(host, pid)``, child replies arrive as already-sorted runs
+(inductively), and one stable :func:`sorted` over their concatenation
+combines them when the gather level finishes.  Timsort finds the runs
+already in place, so this is cheaper by the clock than
+:func:`heapq.merge` at every measured shape (EXPERIMENTS.md E2), and
+being stable it emits the same list.  Record order inside the reply is
+immaterial to every consumer (forests and rstats reports are keyed by
+gpid), and a JSON list's encoded length is permutation-invariant, so
+the wire byte counts — and therefore the simulator's timing — are
+unchanged.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, List, Optional
 
 from ..perf import PERF
@@ -116,8 +117,7 @@ class GatherEngine:
                     timeout_ms=timeout_ms, broadcast=broadcast,
                     trace_parent=child_parent)
 
-        lpm.sim.schedule(collect_cost, collected,
-                         label="gather collect %s" % (lpm.name,))
+        lpm.sim.schedule(collect_cost, collected)
 
     def _child_reply(self, op: GatherOp, peer: str,
                      reply: Optional[Message]) -> None:
@@ -137,9 +137,7 @@ class GatherEngine:
                                           cat="gather")
             merge_cost = self.lpm._cpu_occupy(self.lpm.cost.snapshot_merge_ms)
             self.lpm.sim.schedule(merge_cost, self._merged, op,
-                                  reply.payload, merge_span,
-                                  label="gather merge %s<-%s" % (
-                                      self.lpm.name, peer))
+                                  reply.payload, merge_span)
             return
         if op.complete:
             self._finish(op)
@@ -164,10 +162,11 @@ class GatherEngine:
         if op.finished:
             return
         op.finished = True
-        # One linear pass over all runs; each run is already sorted by
-        # (host, pid), so the result is globally gpid-sorted.
-        records = list(heapq.merge(op.local_run, *op.runs,
-                                   key=_record_key))
+        # The runs arrive sorted by (host, pid), which timsort merges in
+        # place; stability keeps equal gpids in arrival order.
+        records = sorted(
+            op.local_run + [record for run in op.runs for record in run],
+            key=_record_key)
         PERF.gather_merges += 1
         PERF.gather_records_merged += len(records)
         paths = op.paths

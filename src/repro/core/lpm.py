@@ -21,7 +21,7 @@ the paper describes:
 * :mod:`repro.core.router` — forwarding over cached source-destination
   routes, route learning and invalidation;
 * :mod:`repro.core.gather` — the recursive snapshot/rstats collection
-  with k-way record merging;
+  with gpid-sorted record merging;
 * :mod:`repro.core.topology` — session membership and the
   bounded-degree ``sparse`` overlay wiring;
 * :mod:`repro.core.spantree` — per-source broadcast trees (prune on
@@ -53,7 +53,7 @@ from .gather import GatherEngine
 from .messages import Message, MsgKind
 from .processtable import INFRA_COMMANDS, ProcessTable
 from .recovery import RecoveryManager
-from .router import MessageRouter, ack_kind_for
+from .router import MessageRouter
 from .rpc import RequestChannel
 from .spantree import TreeBroadcast
 from .toolservice import ToolService
@@ -61,6 +61,16 @@ from .topology import TopologyManager
 from .transport import SiblingTransport
 
 __all__ = ["INFRA_COMMANDS", "LocalProcessManager", "install"]
+
+#: How long a cache-first LOCATE probe (unicast along a cached route)
+#: waits before falling back to the broadcast flood.
+LOCATE_PROBE_TIMEOUT_MS = 2_000.0
+
+#: Trace granularity for adopted processes, as flag names from
+#: :mod:`repro.tracing.events` (section 2: "accept parameters that
+#: determine the amount of process events recorded"); tools change it
+#: per process with ``TOOL_SET_TRACE``.
+DEFAULT_TRACE_FLAGS = ("fork", "exec", "exit", "signal", "state")
 
 
 class LocalProcessManager:
@@ -114,8 +124,7 @@ class LocalProcessManager:
         self.tools: List = []
         self._cpu_free_ms = 0.0
         self._ttl_timer = None
-        self.trace_flags = trace_flags_from_names(
-            self.config.default_trace_flags)
+        self.trace_flags = trace_flags_from_names(DEFAULT_TRACE_FLAGS)
 
         self._trace(TraceEventType.LPM_CREATED)
         # Under the section 5 name-server alternative, announce ourselves
@@ -195,22 +204,11 @@ class LocalProcessManager:
     def _pending(self) -> Dict:
         return self.rpc.pending
 
-    @property
-    def _session_established(self) -> bool:
-        return self.transport.session_established
-
     def authenticated_siblings(self) -> List[str]:
         return self.transport.authenticated()
 
     def ensure_sibling(self, peer: str) -> Deferred:
         return self.transport.ensure_sibling(peer)
-
-    def _send_on_link(self, link, message: Message,
-                      forwarding: bool = False) -> None:
-        self.transport.send_on_link(link, message, forwarding=forwarding)
-
-    def _next_req_id(self) -> int:
-        return self.rpc.next_req_id()
 
     def send_request(self, dest: str, kind: MsgKind, payload: dict,
                      on_reply: Callable[[Optional[Message]], None],
@@ -226,18 +224,6 @@ class LocalProcessManager:
     def _route_send(self, message: Message) -> None:
         self.router.route_send(message)
 
-    @staticmethod
-    def _ack_kind_for(kind: MsgKind) -> MsgKind:
-        return ack_kind_for(kind)
-
-    def start_gather(self, what: str,
-                     reply_fn: Callable[[dict], None],
-                     visited: Optional[List[str]] = None,
-                     broadcast=None, timeout_ms: Optional[float] = None
-                     ) -> None:
-        self.gather.start(what, reply_fn, visited=visited,
-                          broadcast=broadcast, timeout_ms=timeout_ms)
-
     def create_local_process(self, command: str, args=(), program_spec=None,
                              parent: Optional[GlobalPid] = None,
                              foreground: bool = True):
@@ -247,9 +233,6 @@ class LocalProcessManager:
 
     def adopt_process(self, pid: int) -> List[int]:
         return self.table.adopt_process(pid)
-
-    def refresh_records(self) -> None:
-        self.table.refresh_records()
 
     def local_records(self, what: str = "snapshot") -> List[dict]:
         return self.table.local_records(what)
@@ -302,8 +285,7 @@ class LocalProcessManager:
             self.router.forward(message, endpoint.peer_name)
             return
         delay = self._cpu_occupy(self.cost.sibling_recv_ms)
-        self.sim.schedule(delay, self._handle_sibling, message, endpoint,
-                          label="lpm recv %s" % (message.kind.value,))
+        self.sim.schedule(delay, self._handle_sibling, message, endpoint)
 
     def _handle_sibling(self, message: Message, endpoint) -> None:
         if not self.is_running():
@@ -371,9 +353,7 @@ class LocalProcessManager:
                 tracer.finish(span, ok=bool(result.get("ok")))
 
         # signal delivery plus the kernel's confirmation (section 6).
-        self.sim.schedule(self._cpu(self.cost.signal_ms), acted,
-                          label="control %s" % (message.payload.get(
-                              "action"),))
+        self.sim.schedule(self._cpu(self.cost.signal_ms), acted)
 
     def _handle_create(self, message: Message) -> None:
         if self.rpc.note_request_started(message):
@@ -404,8 +384,7 @@ class LocalProcessManager:
                 tracer.finish(span, ok=bool(result.get("ok")))
 
         # The LPM is the ready process-creation server: a cheap fork.
-        self.sim.schedule(self._cpu(self.cost.server_fork_ms), created,
-                          label="create %s" % (payload.get("command"),))
+        self.sim.schedule(self._cpu(self.cost.server_fork_ms), created)
 
     def _handle_locate(self, message: Message, from_host: str) -> None:
         tracer = self.sim.tracer
@@ -489,8 +468,7 @@ class LocalProcessManager:
         if self.config.topology_policy == "sparse":
             if self.router.locate_miss_fresh(host, pid):
                 PERF.locate_cache_hits += 1
-                self.sim.schedule(0.0, on_result, None,
-                                  label="locate negative-cache")
+                self.sim.schedule(0.0, on_result, None)
                 return
             route = self.router.outbound_route(host)
             if route is not None:
@@ -523,7 +501,7 @@ class LocalProcessManager:
 
         self.send_request(host, MsgKind.LOCATE, {"host": host, "pid": pid},
                           on_probe,
-                          timeout_ms=self.config.locate_probe_timeout_ms,
+                          timeout_ms=LOCATE_PROBE_TIMEOUT_MS,
                           route=route, use_handler=False,
                           trace_parent=trace_parent)
 
@@ -553,8 +531,7 @@ class LocalProcessManager:
                         self.router.locate_misses.discard((host, pid))
                 on_result(reply)
 
-        timer = self.sim.schedule(timeout_ms, on_ack, None,
-                                  label="locate timeout")
+        timer = self.sim.schedule(timeout_ms, on_ack, None)
         self.rpc.register(req_id, on_ack, timer)
         peers, tree_mode = self.treecast.origin_targets(stamp)
         if not peers:
@@ -600,8 +577,7 @@ class LocalProcessManager:
         if self._user_has_presence():
             return
         self._ttl_timer = self.sim.schedule(
-            self.config.lpm_time_to_live_ms, self._ttl_expired,
-            label="lpm ttl %s@%s" % (self.user, self.name))
+            self.config.lpm_time_to_live_ms, self._ttl_expired)
 
     def _cancel_ttl(self) -> None:
         if self._ttl_timer is not None:

@@ -176,8 +176,8 @@ class ProcessTable:
 
     def local_records(self, what: str = "snapshot") -> List[dict]:
         """Serialised record list for a gather: one run sorted by
-        ``(host, pid)`` — the host is constant here, so pid order — as
-        the gather layer's k-way merge requires."""
+        ``(host, pid)`` — the host is constant here, so pid order — which
+        the gather layer's stable sort takes over as a ready-made run."""
         self.refresh_records()
         records = [self.records[pid] for pid in sorted(self.records)]
         if what == "rstats":

@@ -295,8 +295,7 @@ class RecoveryManager:
     def _arm_probe_timer(self) -> None:
         self._cancel_probe_timer()
         self._probe_timer = self.lpm.sim.schedule(
-            self.lpm.config.ccs_probe_interval_ms, self._probe_higher,
-            label="ccs probe %s" % (self.lpm.name,))
+            self.lpm.config.ccs_probe_interval_ms, self._probe_higher)
 
     def _probe_higher(self) -> None:
         """'Those new CCSs that are not at the top of the list keep
@@ -389,15 +388,13 @@ class RecoveryManager:
             self._trace(TraceEventType.TIME_TO_DIE_ARMED,
                         interval_ms=self.lpm.config.time_to_die_ms)
             self._die_timer = self.lpm.sim.schedule(
-                self.lpm.config.time_to_die_ms, self._time_to_die,
-                label="time-to-die %s" % (self.lpm.name,))
+                self.lpm.config.time_to_die_ms, self._time_to_die)
         self._arm_retry_timer()
 
     def _arm_retry_timer(self) -> None:
         self._cancel_retry_timer()
         self._retry_timer = self.lpm.sim.schedule(
-            self.lpm.config.recovery_retry_interval_ms, self._retry,
-            label="recovery retry %s" % (self.lpm.name,))
+            self.lpm.config.recovery_retry_interval_ms, self._retry)
 
     def _retry(self) -> None:
         """'A LPM not in contact with a CCS resumes the normal mode of

@@ -21,6 +21,12 @@ from .expiry import ExpiryMap
 from .messages import Message, MsgKind
 from .routing import RouteCache
 
+#: How long a failed LOCATE is remembered (the negative miss cache):
+#: repeat lookups of a process the overlay already failed to find are
+#: answered locally instead of re-flooding.  Only consulted under the
+#: ``"sparse"`` policy.
+LOCATE_MISS_TTL_MS = 30_000.0
+
 
 def ack_kind_for(kind: MsgKind) -> MsgKind:
     """The reply kind a request of ``kind`` is answered with."""
@@ -41,9 +47,10 @@ class MessageRouter:
         self.lpm = lpm
         self.cache = RouteCache(lpm.name)
         #: Negative LOCATE cache: ``(host, pid)`` lookups the overlay
-        #: recently failed to answer, retained for the configured TTL
-        #: so repeat lookups are refused locally instead of re-flooding.
-        self.locate_misses = ExpiryMap(lpm.config.locate_miss_ttl_ms,
+        #: recently failed to answer, retained for
+        #: ``LOCATE_MISS_TTL_MS`` so repeat lookups are refused locally
+        #: instead of re-flooding.
+        self.locate_misses = ExpiryMap(LOCATE_MISS_TTL_MS,
                                        lambda: lpm.sim.now_ms)
 
     # ------------------------------------------------------------------

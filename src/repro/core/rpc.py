@@ -149,9 +149,7 @@ class RequestChannel:
             pending.on_reply(None)
 
         timer = lpm.sim.schedule(timeout_ms + lpm._cpu(handler_cost),
-                                 timed_out,
-                                 label="timeout %s#%d" % (kind.value,
-                                                          req_id))
+                                 timed_out)
         self.pending[req_id] = PendingRequest(on_reply, timer, handler)
 
         def transmit() -> None:
@@ -166,8 +164,7 @@ class RequestChannel:
                     failed.on_reply(None)
 
         if handler_cost:
-            lpm.sim.schedule(lpm._cpu(handler_cost), transmit,
-                             label="handler %s#%d" % (kind.value, req_id))
+            lpm.sim.schedule(lpm._cpu(handler_cost), transmit)
         else:
             transmit()
 
@@ -191,8 +188,7 @@ class RequestChannel:
         interval = config.datagram_rto_ms * \
             (config.datagram_max_retries + 1)
         pending.retry_timer = self.lpm.sim.schedule(
-            interval, self._retry, req_id, next_hop, message,
-            label="request retry %s#%d" % (message.kind.value, req_id))
+            interval, self._retry, req_id, next_hop, message)
 
     def _retry(self, req_id: int, next_hop: str,
                message: Message) -> None:

@@ -168,7 +168,7 @@ class ToolService:
 
             cost = lpm._cpu(lpm.cost.fork_ms + lpm.cost.exec_ms
                             + lpm.cost.adopt_ms)
-            lpm.sim.schedule(cost, created, label="local create")
+            lpm.sim.schedule(cost, created)
             return
 
         def remote_ready(link) -> None:
@@ -204,8 +204,7 @@ class ToolService:
                 self.reply(endpoint, message,
                            lpm._apply_control(pid, action))
 
-            lpm.sim.schedule(lpm._cpu(lpm.cost.signal_ms), acted,
-                             label="local control")
+            lpm.sim.schedule(lpm._cpu(lpm.cost.signal_ms), acted)
             return
 
         def send_control(allow_retry: bool = True) -> None:
@@ -284,8 +283,7 @@ class ToolService:
                 return
             self.reply(endpoint, message, {"ok": True, "adopted": pids})
 
-        lpm.sim.schedule(lpm._cpu(lpm.cost.adopt_ms), adopted,
-                         label="adopt")
+        lpm.sim.schedule(lpm._cpu(lpm.cost.adopt_ms), adopted)
 
     def _tool_tool_set_trace(self, message: Message, endpoint) -> None:
         lpm = self.lpm

@@ -162,12 +162,10 @@ class TopologyManager:
         lpm = self.lpm
         if rewire and self._rewire_timer is None:
             self._rewire_timer = lpm.sim.schedule(
-                REWIRE_DEBOUNCE_MS, self._rewire,
-                label="sparse rewire %s" % (lpm.name,))
+                REWIRE_DEBOUNCE_MS, self._rewire)
         if gossip and self._gossip_timer is None:
             self._gossip_timer = lpm.sim.schedule(
-                REWIRE_DEBOUNCE_MS, self._gossip,
-                label="sparse gossip %s" % (lpm.name,))
+                REWIRE_DEBOUNCE_MS, self._gossip)
 
     def _settled(self, rearm) -> bool:
         """Trailing-edge gate: True once membership has been quiet for

@@ -7,23 +7,21 @@ section 3), an alternative datagram transport, and the latency model
 calibrated against the paper's measurements (Tables 1-3).
 """
 
-from .clock import SimClock
-from .events import Event, EventQueue
-from .simulator import Simulator
-from .latency import (
+from ..latency import (
     HostClass,
     CostModel,
     DEFAULT_COST_MODEL,
     kernel_message_delay_ms,
     load_factor,
 )
+from .events import Event, EventQueue
+from .simulator import Simulator
 from .link import Link
 from .network import Network, NetworkNode
 from .stream import StreamConnection, StreamEndpoint
 from .datagram import DatagramTransport
 
 __all__ = [
-    "SimClock",
     "Event",
     "EventQueue",
     "Simulator",

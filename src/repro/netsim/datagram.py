@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..errors import UnreachableHostError
-from .latency import DEFAULT_COST_MODEL, CostModel
+from ..latency import DEFAULT_COST_MODEL, CostModel
 from .network import Network
 
 
@@ -85,5 +85,4 @@ class DatagramTransport:
                 if on_dropped is not None:
                     on_dropped(reason)
 
-        self.sim.schedule_at(deliver_at, deliver,
-                             label="dgram %s->%s/%s" % (src, dst, port))
+        self.sim.schedule_at(deliver_at, deliver)

@@ -4,19 +4,16 @@ Events are ordered by ``(time, sequence number)`` so that two events
 scheduled for the same instant fire in scheduling order; this keeps every
 simulation run deterministic.
 
-The queue is a heap plus an append-only FIFO fast path: most scheduling
-is monotone (timers armed for ever-later instants), and those pushes are
-O(1) appends instead of heap sifts.  Cancellation is lazy — a cancelled
-event sits where it is until popped — but the queue counts its cancelled
-residents and compacts itself when they dominate, so a workload that
-arms and cancels millions of timers (retransmission, keepalive) does not
-drag a graveyard through every subsequent operation.
+The queue is one heap.  Cancellation is lazy — a cancelled event sits
+where it is until popped — but the queue counts its cancelled residents
+and compacts itself when they dominate, so a workload that arms and
+cancels millions of timers (retransmission, keepalive) does not drag a
+graveyard through every subsequent operation.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Callable, Optional
 
 from ..perf import PERF
@@ -38,11 +35,10 @@ class Event:
     """
 
     __slots__ = ("time_ms", "seq", "callback", "args", "cancelled", "fired",
-                 "label", "_queue")
+                 "_queue")
 
     def __init__(self, time_ms: float, seq: int,
-                 callback: Callable[..., None], args: tuple,
-                 label: str = "") -> None:
+                 callback: Callable[..., None], args: tuple) -> None:
         self.time_ms = time_ms
         self.seq = seq
         self.callback: Optional[Callable[..., None]] = callback
@@ -50,7 +46,6 @@ class Event:
         self.cancelled = False
         #: True once the event has been popped for execution.
         self.fired = False
-        self.label = label
         #: The queue currently holding this event; cancellation
         #: bookkeeping flows through this single path.
         self._queue: Optional["EventQueue"] = None
@@ -71,107 +66,59 @@ class Event:
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
-        return "Event(t=%.3f, seq=%d, %s%s)" % (
-            self.time_ms, self.seq, state,
-            ", label=%r" % (self.label,) if self.label else "")
+        return "Event(t=%.3f, seq=%d, %s)" % (self.time_ms, self.seq, state)
 
 
 class EventQueue:
-    """Lazily-cancelling event queue with a monotone-push fast path.
-
-    Two internal containers, each sorted by the ``(time, seq)`` total
-    order: a heap for out-of-order pushes and a FIFO deque that absorbs
-    pushes arriving in increasing order.  The global minimum is the
-    smaller of the two heads, so pop order is identical to a pure heap —
-    bit-for-bit, because the order is strict and total.
-    """
+    """Lazily-cancelling heap of events in ``(time, seq)`` order."""
 
     def __init__(self) -> None:
         self._heap: list = []
-        self._fifo: "deque[Event]" = deque()
-        self._last_pop_ms = float("-inf")
         self._live = 0
-        #: Cancelled events still resident in a container.
+        #: Cancelled events still resident in the heap.
         self._cancelled = 0
         self.compactions = 0
 
     def push(self, event: Event) -> None:
-        """Insert ``event``, preserving the ``(time, seq)`` total order.
-
-        In-order arrivals (the common monotone-timer case) append to the
-        FIFO in O(1); everything else heap-sifts.
-        """
+        """Insert ``event``, preserving the ``(time, seq)`` total order."""
         event._queue = self
-        fifo = self._fifo
-        # Same-time fast path: an event due at the instant currently
-        # being executed is appended to the "due now" FIFO in O(1).
-        # Scheduling into the past is impossible, so such events carry
-        # ever-increasing seq values and the FIFO stays sorted; and
-        # because every resident at the last-popped time pops before the
-        # clock moves on, the FIFO's tail can never hold a far-future
-        # event that would divert later same-time pushes to the heap.
-        if event.time_ms <= self._last_pop_ms and \
-                (not fifo or fifo[-1] < event):
-            fifo.append(event)
-            PERF.events_fastpath += 1
-        else:
-            heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, event)
         self._live += 1
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or None when empty."""
         self._discard_cancelled_heads()
-        heap, fifo = self._heap, self._fifo
-        if heap and (not fifo or heap[0] < fifo[0]):
-            event = heapq.heappop(heap)
-        elif fifo:
-            event = fifo.popleft()
-        else:
+        if not self._heap:
             return None
+        event = heapq.heappop(self._heap)
         event._queue = None
         event.fired = True
-        self._last_pop_ms = event.time_ms
         self._live -= 1
         return event
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event, or None when empty."""
         self._discard_cancelled_heads()
-        heap, fifo = self._heap, self._fifo
-        if heap and (not fifo or heap[0] < fifo[0]):
-            return heap[0].time_ms
-        if fifo:
-            return fifo[0].time_ms
-        return None
-
-    def note_cancelled(self) -> None:
-        """Deprecated no-op.  :meth:`Event.cancel` is the single
-        bookkeeping path now; this hook is kept so older callers that
-        pair ``event.cancel()`` with ``queue.note_cancelled()`` stay
-        correct rather than double-counting."""
+        return self._heap[0].time_ms if self._heap else None
 
     def _note_event_cancelled(self) -> None:
         """Called by :meth:`Event.cancel` for a resident event."""
         self._live -= 1
         self._cancelled += 1
         if (self._cancelled >= COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 >
-                len(self._heap) + len(self._fifo)):
+                and self._cancelled * 2 > len(self._heap)):
             self._compact()
 
     def _discard_cancelled_heads(self) -> None:
-        heap, fifo = self._heap, self._fifo
+        heap = self._heap
         while heap and heap[0].cancelled:
             heapq.heappop(heap)._queue = None
             self._cancelled -= 1
-        while fifo and fifo[0].cancelled:
-            fifo.popleft()._queue = None
-            self._cancelled -= 1
 
     def _compact(self) -> None:
-        """Drop every cancelled resident and rebuild.
+        """Drop every cancelled resident and rebuild the heap.
 
-        Safe for determinism: both containers keep the same strict
+        Safe for determinism: the heap keeps the same strict
         ``(time, seq)`` order over the surviving events, so pop order is
         unchanged.  Triggered only when cancelled residents outnumber
         live ones, which amortises the rebuild against the cancellations
@@ -180,12 +127,8 @@ class EventQueue:
         for event in self._heap:
             if event.cancelled:
                 event._queue = None
-        for event in self._fifo:
-            if event.cancelled:
-                event._queue = None
         self._heap = [e for e in self._heap if not e.cancelled]
         heapq.heapify(self._heap)
-        self._fifo = deque(e for e in self._fifo if not e.cancelled)
         self._cancelled = 0
         self.compactions += 1
         PERF.heap_compactions += 1

@@ -45,9 +45,8 @@ class SimFabric:
     def now_ms(self) -> float:
         return self.sim.now_ms
 
-    def schedule(self, delay_ms: float, callback: Callable, *args,
-                 label: str = ""):
-        return self.sim.schedule(delay_ms, callback, *args, label=label)
+    def schedule(self, delay_ms: float, callback: Callable, *args):
+        return self.sim.schedule(delay_ms, callback, *args)
 
     def cancel(self, handle) -> None:
         self.sim.cancel(handle)

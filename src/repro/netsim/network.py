@@ -24,7 +24,7 @@ from ..errors import (
     SimulationError,
     UnreachableHostError,
 )
-from .latency import HostClass
+from ..latency import HostClass
 from .link import Link
 from .simulator import Simulator
 

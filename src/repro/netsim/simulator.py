@@ -13,7 +13,6 @@ from typing import Callable, Optional
 
 from ..errors import SimulationError
 from ..perf import PERF
-from .clock import SimClock
 from .events import Event, EventQueue
 
 
@@ -21,20 +20,15 @@ class Simulator:
     """Clock plus event queue plus a seeded random source."""
 
     def __init__(self, seed: int = 0, start_ms: float = 0.0) -> None:
-        self.clock = SimClock(start_ms)
+        #: Current simulated time in milliseconds; never decreases.
+        self.now_ms = float(start_ms)
         self.queue = EventQueue()
         self.rng = random.Random(seed)
         self._seq = 0
         self._events_run = 0
-        self._running = False
         #: Optional :class:`repro.perf.spans.SpanTracer`; None keeps
         #: every instrumentation site zero-cost.
         self.tracer = None
-
-    @property
-    def now_ms(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self.clock.now_ms
 
     @property
     def events_run(self) -> int:
@@ -46,16 +40,15 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def schedule(self, delay_ms: float, callback: Callable[..., None],
-                 *args, label: str = "") -> Event:
+                 *args) -> Event:
         """Run ``callback(*args)`` after ``delay_ms`` simulated ms."""
         if delay_ms < 0:
             raise SimulationError("cannot schedule into the past "
                                   "(delay_ms=%r)" % (delay_ms,))
-        return self.schedule_at(self.now_ms + delay_ms, callback, *args,
-                                label=label)
+        return self.schedule_at(self.now_ms + delay_ms, callback, *args)
 
     def schedule_at(self, time_ms: float, callback: Callable[..., None],
-                    *args, label: str = "") -> Event:
+                    *args) -> Event:
         """Run ``callback(*args)`` at absolute simulated time ``time_ms``."""
         if time_ms < self.now_ms:
             raise SimulationError(
@@ -63,7 +56,7 @@ class Simulator:
                 % (time_ms, self.now_ms))
         PERF.events_scheduled += 1
         self._seq += 1
-        event = Event(time_ms, self._seq, callback, args, label=label)
+        event = Event(float(time_ms), self._seq, callback, args)
         self.queue.push(event)
         return event
 
@@ -91,7 +84,7 @@ class Simulator:
         event = self.queue.pop()
         if event is None:
             return False
-        self.clock.advance_to(event.time_ms)
+        self.now_ms = event.time_ms
         callback, args = event.callback, event.args
         event.callback, event.args = None, ()
         self._events_run += 1
@@ -118,7 +111,7 @@ class Simulator:
             self.step()
             executed += 1
         if time_ms > self.now_ms:
-            self.clock.advance_to(time_ms)
+            self.now_ms = float(time_ms)
 
     def run_for(self, duration_ms: float, max_events: int = 10_000_000) -> None:
         """Run the next ``duration_ms`` of simulated time."""
@@ -151,7 +144,11 @@ class Simulator:
         while True:
             next_time = self.queue.peek_time()
             if next_time is None or next_time > deadline:
-                self.clock.advance_to(deadline)
+                if deadline < self.now_ms:
+                    raise SimulationError(
+                        "run_until_true: negative timeout_ms=%r"
+                        % (timeout_ms,))
+                self.now_ms = deadline
                 return False
             if executed >= max_events:
                 raise SimulationError(
@@ -160,12 +157,6 @@ class Simulator:
             executed += 1
             if predicate():
                 return True
-
-    def jitter_ms(self, magnitude_ms: float) -> float:
-        """A small deterministic random delay in [0, magnitude_ms)."""
-        if magnitude_ms <= 0:
-            return 0.0
-        return self.rng.random() * magnitude_ms
 
     def __repr__(self) -> str:
         return "Simulator(now=%.3f ms, pending=%d, run=%d)" % (

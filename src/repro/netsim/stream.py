@@ -166,8 +166,7 @@ class StreamConnection:
             return conn
 
         sim.schedule_at(sim.now_ms + 2 * one_way + setup_ms, conn._complete,
-                        service, payload, on_established, on_failed,
-                        label="connect %s->%s/%s" % (src, dst, service))
+                        service, payload, on_established, on_failed)
         return conn
 
     def _connect_fail(self, reason: str, delay_ms: float,
@@ -178,9 +177,7 @@ class StreamConnection:
             if on_failed is not None:
                 on_failed(reason)
 
-        self.sim.schedule(delay_ms, deliver_failure,
-                          label="connect-fail %s->%s" % (self.a.local_name,
-                                                         self.b.local_name))
+        self.sim.schedule(delay_ms, deliver_failure)
 
     def _complete(self, service: str, payload,
                   on_established: Optional[Callable],
@@ -244,9 +241,7 @@ class StreamConnection:
         self._inflight[key].append((arrival, payload, self.sim.now_ms))
         if self._delivery_timer[key] is None:
             self._delivery_timer[key] = self.sim.schedule_at(
-                arrival, self._deliver_due, peer,
-                label="stream %s->%s" % (sender.local_name,
-                                         peer.local_name))
+                arrival, self._deliver_due, peer)
 
     def _deliver_due(self, peer: StreamEndpoint) -> None:
         """The delivery timer for ``peer``'s direction fired: drain
@@ -289,8 +284,7 @@ class StreamConnection:
         if queue and self.established and self._delivery_timer[key] is None:
             PERF.stream_timer_rearms += 1
             self._delivery_timer[key] = self.sim.schedule_at(
-                queue[0][0], self._deliver_due, peer,
-                label="stream %s->%s" % (peer.peer_name, peer.local_name))
+                queue[0][0], self._deliver_due, peer)
 
     # ------------------------------------------------------------------
     # Teardown and failure
@@ -338,9 +332,7 @@ class StreamConnection:
             return
         self._break_scheduled = True
         self._detect_timer = self.sim.schedule(
-            self.detect_ms, self._detect_break_fired,
-            label="detect-break %s-%s" % (self.a.local_name,
-                                          self.b.local_name))
+            self.detect_ms, self._detect_break_fired)
 
     def _detect_break_fired(self) -> None:
         """The detection delay elapsed; break unless the path healed."""

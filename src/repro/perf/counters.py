@@ -46,9 +46,6 @@ Event queue (``repro.netsim``):
     Events executed by any simulator in this process.
 ``events_cancelled``
     Events cancelled before firing.
-``events_fastpath``
-    Events appended through the in-order fast path instead of a heap
-    push.
 ``heap_compactions``
     Times an event queue rebuilt itself to shed cancelled entries.
 
@@ -77,7 +74,7 @@ Exactly-once request layer (``repro.core.rpc``):
 Gather merge (``repro.core.gather``):
 
 ``gather_merges``
-    Gather operations finished (one k-way merge each).
+    Gather operations finished (one merge each).
 ``gather_records_merged``
     Records emitted by those merges (each record is touched once per
     gather level, the linear-merge property).
@@ -206,7 +203,6 @@ _COUNTERS = (
     "events_scheduled",
     "events_run",
     "events_cancelled",
-    "events_fastpath",
     "heap_compactions",
     "stream_batched_deliveries",
     "stream_segments_drained",

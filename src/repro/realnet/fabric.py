@@ -71,8 +71,7 @@ class AsyncioFabric(Fabric):
     def now_ms(self) -> float:
         return (time.monotonic() - self._epoch) * 1000.0
 
-    def schedule(self, delay_ms: float, callback: Callable, *args,
-                 label: str = ""):
+    def schedule(self, delay_ms: float, callback: Callable, *args):
         return self.loop.call_later(max(0.0, delay_ms) / 1000.0,
                                     self._fire, callback, args)
 

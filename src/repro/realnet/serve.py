@@ -59,8 +59,7 @@ def serve_host(host_name: str, registry_path: str,
     for signum in (signal.SIGTERM, signal.SIGINT):
         fabric.loop.add_signal_handler(signum, fabric.loop.stop)
     if budget_s is not None:
-        fabric.schedule(budget_s * 1000.0, fabric.loop.stop,
-                        label="serve budget")
+        fabric.schedule(budget_s * 1000.0, fabric.loop.stop)
     try:
         fabric.loop.run_forever()
     finally:

@@ -47,8 +47,7 @@ class InetDaemon:
         # Step (2): pass the request to the pmd, creating it if necessary.
         delay = self.host.cpu_cost(self.host.world.cost_model.pmd_step_ms)
         self.host.sim.schedule(delay, self._forward_to_pmd, endpoint,
-                               payload, label="inetd->pmd %s" % payload.get(
-                                   "user", "?"))
+                               payload)
 
     def _forward_to_pmd(self, endpoint, payload) -> None:
         if not self.host.up:

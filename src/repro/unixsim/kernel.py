@@ -424,9 +424,7 @@ class Kernel:
                 return
             hook(message)
 
-        self.sim.schedule(delay, deliver,
-                          label="kmsg %s pid=%d" % (message.event.value,
-                                                    message.pid))
+        self.sim.schedule(delay, deliver)
 
     # ------------------------------------------------------------------
     # Host failure

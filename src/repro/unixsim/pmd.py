@@ -27,6 +27,9 @@ from .users import rhosts_permits
 #: Stable-storage path for the registry.
 STATE_PATH = "/etc/pmd.state"
 
+#: Extra cost charged to LPM creation when stable storage is on.
+STABLE_STORAGE_WRITE_MS = 45.0
+
 
 @dataclass
 class LpmRecord:
@@ -100,10 +103,8 @@ class ProcessManagerDaemon:
         # local processing" (section 3), plus the optional stable write.
         cost = self.host.cpu_cost(self.host.world.cost_model.lpm_spawn_ms)
         if self.stable_storage:
-            cost += self.host.world.config.pmd_stable_storage_write_ms
-        self.host.sim.schedule(cost, self._create_lpm, user, done,
-                               label="pmd create lpm %s@%s"
-                                     % (user, self.host.name))
+            cost += STABLE_STORAGE_WRITE_MS
+        self.host.sim.schedule(cost, self._create_lpm, user, done)
         return done
 
     def _create_lpm(self, user: str, done: Deferred) -> None:

@@ -62,8 +62,7 @@ class _TimedProgram(Program):
             return  # runs forever
         self._armed_at_ms = kernel.sim.now_ms
         self._timer = kernel.sim.schedule(
-            self._remaining_ms, self._finish, kernel, proc,
-            label="%s pid=%d" % (type(self).__name__, proc.pid))
+            self._remaining_ms, self._finish, kernel, proc)
 
     def _finish(self, kernel, proc) -> None:
         self._timer = None
@@ -126,8 +125,7 @@ class FileWorkerProgram(_TimedProgram):
             self._fds[path] = kernel.open_file(proc.pid, path)
         for path, delay_ms in self.close_after_ms:
             timer = kernel.sim.schedule(
-                delay_ms, self._close_one, kernel, proc, path,
-                label="close %s pid=%d" % (path, proc.pid))
+                delay_ms, self._close_one, kernel, proc, path)
             self._close_timers.append(timer)
         super().start(kernel, proc)
 
@@ -233,8 +231,7 @@ class TalkerProgram(_TimedProgram):
         if self._sent >= self.count:
             return
         self._send_timer = kernel.sim.schedule(
-            self.interval_ms, self._send_one, kernel, proc,
-            label="talker pid=%d" % (proc.pid,))
+            self.interval_ms, self._send_one, kernel, proc)
 
     def _send_one(self, kernel, proc) -> None:
         from ..errors import ConnectionClosedError
@@ -288,7 +285,7 @@ class ForkTreeProgram(Program):
         for command, delay_ms, child_program in self.children_spec:
             timer = kernel.sim.schedule(
                 delay_ms, self._spawn_child, kernel, proc, command,
-                child_program, label="forktree spawn %s" % (command,))
+                child_program)
             self._spawn_timers.append(timer)
 
     def _spawn_child(self, kernel, proc, command, child_program) -> None:

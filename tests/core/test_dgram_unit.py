@@ -3,6 +3,7 @@
 import pytest
 
 from repro import PPMClient, PPMConfig, spinner_spec
+from repro.core.dgram import KEEPALIVE_MS
 from repro.errors import ConnectionClosedError
 
 from .conftest import build_world, lpm_of
@@ -101,7 +102,7 @@ def test_unintroduced_data_rejected(pair):
 def test_keepalive_offsets_are_deterministic_and_bounded(pair):
     world, alpha, beta = pair
     offset = alpha.dgram._keepalive_offset_ms("beta")
-    assert 0.0 <= offset < alpha.config.datagram_keepalive_ms
+    assert 0.0 <= offset < KEEPALIVE_MS
     # Pure function of stable session identifiers: stable across calls.
     assert alpha.dgram._keepalive_offset_ms("beta") == offset
     # The two directions of one link hash differently (different
@@ -120,5 +121,5 @@ def test_jittered_keepalive_still_pings_idle_links(pair):
     world, alpha, beta = pair
     before = alpha.dgram.pings_sent
     # One full keepalive period plus the worst-case jitter window.
-    world.run_for(2 * alpha.config.datagram_keepalive_ms)
+    world.run_for(2 * KEEPALIVE_MS)
     assert alpha.dgram.pings_sent > before

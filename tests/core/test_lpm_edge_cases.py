@@ -178,7 +178,7 @@ class TestMessageHygiene:
                         origin="beta", user="lfc",
                         payload={"ok": True}, reply_to=424242,
                         route=["beta", "alpha"], final_dest="alpha")
-        lpm_beta._send_on_link(lpm_beta.siblings["alpha"], rogue)
+        lpm_beta.transport.send_on_link(lpm_beta.siblings["alpha"], rogue)
         world.run_for(1_000.0)  # no crash, nothing pending
         assert 424242 not in lpm_alpha._pending
 

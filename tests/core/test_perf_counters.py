@@ -1,5 +1,8 @@
 """Tests for the always-on perf-counter layer (`repro.perf`)."""
 
+import importlib.util
+import os
+
 from repro import PersonalProcessManager, spinner_spec
 from repro.perf import PERF, PerfCounters
 
@@ -55,3 +58,34 @@ def test_verify_cache_absorbs_repeat_stamp_checks():
     # A forged signature over the same fields must not hit a cached True.
     forged = BroadcastId("alpha", 123.0, 1, "0" * 16)
     assert not forged.verify("secret")
+
+
+def _load_check_counters():
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    spec = importlib.util.spec_from_file_location(
+        "check_counters", os.path.join(root, "tools", "check_counters.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counter_lint_reports_a_stale_perf_md_row():
+    check_counters = _load_check_counters()
+    rows = "\n".join("| `%s` | something |" % name
+                      for name in PerfCounters.__slots__)
+    table = "| counter | counts |\n|---|---|\n%s\n" % rows
+    assert check_counters.check(table) == []
+    # A row for a counter the registry no longer has is stale; the
+    # same name in another table (workloads, metrics) is not a row.
+    stale = table + "| `events_fastpath` | gone |\n"
+    assert check_counters.check(stale) == [
+        "docs/PERF.md counter table documents 'events_fastpath', which "
+        "is not a PerfCounters slot"]
+    elsewhere = table + "\n| metric | value |\n|---|---|\n" \
+        "| `events_fastpath` | 0 |\n"
+    assert check_counters.check(elsewhere) == []
+    # A counter dropped from the table is reported too.
+    missing = table.replace("| `events_run` | something |\n", "")
+    assert check_counters.check(missing) == [
+        "counter 'events_run' missing from the docs/PERF.md counter table"]

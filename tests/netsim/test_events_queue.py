@@ -23,7 +23,6 @@ class TestEventQueue:
         queue.push(keep)
         queue.push(drop)
         drop.cancel()
-        queue.note_cancelled()
         assert queue.peek_time() == 10.0
         assert queue.pop() is keep
         assert len(queue) == 0
@@ -37,7 +36,7 @@ class TestEventQueue:
         assert len(queue) == 1
 
     def test_event_repr_states(self):
-        event = Event(1.5, 3, lambda: None, (), label="x")
+        event = Event(1.5, 3, lambda: None, ())
         assert "pending" in repr(event)
         event.cancel()
         assert "cancelled" in repr(event)
@@ -54,7 +53,6 @@ class TestEventQueue:
             queue.push(event)
             if cancel:
                 event.cancel()
-                queue.note_cancelled()
         previous = -1.0
         while True:
             event = queue.pop()

@@ -1,4 +1,4 @@
-"""Regression tests for event-queue compaction and the fast path.
+"""Regression tests for event-queue compaction and same-instant order.
 
 The queue may rebuild itself when cancelled residents dominate; none of
 that is allowed to change *what* runs or *in which order* — the
@@ -63,7 +63,6 @@ def test_len_invariant_with_mixed_cancel_paths():
     sim.cancel(events[0])                      # simulator API
     events[1].cancel()                         # direct event API
     events[2].cancel()
-    sim.queue.note_cancelled()                 # legacy pairing: a no-op
     sim.cancel(events[0])                      # double-cancel: ignored
     events[1].cancel()
     assert len(sim.queue) == 7
@@ -85,7 +84,7 @@ def test_cancel_after_firing_does_not_corrupt_len():
     assert len(sim.queue) == 0
 
 
-def test_same_time_fastpath_keeps_scheduling_order():
+def test_same_time_rescheduling_keeps_scheduling_order():
     sim = Simulator(seed=4)
     fired = []
 
@@ -93,7 +92,7 @@ def test_same_time_fastpath_keeps_scheduling_order():
         fired.append(depth)
         if depth < 5:
             # Zero-delay re-scheduling at the executing instant: the
-            # queue's same-time FIFO, not the heap.
+            # heap's seq tie-break keeps scheduling order.
             sim.schedule(0.0, cascade, depth + 1)
 
     sim.schedule(10.0, cascade, 0)
@@ -102,7 +101,7 @@ def test_same_time_fastpath_keeps_scheduling_order():
     assert fired == [0, "sibling", 1, 2, 3, 4, 5]
 
 
-def test_fastpath_and_heap_interleave_deterministically():
+def test_interleaved_push_and_pop_keep_time_seq_order():
     rng = random.Random(7)
     queue = EventQueue()
     seq = 0

@@ -140,7 +140,7 @@ def test_determinism_with_same_seed():
         sim = Simulator(seed=seed)
         values = []
         for _ in range(50):
-            sim.schedule(sim.jitter_ms(10.0) + 1.0, values.append,
+            sim.schedule(sim.rng.random() * 10.0 + 1.0, values.append,
                          sim.rng.random())
         sim.run_until_idle()
         return values
@@ -158,15 +158,6 @@ def test_runaway_loop_detection():
     sim.schedule(0.0, forever)
     with pytest.raises(SimulationError):
         sim.run_until(1.0, max_events=1000)
-
-
-def test_jitter_bounds():
-    sim = Simulator(seed=3)
-    for _ in range(100):
-        j = sim.jitter_ms(5.0)
-        assert 0.0 <= j < 5.0
-    assert sim.jitter_ms(0.0) == 0.0
-    assert sim.jitter_ms(-1.0) == 0.0
 
 
 def test_events_run_counter():

@@ -58,7 +58,7 @@ def drive(n_aggressors, seed=13):
             record=lambda op, ms: victim_hists[op].record(ms),
             on_done=finished)
         world.fabric.schedule(1_000.0 + i * VICTIM_GAP_MS,
-                              session.start, label="victim session %d" % i)
+                              session.start)
 
     # Aggressors: every session creates on and gathers across *all*
     # leaves — the storm rides the same shared circuits as the victim.
@@ -73,7 +73,7 @@ def drive(n_aggressors, seed=13):
             expected += 1
             world.fabric.schedule(
                 500.0 + k * VICTIM_GAP_MS + j * 700.0,
-                session.start, label="aggressor %s session %d" % (user, k))
+                session.start)
 
     world.run_for(HORIZON_MS)
     assert len(done) == expected

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.broadcast import BroadcastEngine
 from repro.core.routing import RouteCache
 from repro.ids import BroadcastId, GlobalPid
-from repro.netsim.latency import HostClass, kernel_message_delay_ms, load_factor
+from repro.latency import HostClass, kernel_message_delay_ms, load_factor
 from repro.unixsim.loadavg import LoadAverage
 
 

@@ -88,11 +88,12 @@ NETSIM_UPWARD = ("repro.core", "repro.unixsim", "repro.tracing",
                  "repro.baselines", "repro.localos", "repro.bench",
                  "repro.cli")
 
-#: Raised from 600 when the sparse-overlay work added cache-first
-#: LOCATE (probe / flood split) and the tree/topology dispatch rows to
-#: the coordinator; the mechanisms themselves live in
-#: ``spantree.py`` / ``topology.py``.
-LPM_MAX_LINES = 660
+#: Raised from 600 to 660 when the sparse-overlay work added
+#: cache-first LOCATE (probe / flood split) and the tree/topology
+#: dispatch rows to the coordinator (the mechanisms themselves live in
+#: ``spantree.py`` / ``topology.py``); lowered to 636 when the facades
+#: nothing called went.
+LPM_MAX_LINES = 636
 
 #: The one module allowed to open /proc (rule 10), relative to
 #: ``src/repro``.
