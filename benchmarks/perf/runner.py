@@ -3,11 +3,6 @@
 The scenarios cover the paths every experiment in the reproduction
 runs through:
 
-``encode_throughput``
-    Message serialisation and size accounting, including hop-by-hop
-    route growth (the broadcast-forwarding pattern that re-sizes the
-    same message at every hop).
-
 ``broadcast_flood``
     One LOCATE broadcast over a full-mesh sibling graph — the
     duplicate-suppression worst case: every LPM floods every sibling,
@@ -16,14 +11,6 @@ runs through:
 ``snapshot_40_hosts``
     The A4 stress setup (section 8 "into the tens of nodes"): a
     40-host star session, three snapshot gathers.
-
-``stream_flood``
-    The stream-transport worst case: N back-to-back sends per circuit
-    across M circuits.  The old shape (one simulator event per
-    in-flight segment, reproduced inline with the exact arrival-time
-    arithmetic) against the batched per-circuit-direction delivery
-    timer, asserting the arrival times are byte-identical and
-    recording the event-queue push counts for both.
 
 ``span_overhead``
     The span-tracing layer's cost: the same multi-host snapshot
@@ -111,22 +98,19 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 from repro import PPMClient, PPMConfig, install, spinner_spec
-from repro.core.messages import Message, MsgKind
-from repro.core.wire import message_size_bytes
-from repro.netsim import HostClass, Network, Simulator, StreamConnection
+from repro.netsim import HostClass
 from repro.perf import PERF
 from repro.unixsim import World
 
 #: The counters each scenario reports (a subset keeps the JSON legible).
 _REPORTED = (
-    "encodes_performed", "encode_cache_hits", "size_calls",
+    "encodes_performed", "size_calls",
     "bytes_charged", "hmac_computed", "hmac_cache_hits",
     "dedup_checks", "dedup_entries_scanned", "dedup_entries_expired",
     "events_scheduled", "events_run", "events_cancelled",
     "heap_compactions",
     "gather_merges", "gather_records_merged",
     "stream_batched_deliveries", "stream_segments_drained",
-    "stream_timer_rearms",
     "tree_forwards", "tree_prunes", "tree_repairs",
     "locate_cache_hits", "locate_cache_stale",
     "circuit_shares", "circuit_lanes_attached", "auth_cache_hits",
@@ -148,39 +132,7 @@ def _measure(fn):
 
 
 # ----------------------------------------------------------------------
-# Scenario 1: encode / size throughput
-# ----------------------------------------------------------------------
-
-def bench_encode(smoke: bool = False) -> dict:
-    messages = 200 if smoke else 2_000
-    hops = 8           # siblings that re-size the same message in flight
-    payload = {"records": [{"pid": i, "command": "job-%d" % i,
-                            "state": "running", "rusage":
-                            {"utime_ms": 12.5 * i, "forks": i}}
-                           for i in range(12)]}
-
-    def run() -> dict:
-        total = 0
-        for index in range(messages):
-            message = Message(kind=MsgKind.GATHER_REPLY, req_id=index,
-                              origin="h00", user="lfc",
-                              payload=payload, route=["h00", "h01"],
-                              final_dest="h01")
-            # The origin sizes the message once, then every forwarding
-            # hop sizes it again (unchanged), then one hop extends the
-            # route (broadcast pattern) and sizes the changed message.
-            for _ in range(hops):
-                total += message_size_bytes(message)
-            message.route = message.route + ["h%02d" % (index % 40,)]
-            total += message_size_bytes(message)
-        return {"messages": messages, "sizes_per_message": hops + 1,
-                "total_bytes": total}
-
-    return _measure(run)
-
-
-# ----------------------------------------------------------------------
-# Scenario 2: broadcast flood over a full mesh
+# Scenario 1: broadcast flood over a full mesh
 # ----------------------------------------------------------------------
 
 def bench_broadcast_flood(smoke: bool = False) -> dict:
@@ -220,7 +172,7 @@ def bench_broadcast_flood(smoke: bool = False) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenario 3: snapshot gather at 40 hosts (the A4 setup)
+# Scenario 2: snapshot gather at 40 hosts (the A4 setup)
 # ----------------------------------------------------------------------
 
 def bench_snapshot(smoke: bool = False) -> dict:
@@ -253,103 +205,7 @@ def bench_snapshot(smoke: bool = False) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenario 4: stream-transport flood — batched vs per-segment delivery
-# ----------------------------------------------------------------------
-
-def bench_stream_flood(smoke: bool = False) -> dict:
-    n_circuits = 2 if smoke else 8
-    sends = 50 if smoke else 1_000
-    group = 10 if smoke else 100   # sends sharing one arrival time
-    nbytes = 256
-
-    def extra_for(k: int) -> float:
-        # Every ``group`` sends step the extra delay, so arrivals form
-        # sends/group distinct instants per circuit: the drain loop and
-        # the timer re-arm both get exercised, not just one mega-batch.
-        return (k // group) * 10.0
-
-    def build():
-        sim = Simulator(seed=7)
-        net = Network(sim)
-        names = []
-        for i in range(n_circuits):
-            names += ["s%02d" % i, "r%02d" % i]
-        for name in names:
-            net.add_node(name)
-        net.ethernet(names)
-        return sim, net
-
-    def run() -> dict:
-        # --- live code: batched per-circuit-direction delivery -------
-        sim, net = build()
-        arrivals_batched = [[] for _ in range(n_circuits)]
-        endpoints = []
-        for i in range(n_circuits):
-            def acceptor(endpoint, payload, i=i):
-                endpoint.on_message = (
-                    lambda payload, ep, i=i:
-                    arrivals_batched[i].append(sim.now_ms))
-            net.node("r%02d" % i).listen("svc", acceptor)
-            StreamConnection.connect(net, "s%02d" % i, "r%02d" % i, "svc",
-                                     on_established=endpoints.append)
-        sim.run_until_idle()
-        assert len(endpoints) == n_circuits
-        t0 = sim.now_ms
-        base = PERF.snapshot()
-        start = time.perf_counter()
-        for endpoint in endpoints:
-            for k in range(sends):
-                endpoint.send(k, nbytes=nbytes,
-                              extra_delay_ms=extra_for(k))
-        sim.run_until_idle()
-        batched_wall_s = time.perf_counter() - start
-        delta = PERF.delta_since(base)
-        pushes_batched = delta["events_scheduled"]
-
-        # --- baseline: the seed's one-event-per-segment scheduler ----
-        # Reproduced inline with the exact arrival arithmetic the old
-        # ``transmit`` used (wire delay + extra, floored in-order), on a
-        # fresh simulator started at the same instant, so the arrival
-        # times must match float-for-float.
-        sim2, net2 = build()
-        sim2.run_until(t0)
-        arrivals_seed = [[] for _ in range(n_circuits)]
-        base = PERF.snapshot()
-        start = time.perf_counter()
-        for i in range(n_circuits):
-            floor = 0.0
-            for k in range(sends):
-                # The seed's transmit routed every send individually.
-                wire = net2.transit_delay_ms("s%02d" % i, "r%02d" % i,
-                                             nbytes)
-                arrival = max(sim2.now_ms + wire + extra_for(k), floor)
-                floor = arrival
-                sim2.schedule_at(
-                    arrival,
-                    lambda i=i: arrivals_seed[i].append(sim2.now_ms))
-        sim2.run_until_idle()
-        per_segment_wall_s = time.perf_counter() - start
-        pushes_per_segment = PERF.delta_since(base)["events_scheduled"]
-
-        assert arrivals_batched == arrivals_seed, \
-            "batched delivery changed arrival times"
-        assert all(len(a) == sends for a in arrivals_batched)
-        return {"n_circuits": n_circuits, "sends_per_circuit": sends,
-                "arrival_groups": sends // group,
-                "pushes_per_segment": pushes_per_segment,
-                "pushes_batched": pushes_batched,
-                "push_reduction_x": round(
-                    pushes_per_segment / pushes_batched, 1),
-                "arrivals_identical": True,
-                "per_segment_wall_s": round(per_segment_wall_s, 4),
-                "batched_wall_s": round(batched_wall_s, 4),
-                "sim_ms": round(sim.now_ms, 3)}
-
-    return _measure(run)
-
-
-# ----------------------------------------------------------------------
-# Scenario 5: span-tracing overhead — the same session, off vs on
+# Scenario 3: span-tracing overhead — the same session, off vs on
 # ----------------------------------------------------------------------
 
 def bench_span_overhead(smoke: bool = False, trace_out=None) -> dict:
@@ -405,7 +261,7 @@ def bench_span_overhead(smoke: bool = False, trace_out=None) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenario 6: doctor sweep — the ops layer's read-only guarantee
+# Scenario 4: doctor sweep — the ops layer's read-only guarantee
 # ----------------------------------------------------------------------
 
 def bench_doctor_sweep(smoke: bool = False) -> dict:
@@ -506,7 +362,7 @@ def bench_watch_steady(smoke: bool = False) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenarios 8-10: LOCATE at scale and multi-tenancy (scenarios.py)
+# Scenarios 6-8: LOCATE at scale and multi-tenancy (scenarios.py)
 # ----------------------------------------------------------------------
 
 def bench_locate(smoke: bool = False) -> dict:
@@ -544,10 +400,8 @@ def bench_multitenant(smoke: bool = False) -> dict:
 # ----------------------------------------------------------------------
 
 SCENARIOS = {
-    "encode_throughput": bench_encode,
     "broadcast_flood": bench_broadcast_flood,
     "snapshot_40_hosts": bench_snapshot,
-    "stream_flood": bench_stream_flood,
     "span_overhead": bench_span_overhead,
     "doctor_sweep": bench_doctor_sweep,
     "watch_steady": bench_watch_steady,

@@ -36,7 +36,6 @@ from typing import Callable, Dict, List
 
 from repro import HostClass, PPMConfig, World, install, spinner_spec
 from repro.core.messages import Message, MsgKind
-from repro.core.wire import message_size_bytes
 from repro.perf.histogram import LatencyHistogram
 from repro.unixsim.inetd import INETD_SERVICE, PPM_SERVICE
 
@@ -147,8 +146,7 @@ class Session:
                           user=self.user, payload=payload)
         self._pending[request.req_id] = on_reply
         self._endpoint.send(
-            request, nbytes=message_size_bytes(request),
-            extra_delay_ms=self.fabric.tool_send_delay_ms(self.home))
+            request, extra_delay_ms=self.fabric.tool_send_delay_ms(self.home))
 
     def _timed(self, op: str, kind: MsgKind, payload: dict,
                then: Callable[[dict], None]) -> None:

@@ -27,7 +27,6 @@ from ..util import Deferred
 from .control import ControlAction
 from .messages import Message, MsgKind
 from .snapshot import ProcessRecord, SnapshotForest
-from .wire import message_size_bytes
 
 
 class PPMClient:
@@ -140,7 +139,7 @@ class PPMClient:
         deferred = Deferred()
         self._pending[request.req_id] = deferred
         self.endpoint.send(
-            request, nbytes=message_size_bytes(request),
+            request,
             extra_delay_ms=self.fabric.tool_send_delay_ms(self.host_name))
         if not self.fabric.run_until_true(lambda: deferred.resolved,
                                           timeout_ms=timeout_ms):

@@ -34,9 +34,10 @@ Every connection the fabric establishes or accepts is represented by an
 
 ``send(payload, nbytes=..., extra_delay_ms=...)``
     Queue one message (usually a :class:`repro.core.messages.Message`)
-    to the peer.  ``nbytes`` is the charged wire size;
-    ``extra_delay_ms`` models sender-side CPU occupancy (real backends
-    may ignore it).
+    to the peer.  ``nbytes`` is the charged wire size; only
+    inter-host senders (the sibling transport) charge bytes, and a
+    host-local tool stream leaves the default.  ``extra_delay_ms``
+    models sender-side CPU occupancy (real backends may ignore both).
 ``close()``
     Tear the connection down; the peer's ``on_close`` fires.
 ``on_message(payload, endpoint)`` / ``on_close(reason, endpoint)``

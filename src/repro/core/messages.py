@@ -99,19 +99,6 @@ class Message:
     #: CircuitPool` to demultiplex.  Omitted from the wire encoding
     #: when None so unshared runs stay byte-identical.
     lane: Optional[str] = None
-    #: Wire-layer cache slot: ``(fingerprint, encoded bytes)`` managed
-    #: by :mod:`repro.core.wire`.  The fingerprint covers the fields
-    #: that legitimately change while a message is in flight (the route
-    #: grows hop by hop); payload dicts are never mutated after
-    #: construction anywhere in the protocol, and must not be.
-    _wire_cache: Optional[tuple] = field(default=None, init=False,
-                                         repr=False, compare=False)
-
-    def wire_fingerprint(self) -> tuple:
-        """The mutation-sensitive identity of this message's encoding."""
-        return (tuple(self.route), self.final_dest, self.reply_to,
-                None if self.trace is None else tuple(self.trace),
-                self.lane)
 
     def make_reply(self, kind: MsgKind, sender_host: str,
                    payload: Optional[dict] = None) -> "Message":

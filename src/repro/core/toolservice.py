@@ -17,7 +17,6 @@ from ..ids import GlobalPid
 from ..tracing.events import TraceEventType
 from ..unixsim.process import trace_flags_from_names
 from .messages import Message, MsgKind
-from .wire import message_size_bytes
 
 
 class ToolService:
@@ -67,7 +66,7 @@ class ToolService:
                         reply_to=request.req_id,
                         trace=request.trace)
         try:
-            endpoint.send(reply, nbytes=message_size_bytes(reply),
+            endpoint.send(reply,
                           extra_delay_ms=lpm._cpu(lpm.cost.tool_ipc_ms))
         except ConnectionClosedError:
             pass

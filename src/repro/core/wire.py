@@ -38,19 +38,11 @@ def _broadcast_from_dict(data: Optional[dict]) -> Optional[BroadcastId]:
 def encode(message: Message) -> bytes:
     """Canonical JSON encoding of a message.
 
-    Encodings are cached on the message object.  The cache key is the
-    message's :meth:`~repro.core.messages.Message.wire_fingerprint` —
-    the fields that legitimately change while a message is in flight
-    (the route grows hop by hop as broadcasts are forwarded).  Payload
-    dicts are immutable-by-convention after construction, so a message
-    that is sized or transmitted on several links encodes exactly once
-    per route extension instead of once per hop.
+    Each message is encoded once where it is sent: the sibling
+    transport sizes it (:func:`message_size_bytes`) or a real endpoint
+    frames it.  Nothing sizes a tool message, whose host-local stream
+    crosses no link.
     """
-    cached = message._wire_cache
-    fingerprint = message.wire_fingerprint()
-    if cached is not None and cached[0] == fingerprint:
-        PERF.encode_cache_hits += 1
-        return cached[1]
     PERF.encodes_performed += 1
     fields = {
         "kind": message.kind.value,
@@ -77,9 +69,7 @@ def encode(message: Message) -> bytes:
     except (TypeError, ValueError) as exc:
         raise ReproError(
             "unserialisable payload in %s: %s" % (message.kind, exc)) from exc
-    encoded = body.encode("utf-8")
-    message._wire_cache = (fingerprint, encoded)
-    return encoded
+    return body.encode("utf-8")
 
 
 def decode(data: bytes) -> Message:
@@ -95,7 +85,12 @@ def decode(data: bytes) -> Message:
 
 
 def message_size_bytes(message: Message) -> int:
-    """The size the network charges when this message is transmitted."""
+    """The size the network charges when this message crosses a link.
+
+    Only the sibling senders call it (``SiblingTransport.send_on_link``
+    and the circuit pool's ``LANE_CLOSE`` notice); a tool stream is a
+    zero-link host-local path whose cost is IPC time, not bytes.
+    """
     PERF.size_calls += 1
     nbytes = HEADER_BYTES + len(encode(message))
     PERF.bytes_charged += nbytes

@@ -29,9 +29,8 @@ class Event:
     Instances are handed back by :meth:`Simulator.schedule`; holding the
     reference allows cancellation (the simulator skips cancelled events
     instead of removing them from the heap).  ``fired`` marks an event
-    that was popped for execution, so owners that re-arm one timer over
-    and over (the stream delivery timers) can cancel a stale reference
-    without miscounting a live cancellation.
+    that was popped for execution, so an owner can cancel a stale
+    reference without miscounting a live cancellation.
     """
 
     __slots__ = ("time_ms", "seq", "callback", "args", "cancelled", "fired",

@@ -66,11 +66,9 @@ class NetworkStats:
     """Counters used by the transport ablations (the paper's section 3
     circuits-vs-datagrams trade-off, ablation A1).
 
-    ``stream_delivery_batches`` counts delivery-timer fires of the
-    batched per-circuit-direction scheduler (see ``stream.py``), and
-    ``stream_deliveries_suppressed`` counts segments drained but not
-    delivered because the circuit closed or the receiving host went
-    down while they were in flight.
+    ``stream_deliveries_suppressed`` counts segments whose delivery
+    event ran but handed nothing over because the endpoint closed or
+    the receiving host went down while they were in flight.
     """
 
     def __init__(self) -> None:
@@ -78,7 +76,6 @@ class NetworkStats:
         self.connections_broken = 0
         self.stream_messages = 0
         self.stream_bytes = 0
-        self.stream_delivery_batches = 0
         self.stream_deliveries_suppressed = 0
         self.datagrams_sent = 0
         self.datagrams_dropped = 0

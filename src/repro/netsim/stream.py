@@ -13,21 +13,16 @@ three-way handshake plus the channel authentication of section 3
 ("The LPMs are able to perform authentication when channels are created,
 rather than upon every request").
 
-Delivery scheduling is batched per circuit direction.  Each direction
-keeps a sorted in-flight queue (arrival times are non-decreasing thanks
-to the in-order floor, so appends keep it sorted) and at most **one**
-armed simulator timer.  When the timer fires it drains every segment
-whose arrival time has been reached, then re-arms for the next pending
-arrival.  Arrival times are byte-identical to scheduling one event per
-segment — only the event volume changes, which is what keeps chatty
-circuits (gather storms, broadcast replies, history streaming) from
-flooding the event queue.  See ``docs/NETSIM.md``.
+Each segment is one simulator event at its arrival time, floored so a
+segment never arrives before an earlier one in the same direction.  A
+direction keeps its pending delivery events in send order, so a close or
+break cancels what is still in flight.  See ``docs/NETSIM.md``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..errors import ConnectionClosedError, UnreachableHostError
 from ..perf import PERF
@@ -68,11 +63,9 @@ class StreamEndpoint:
              extra_delay_ms: float = 0.0) -> None:
         """Queue ``payload`` for in-order delivery to the peer.
 
-        The segment joins the direction's in-flight queue with an
-        arrival time of now + wire delay + ``extra_delay_ms``, floored
-        so it never arrives before an earlier message; the direction's
-        single delivery timer (armed only when the queue was empty)
-        drains it when that time is reached.  ``extra_delay_ms`` lets
+        The segment is delivered at now + wire delay +
+        ``extra_delay_ms``, floored so it never arrives before an
+        earlier message.  ``extra_delay_ms`` lets
         the caller add endpoint processing time computed at a higher
         layer (e.g. load-scaled LPM protocol costs).  Raises
         :class:`ConnectionClosedError` if the circuit is known to be
@@ -103,8 +96,7 @@ class StreamConnection:
 
     __slots__ = ("network", "sim", "conn_id", "a", "b",
                  "detect_ms", "established", "_last_delivery_ms",
-                 "_inflight", "_delivery_timer", "_detect_timer",
-                 "_break_scheduled")
+                 "_inflight", "_detect_timer", "_break_scheduled")
 
     def __init__(self, network: Network, a_name: str, b_name: str,
                  detect_ms: float = DEFAULT_DETECT_MS) -> None:
@@ -118,12 +110,10 @@ class StreamConnection:
         #: Per-direction in-order floor: no segment may arrive before a
         #: previously queued one (keyed by receiving endpoint).
         self._last_delivery_ms = {id(self.a): 0.0, id(self.b): 0.0}
-        #: Per-direction sorted in-flight queue of (arrival_ms, payload).
-        #: Appends preserve the sort because the floor above makes
-        #: arrival times non-decreasing within a direction.
+        #: Per-direction pending delivery events, in send order.  The
+        #: floor above makes them fire in that order, so each delivery
+        #: pops the head.
         self._inflight: dict = {id(self.a): deque(), id(self.b): deque()}
-        #: Per-direction armed delivery timer (at most one each).
-        self._delivery_timer: dict = {id(self.a): None, id(self.b): None}
         #: The pending detect-break timer armed by :meth:`recheck`.
         self._detect_timer = None
         self._break_scheduled = False
@@ -210,17 +200,9 @@ class StreamConnection:
 
     def transmit(self, sender: StreamEndpoint, payload, nbytes: int,
                  extra_delay_ms: float) -> None:
-        """Queue one segment toward ``sender``'s peer.
-
-        Computes the arrival time exactly as the per-segment scheduler
-        did (wire delay of the current path, plus the caller's extra
-        delay, floored by the in-order guarantee), appends it to the
-        direction's in-flight queue, and arms the direction's delivery
-        timer if it was idle.  A timer armed for an earlier segment
-        already covers this one: arrival times within a direction are
-        non-decreasing, so the head of the queue is always the next due
-        arrival and no re-arm is needed on send.
-        """
+        """Schedule one segment's delivery to ``sender``'s peer at the
+        wire delay of the current path plus the caller's extra delay,
+        floored by the in-order guarantee."""
         peer = self._peer_of(sender)
         try:
             wire = self.network.transit_delay_ms(sender.local_name,
@@ -232,78 +214,50 @@ class StreamConnection:
                 "%s -> %s" % (sender.local_name, peer.local_name)) from None
         self.network.stats.stream_messages += 1
         self.network.stats.stream_bytes += nbytes
-        # In-order delivery: never deliver before an earlier message.
-        arrival = self.sim.now_ms + wire + extra_delay_ms
-        key = id(peer)
-        floor = self._last_delivery_ms[key]
-        arrival = max(arrival, floor)
-        self._last_delivery_ms[key] = arrival
-        self._inflight[key].append((arrival, payload, self.sim.now_ms))
-        if self._delivery_timer[key] is None:
-            self._delivery_timer[key] = self.sim.schedule_at(
-                arrival, self._deliver_due, peer)
-
-    def _deliver_due(self, peer: StreamEndpoint) -> None:
-        """The delivery timer for ``peer``'s direction fired: drain
-        every in-flight segment whose arrival time has been reached (in
-        queue order, which is arrival order), then re-arm for the next
-        pending arrival if any segments remain.
-
-        Each drained segment is checked against the same suppression
-        rules the per-segment scheduler applied at its own delivery
-        event — circuit still up, endpoint still open, receiving host
-        still up — because an ``on_message`` callback may close the
-        circuit or crash the host mid-drain.
-        """
-        key = id(peer)
-        self._delivery_timer[key] = None
-        queue: Deque[Tuple[float, object, float]] = self._inflight[key]
         now = self.sim.now_ms
-        stats = self.network.stats
-        tracer = self.sim.tracer
+        key = id(peer)
+        arrival = max(now + wire + extra_delay_ms, self._last_delivery_ms[key])
+        self._last_delivery_ms[key] = arrival
+        self._inflight[key].append(self.sim.schedule_at(
+            arrival, self._deliver, peer, payload, now))
+
+    def _deliver(self, peer: StreamEndpoint, payload, sent_ms: float) -> None:
+        """One segment reaches ``peer``: hand it over unless the circuit
+        closed, the endpoint closed or the receiving host went down
+        while it was in flight."""
+        self._inflight[id(peer)].popleft()
         PERF.stream_batched_deliveries += 1
-        stats.stream_delivery_batches += 1
-        while queue and queue[0][0] <= now:
-            _, payload, sent_ms = queue.popleft()
-            PERF.stream_segments_drained += 1
-            if not self.established or not peer.open:
-                stats.stream_deliveries_suppressed += 1
-                continue
-            node = self.network.nodes.get(peer.local_name)
-            if node is None or not node.up:
-                # The segment arrives at a dead host.
-                stats.stream_deliveries_suppressed += 1
-                continue
-            if tracer is not None:
-                # Send-to-delivery lag: queueing + wire + in-order floor.
-                tracer.record("stream_lag", now - sent_ms)
-            if peer.on_message is not None:
-                peer.on_message(payload, peer)
-        # A callback may have closed the circuit (queue cleared) or sent
-        # more data on this direction (timer re-armed by transmit).
-        if queue and self.established and self._delivery_timer[key] is None:
-            PERF.stream_timer_rearms += 1
-            self._delivery_timer[key] = self.sim.schedule_at(
-                queue[0][0], self._deliver_due, peer)
+        PERF.stream_segments_drained += 1
+        stats = self.network.stats
+        if not self.established or not peer.open:
+            stats.stream_deliveries_suppressed += 1
+            return
+        node = self.network.nodes.get(peer.local_name)
+        if node is None or not node.up:
+            # The segment arrives at a dead host.
+            stats.stream_deliveries_suppressed += 1
+            return
+        tracer = self.sim.tracer
+        if tracer is not None:
+            # Send-to-delivery lag: queueing + wire + in-order floor.
+            tracer.record("stream_lag", self.sim.now_ms - sent_ms)
+        if peer.on_message is not None:
+            peer.on_message(payload, peer)
 
     # ------------------------------------------------------------------
     # Teardown and failure
     # ------------------------------------------------------------------
 
     def _flush_timers(self) -> None:
-        """Cancel every pending timer and drop the in-flight queues.
+        """Cancel every pending delivery and the detect-break timer.
 
         Called on orderly close and on break: segments still in flight
-        are lost (exactly as the per-segment scheduler dropped them at
-        their individual delivery events), the delivery timers must not
-        fire on a dead circuit, and a pending detect-break timer is
-        dead bookkeeping once the circuit is already down.
+        are lost, and no event of a dead circuit may advance the clock.
         """
-        for key, timer in self._delivery_timer.items():
-            if timer is not None:
-                self.sim.cancel(timer)
-                self._delivery_timer[key] = None
-            self._inflight[key].clear()
+        for inflight in self._inflight.values():
+            for event in inflight:
+                self.sim.cancel(event)
+            inflight.clear()
         if self._detect_timer is not None:
             self.sim.cancel(self._detect_timer)
             self._detect_timer = None

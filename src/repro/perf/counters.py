@@ -11,12 +11,10 @@ Counter inventory
 Wire layer (``repro.core.wire``, ``repro.ids``):
 
 ``encodes_performed``
-    Full canonical JSON serialisations actually executed.
-``encode_cache_hits``
-    Serialisations avoided because the message's cached encoding was
-    still valid (same route fingerprint).
+    Canonical JSON serialisations (one per message sized or framed).
 ``size_calls``
-    Calls to :func:`repro.core.wire.message_size_bytes`.
+    Calls to :func:`repro.core.wire.message_size_bytes` (sibling
+    messages crossing a link).
 ``bytes_charged``
     Total bytes the network was told to charge via
     :func:`message_size_bytes` results.
@@ -40,8 +38,7 @@ Broadcast dedup (``repro.core.broadcast``):
 Event queue (``repro.netsim``):
 
 ``events_scheduled``
-    Events pushed onto any event queue (the per-event scheduling cost
-    the stream batching exists to avoid).
+    Events pushed onto any event queue.
 ``events_run``
     Events executed by any simulator in this process.
 ``events_cancelled``
@@ -49,19 +46,13 @@ Event queue (``repro.netsim``):
 ``heap_compactions``
     Times an event queue rebuilt itself to shed cancelled entries.
 
-Stream delivery batching (``repro.netsim.stream``):
+Stream delivery (``repro.netsim.stream``), one event per segment:
 
 ``stream_batched_deliveries``
-    Delivery-timer fires; each fire drains every in-flight segment of
-    one circuit direction whose arrival time has been reached.
+    Segment delivery events run (delivered or suppressed).
 ``stream_segments_drained``
-    Segments drained across all those fires (delivered or suppressed).
-    ``stream_segments_drained / stream_batched_deliveries`` is the
-    average batch size — the event-volume win over the old
-    one-event-per-segment scheduler.
-``stream_timer_rearms``
-    Fires that re-armed the direction's timer because segments with a
-    later arrival time remained queued.
+    The same count, kept under both names because the e2e benchmark's
+    layer ladder reads each.
 
 Exactly-once request layer (``repro.core.rpc``):
 
@@ -192,7 +183,6 @@ from __future__ import annotations
 
 _COUNTERS = (
     "encodes_performed",
-    "encode_cache_hits",
     "size_calls",
     "bytes_charged",
     "hmac_computed",
@@ -206,7 +196,6 @@ _COUNTERS = (
     "heap_compactions",
     "stream_batched_deliveries",
     "stream_segments_drained",
-    "stream_timer_rearms",
     "requests_retransmitted",
     "requests_deduplicated",
     "gather_merges",

@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.control import ControlAction
 from ..core.messages import Message, MsgKind
-from ..core.wire import message_size_bytes
 from ..errors import NoSuchProcessError, PPMError
 from ..ids import GlobalPid
 from ..localos import RealBackend
@@ -125,7 +124,7 @@ class RealLpm:
                       payload={"secret": self.secret,
                                "ccs_host": self.ccs_host,
                                "known": sorted(self.siblings)})
-        endpoint.send(ack, nbytes=message_size_bytes(ack))
+        endpoint.send(ack)
 
     def _register_sibling(self, peer: str, endpoint) -> None:
         old = self.siblings.get(peer)
@@ -190,8 +189,7 @@ class RealLpm:
                                    req_id=self._next_req_id(),
                                    origin=self.name, user=self.user,
                                    payload=hello)
-                endpoint.send(greeting,
-                              nbytes=message_size_bytes(greeting))
+                endpoint.send(greeting)
 
             self.pool.attach(peer, self.user, on_established=lane_ready,
                              on_failed=lambda reason: done.resolve(None))
@@ -263,7 +261,7 @@ class RealLpm:
             timer = self.fabric.schedule(timeout_ms, self._request_timeout,
                                          req_id)
             self._pending[req_id] = (on_reply, timer)
-            endpoint.send(message, nbytes=message_size_bytes(message))
+            endpoint.send(message)
 
         self.ensure_sibling(peer).then(with_link)
 
@@ -276,7 +274,7 @@ class RealLpm:
                        payload: dict) -> None:
         reply = request.make_reply(kind, self.name, payload)
         if endpoint.open:
-            endpoint.send(reply, nbytes=message_size_bytes(reply))
+            endpoint.send(reply)
 
     # -- serving sibling requests ---------------------------------------
 
@@ -378,7 +376,7 @@ class RealLpm:
         reply = Message(kind=MsgKind.TOOL_REPLY, req_id=request.req_id,
                         origin=self.name, user=self.user, payload=payload,
                         reply_to=request.req_id, trace=request.trace)
-        endpoint.send(reply, nbytes=message_size_bytes(reply))
+        endpoint.send(reply)
 
     # -- the tool verbs --------------------------------------------------
 

@@ -16,7 +16,6 @@ address lingers for the next run.
 
 from __future__ import annotations
 
-import os
 import signal
 import sys
 from typing import Optional
@@ -32,7 +31,7 @@ def serve_host(host_name: str, registry_path: str,
                budget_s: Optional[float] = None,
                trace_spans: bool = False,
                ready_line: bool = True,
-               share_circuits: Optional[bool] = None) -> int:
+               share_circuits: bool = False) -> int:
     """Run one real host until signalled or out of budget.
 
     Returns a process exit status (0 on a clean run).  When
@@ -40,8 +39,6 @@ def serve_host(host_name: str, registry_path: str,
     once the listener is bound — launchers wait on that line rather
     than polling the registry.
     """
-    if share_circuits is None:
-        share_circuits = os.environ.get("REPRO_CIRCUIT_SHARING") == "1"
     registry = HostRegistry(registry_path)
     fabric = AsyncioFabric(registry, local_host=host_name)
     if trace_spans:
@@ -88,10 +85,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-spans", action="store_true",
                         help="enable span tracing in this process")
     parser.add_argument("--share-circuits", action="store_true",
-                        default=None,
                         help="multiplex all users' sibling channels to "
-                             "a peer host over one shared TCP circuit "
-                             "(default: on when REPRO_CIRCUIT_SHARING=1)")
+                             "a peer host over one shared TCP circuit")
     options = parser.parse_args(argv)
     return serve_host(options.host, options.registry,
                       bind_address=options.bind,

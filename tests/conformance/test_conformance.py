@@ -127,20 +127,12 @@ def run_shared_on_netsim():
 
 
 def run_shared_on_realnet():
-    import os
-
     from repro.realnet.session import RealSession, launch_hosts
 
-    os.environ["REPRO_CIRCUIT_SHARING"] = "1"
-    try:
-        with launch_hosts(HOSTS, budget_s=120.0) as fleet:
-            with RealSession(fleet.registry_path, "lfc",
-                             HOSTS[0]) as a, \
-                    RealSession(fleet.registry_path, "ramon",
-                                HOSTS[0]) as b:
-                return run_shared_scenario(a.client, b.client, HOSTS)
-    finally:
-        del os.environ["REPRO_CIRCUIT_SHARING"]
+    with launch_hosts(HOSTS, budget_s=120.0, share_circuits=True) as fleet:
+        with RealSession(fleet.registry_path, "lfc", HOSTS[0]) as a, \
+                RealSession(fleet.registry_path, "ramon", HOSTS[0]) as b:
+            return run_shared_scenario(a.client, b.client, HOSTS)
 
 
 EXPECTED_SHARED_JOURNAL = [

@@ -190,7 +190,7 @@ def test_stats_count_messages_and_connections():
 
 
 # ----------------------------------------------------------------------
-# Batched per-direction delivery
+# One delivery event per segment
 # ----------------------------------------------------------------------
 
 def test_burst_arrives_in_order_at_per_segment_times():
@@ -216,23 +216,33 @@ def test_burst_arrives_in_order_at_per_segment_times():
     assert deliveries == expected
 
 
-def test_burst_batches_into_one_event_per_arrival_group():
+@pytest.mark.parametrize("ending", ["close", "break"])
+def test_ending_mid_burst_cancels_each_inflight_segment(ending):
     sim, net = build()
     client, server = open_pair(sim, net)
     base = PERF.snapshot()
-    # Two arrival groups: ten identical-time segments, then ten more
-    # pushed 30 ms later by extra delay (the floor flattens each group).
-    for i in range(20):
+    # Four segments arrive at once; six more are held back far beyond
+    # the 2 s detection delay.
+    for i in range(10):
         client.endpoint.send(i, nbytes=32,
-                             extra_delay_ms=30.0 if i >= 10 else 0.0)
+                             extra_delay_ms=0.0 if i < 4 else 5_000.0)
+    assert PERF.delta_since(base)["events_scheduled"] == 10
+    sim.run_until_true(lambda: len(server.messages) == 4,
+                       timeout_ms=1_000.0)
+    base = PERF.snapshot()
+    if ending == "close":
+        client.endpoint.close()
+    else:
+        # Detection fires (an event that runs, not one cancelled) and
+        # breaks the circuit.
+        net.set_partition([{"a"}, {"b", "c"}])
+        sim.run_until_true(lambda: not client.endpoint.open,
+                           timeout_ms=10_000.0)
+    assert PERF.delta_since(base)["events_cancelled"] == 6
+    ended_at = sim.now_ms
     sim.run_until_idle()
-    delta = PERF.delta_since(base)
-    assert server.messages == list(range(20))
-    assert delta["stream_batched_deliveries"] == 2
-    assert delta["stream_segments_drained"] == 20
-    assert delta["stream_timer_rearms"] == 1
-    # One armed timer plus one re-arm, instead of twenty pushes.
-    assert delta["events_scheduled"] == 2
+    assert sim.now_ms == ended_at  # no event of the dead circuit remains
+    assert server.messages == [0, 1, 2, 3]
 
 
 def test_close_mid_burst_cancels_timer_and_drops_inflight():
@@ -241,7 +251,7 @@ def test_close_mid_burst_cancels_timer_and_drops_inflight():
     for i in range(5):
         client.endpoint.send(i, nbytes=32)
     client.endpoint.close()
-    assert len(sim.queue) == 0  # delivery timer cancelled, not leaked
+    assert len(sim.queue) == 0  # deliveries cancelled, not leaked
     sim.run_until_idle()
     assert server.messages == []
     assert server.closes == ["closed"]
@@ -255,7 +265,7 @@ def test_break_mid_burst_cancels_timers_and_detection():
     net.set_partition([{"a"}, {"b", "c"}])  # arms the detect-break timer
     with pytest.raises(ConnectionClosedError):
         client.endpoint.send("reset", nbytes=32)  # immediate break
-    # The immediate break must cancel the delivery timer AND the pending
+    # The immediate break must cancel the deliveries AND the pending
     # detect-break timer, leaving no stale bookkeeping.
     conn = client.endpoint.conn
     assert not conn._break_scheduled
@@ -287,7 +297,7 @@ def test_host_down_between_arm_and_fire_suppresses_delivery():
     sim, net = build()
     client, server = open_pair(sim, net)
     client.endpoint.send("lost", nbytes=32, extra_delay_ms=200.0)
-    net.crash_host("b")  # down before the armed timer fires
+    net.crash_host("b")  # down before the delivery event fires
     sim.run_for(500.0)   # past the arrival, before the detection delay
     assert server.messages == []
     assert net.stats.stream_deliveries_suppressed == 1
@@ -311,7 +321,7 @@ def test_close_during_drain_stops_remaining_same_time_segments():
     for i in range(4):
         client.endpoint.send(i, nbytes=32)  # one arrival group of four
     sim.run_until_idle()
-    # The close inside the drain flushes the rest of the batch: the
+    # The close inside the first delivery cancels the rest: the
     # remaining same-instant segments are lost, never delivered.
     assert server.messages == [0]
     assert len(sim.queue) == 0

@@ -146,9 +146,8 @@ def test_trace_field_rides_the_wire_and_round_trips():
 
 
 def test_assigning_trace_after_construction_invalidates_encode_cache():
-    # Instrumentation sets .trace after the Message is built (and often
-    # after it was already sized once), so the wire fingerprint must
-    # cover it or the cache would serve stale traceless bytes.
+    # Instrumentation sets .trace after the Message is built, so the
+    # next encode must carry it.
     message = _message()
     before = encode(message)
     message.trace = [1, 2]

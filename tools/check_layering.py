@@ -50,6 +50,13 @@ The real backend reads the kernel's process table in one place:
     would quietly pay for every process on the machine again.
     (Docstrings and comments mentioning ``/proc`` are not calls.)
 
+Bytes are charged only where a message crosses a link:
+
+11. Only ``core/transport.py`` (a sibling send) and
+    ``core/circuitpool.py`` (the ``LANE_CLOSE`` notice) call
+    ``message_size_bytes``.  A tool stream is host-local, so sizing a
+    tool message charges nothing and costs one more encode.
+
 Run from the repo root::
 
     python tools/check_layering.py
@@ -101,6 +108,11 @@ PROCFS_MODULE = os.path.join("localos", "procfs.py")
 
 #: Calls that open a path or list a directory (rule 10).
 PATH_CALLS = ("open", "os.open", "os.listdir", "os.scandir")
+
+#: The modules that may call ``message_size_bytes`` (rule 11),
+#: relative to ``src/repro``.
+SIZING_MODULES = (os.path.join("core", "transport.py"),
+                  os.path.join("core", "circuitpool.py"))
 
 #: The modules extracted out of the god-class.  None may import lpm.
 LAYER_MODULES = ("transport", "rpc", "router", "gather",
@@ -203,6 +215,21 @@ def proc_opens(source: str) -> List[int]:
     return sorted(lines)
 
 
+def size_calls(source: str) -> List[int]:
+    """Line numbers of the calls in ``source`` to ``message_size_bytes``,
+    by bare name or as an attribute (``wire.message_size_bytes``)."""
+    lines: List[int] = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if name == "message_size_bytes":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def _matches(name: str, prefixes: Sequence[str]) -> bool:
     return any(name == prefix or name.startswith(prefix + ".")
                for prefix in prefixes)
@@ -269,8 +296,8 @@ def check() -> List[str]:
                               "(repro.core.fabric), never on a backend"
                               % (filename, name))
 
-    # Rules 8 and 10: real-network primitives confined to their
-    # backends, /proc to procfs.
+    # Rules 8, 10 and 11: real-network primitives confined to their
+    # backends, /proc to procfs, sizing to the sibling senders.
     for dirpath, dirnames, filenames in os.walk(SRC_ROOT):
         dirnames[:] = [d for d in dirnames if d != "__pycache__"]
         relative = os.path.relpath(dirpath, SRC_ROOT)
@@ -292,14 +319,19 @@ def check() -> List[str]:
                         "localos)" % (os.path.join(
                             relative, filename).lstrip("./"), name))
             module = os.path.normpath(os.path.join(relative, filename))
-            if module == PROCFS_MODULE:
-                continue
             with open(os.path.join(dirpath, filename), "r",
                       encoding="utf-8") as handle:
-                for line in proc_opens(handle.read()):
+                source = handle.read()
+            if module != PROCFS_MODULE:
+                for line in proc_opens(source):
                     errors.append(
                         "%s:%d opens a /proc path: only repro.localos."
                         "procfs reads /proc" % (module, line))
+            if module not in SIZING_MODULES:
+                for line in size_calls(source):
+                    errors.append(
+                        "%s:%d calls message_size_bytes: only a message "
+                        "crossing a link is sized" % (module, line))
 
     # Rule 9: the backends stay siblings.
     for filename in sorted(os.listdir(REALNET)):
