@@ -20,6 +20,10 @@ from .messages import Message, MsgKind
 #: Fixed framing overhead per message (headers, lengths, checksums).
 HEADER_BYTES = 48
 
+#: One encoder serves :func:`encode` and :func:`message_size_bytes`,
+#: so the sizer accepts and rejects exactly what the encoder does.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _broadcast_to_dict(broadcast: Optional[BroadcastId]) -> Optional[dict]:
     if broadcast is None:
@@ -35,15 +39,8 @@ def _broadcast_from_dict(data: Optional[dict]) -> Optional[BroadcastId]:
                        seq=data["seq"], signature=data["sig"])
 
 
-def encode(message: Message) -> bytes:
-    """Canonical JSON encoding of a message.
-
-    Each message is encoded once where it is sent: the sibling
-    transport sizes it (:func:`message_size_bytes`) or a real endpoint
-    frames it.  Nothing sizes a tool message, whose host-local stream
-    crosses no link.
-    """
-    PERF.encodes_performed += 1
+def _fields(message: Message) -> dict:
+    """The JSON object a message encodes as."""
     fields = {
         "kind": message.kind.value,
         "req_id": message.req_id,
@@ -64,12 +61,28 @@ def encode(message: Message) -> bytes:
     # single-tenant runs keep byte-identical encodings and byte charges.
     if message.lane is not None:
         fields["lane"] = message.lane
+    return fields
+
+
+def _json(message: Message) -> str:
+    """The canonical JSON text of a message; ASCII only, since the
+    encoder escapes every non-ASCII character."""
     try:
-        body = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(_fields(message))
     except (TypeError, ValueError) as exc:
         raise ReproError(
             "unserialisable payload in %s: %s" % (message.kind, exc)) from exc
-    return body.encode("utf-8")
+
+
+def encode(message: Message) -> bytes:
+    """Canonical JSON encoding of a message.
+
+    Only a real endpoint frames a message, so ``encodes_performed``
+    counts real frames; the simulator charges for a message's length
+    (:func:`message_size_bytes`) without building its bytes.
+    """
+    PERF.encodes_performed += 1
+    return _json(message).encode("utf-8")
 
 
 def decode(data: bytes) -> Message:
@@ -85,13 +98,16 @@ def decode(data: bytes) -> Message:
 
 
 def message_size_bytes(message: Message) -> int:
-    """The size the network charges when this message crosses a link.
+    """The size the network charges when this message crosses a link:
+    exactly ``HEADER_BYTES + len(encode(message))``.
 
     Only the sibling senders call it (``SiblingTransport.send_on_link``
     and the circuit pool's ``LANE_CLOSE`` notice); a tool stream is a
-    zero-link host-local path whose cost is IPC time, not bytes.
+    zero-link host-local path whose cost is IPC time, not bytes.  The
+    JSON text is ASCII, so its length in characters is its length in
+    bytes and no bytes object is built.
     """
     PERF.size_calls += 1
-    nbytes = HEADER_BYTES + len(encode(message))
+    nbytes = HEADER_BYTES + len(_json(message))
     PERF.bytes_charged += nbytes
     return nbytes

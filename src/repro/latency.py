@@ -97,10 +97,15 @@ def load_factor(host_class: HostClass, load_average: float) -> float:
     of Table 1's first band) has factor 1.0.  Reusing the Table 1 anchors
     means every cost in the simulator degrades with load in the same
     calibrated way the kernel-message path was measured to.
+
+    Every class's first anchor sits at 0.5, so any lighter load is
+    exactly 1.0 and skips the interpolation.
     """
+    if load_average <= 0.5:
+        return 1.0
     anchors = _KERNEL_MESSAGE_ANCHORS[host_class]
     light = anchors[0][1]
-    return _interpolate(anchors, max(load_average, 0.0)) / light
+    return _interpolate(anchors, load_average) / light
 
 
 @dataclass(frozen=True)

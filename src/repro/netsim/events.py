@@ -4,16 +4,20 @@ Events are ordered by ``(time, sequence number)`` so that two events
 scheduled for the same instant fire in scheduling order; this keeps every
 simulation run deterministic.
 
-The queue is one heap.  Cancellation is lazy — a cancelled event sits
-where it is until popped — but the queue counts its cancelled residents
-and compacts itself when they dominate, so a workload that arms and
-cancels millions of timers (retransmission, keepalive) does not drag a
-graveyard through every subsequent operation.
+The queue is one heap of ``(time_ms, seq, event)`` tuples: sequence
+numbers are unique, so every comparison is settled by the first two
+fields in C and never reaches the event.  Cancellation is lazy — a
+cancelled event sits where it is until popped — but the queue counts
+its cancelled residents and compacts itself when they dominate, so a
+workload that arms and cancels millions of timers (retransmission,
+keepalive) does not drag a graveyard through every subsequent
+operation.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Optional
 
 from ..perf import PERF
@@ -60,9 +64,6 @@ class Event:
         if queue is not None:
             queue._note_event_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time_ms, self.seq) < (other.time_ms, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return "Event(t=%.3f, seq=%d, %s)" % (self.time_ms, self.seq, state)
@@ -81,24 +82,43 @@ class EventQueue:
     def push(self, event: Event) -> None:
         """Insert ``event``, preserving the ``(time, seq)`` total order."""
         event._queue = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time_ms, event.seq, event))
         self._live += 1
+
+    def pop_due(self, time_ms: float) -> Optional[Event]:
+        """Remove and return the earliest live event due at or before
+        ``time_ms``, or None when there is none.
+
+        Cancelled events at the head are dropped on the way.
+        """
+        heap = self._heap
+        while heap:
+            due, _seq, event = heap[0]
+            if event.cancelled:
+                heapq.heappop(heap)
+                event._queue = None
+                self._cancelled -= 1
+            elif due > time_ms:
+                return None
+            else:
+                heapq.heappop(heap)
+                event._queue = None
+                event.fired = True
+                self._live -= 1
+                return event
+        return None
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or None when empty."""
-        self._discard_cancelled_heads()
-        if not self._heap:
-            return None
-        event = heapq.heappop(self._heap)
-        event._queue = None
-        event.fired = True
-        self._live -= 1
-        return event
+        return self.pop_due(math.inf)
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event, or None when empty."""
-        self._discard_cancelled_heads()
-        return self._heap[0].time_ms if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)[2]._queue = None
+            self._cancelled -= 1
+        return heap[0][0] if heap else None
 
     def _note_event_cancelled(self) -> None:
         """Called by :meth:`Event.cancel` for a resident event."""
@@ -107,12 +127,6 @@ class EventQueue:
         if (self._cancelled >= COMPACT_MIN_CANCELLED
                 and self._cancelled * 2 > len(self._heap)):
             self._compact()
-
-    def _discard_cancelled_heads(self) -> None:
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)._queue = None
-            self._cancelled -= 1
 
     def _compact(self) -> None:
         """Drop every cancelled resident and rebuild the heap.
@@ -123,11 +137,14 @@ class EventQueue:
         live ones, which amortises the rebuild against the cancellations
         that caused it.
         """
-        for event in self._heap:
-            if event.cancelled:
-                event._queue = None
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
+        survivors = []
+        for entry in self._heap:
+            if entry[2].cancelled:
+                entry[2]._queue = None
+            else:
+                survivors.append(entry)
+        heapq.heapify(survivors)
+        self._heap = survivors
         self._cancelled = 0
         self.compactions += 1
         PERF.heap_compactions += 1

@@ -98,11 +98,13 @@ class Network:
         #: link in the network (``find_path`` dominated single-thread
         #: profiles at a few hundred hosts).
         self._adjacency: Dict[str, List[Link]] = {}
-        #: ``(src, dst) -> path-or-None`` memo for :meth:`find_path`,
-        #: flushed on every topology change.  Entries are exactly what
-        #: BFS computed for the same topology, so caching cannot change
+        #: ``(src, dst) -> (path, links)-or-None`` memo for
+        #: :meth:`find_path` and :meth:`transit_delay_ms`, flushed on
+        #: every topology change.  ``path`` is exactly what BFS computed
+        #: for the same topology and ``links`` its hops in path order as
+        #: :meth:`link_between` finds them, so caching cannot change
         #: simulation outcomes.
-        self._path_cache: Dict[tuple, Optional[List[str]]] = {}
+        self._path_cache: Dict[tuple, Optional[tuple]] = {}
         self.stats = NetworkStats()
         #: open stream connections, maintained by stream.py.
         self._connections: List = []
@@ -192,19 +194,30 @@ class Network:
         the cached value is exactly the BFS result for the current
         topology, and callers get a fresh copy each time.
         """
-        if src not in self.nodes or dst not in self.nodes:
-            raise NoSuchHostError(src if src not in self.nodes else dst)
-        if not self.nodes[src].up or not self.nodes[dst].up:
+        route = self._route(src, dst)
+        return None if route is None else list(route[0])
+
+    def _route(self, src: str, dst: str) -> Optional[tuple]:
+        """The memoised ``(path, links)`` from ``src`` to ``dst``, or
+        None when either end is down or no usable path exists."""
+        nodes = self.nodes
+        if src not in nodes or dst not in nodes:
+            raise NoSuchHostError(src if src not in nodes else dst)
+        if not nodes[src].up or not nodes[dst].up:
             return None
-        if src == dst:
-            return [src]
         key = (src, dst)
-        if key in self._path_cache:
-            cached = self._path_cache[key]
-            return None if cached is None else list(cached)
-        path = self._bfs_path(src, dst)
-        self._path_cache[key] = path
-        return None if path is None else list(path)
+        try:
+            return self._path_cache[key]
+        except KeyError:
+            pass
+        if src == dst:
+            route = ([src], ())
+        else:
+            path = self._bfs_path(src, dst)
+            route = None if path is None else (path, tuple(
+                self.link_between(a, b) for a, b in zip(path, path[1:])))
+        self._path_cache[key] = route
+        return route
 
     def _bfs_path(self, src: str, dst: str) -> Optional[List[str]]:
         seen: Set[str] = {src}
@@ -226,22 +239,19 @@ class Network:
         connectivity predicate behind circuit break detection (§5)."""
         return self.find_path(src, dst) is not None
 
-    def path_delay_ms(self, path: List[str], nbytes: int) -> float:
-        """Total transfer delay along an already-found path."""
+    def transit_delay_ms(self, src: str, dst: str, nbytes: int) -> float:
+        """Delay for one message src -> dst, or raise if unreachable:
+        the transfer delays of the memoised path's links, summed in
+        path order."""
+        route = self._route(src, dst)
+        if route is None:
+            raise UnreachableHostError("%s -> %s" % (src, dst))
         delay = 0.0
-        for a, b in zip(path, path[1:]):
-            link = self.link_between(a, b)
-            if link is None or not link.usable:
-                raise UnreachableHostError("%s-%s" % (a, b))
+        for link in route[1]:
+            if not link.usable:
+                raise UnreachableHostError("%s-%s" % (link.a, link.b))
             delay += link.transfer_delay_ms(nbytes)
         return delay
-
-    def transit_delay_ms(self, src: str, dst: str, nbytes: int) -> float:
-        """Delay for one message src -> dst, or raise if unreachable."""
-        path = self.find_path(src, dst)
-        if path is None:
-            raise UnreachableHostError("%s -> %s" % (src, dst))
-        return self.path_delay_ms(path, nbytes)
 
     # ------------------------------------------------------------------
     # Failure injection

@@ -84,14 +84,21 @@ class Simulator:
         event = self.queue.pop()
         if event is None:
             return False
+        self._fire(event)
+        return True
+
+    def _fire(self, event: Event) -> None:
         self.now_ms = event.time_ms
         callback, args = event.callback, event.args
         event.callback, event.args = None, ()
         self._events_run += 1
         PERF.events_run += 1
-        if callback is not None:
-            callback(*args)
-        return True
+        callback(*args)
+
+    def _due_by(self, time_ms: float) -> bool:
+        """True when a live event is scheduled at or before ``time_ms``."""
+        next_time = self.queue.peek_time()
+        return next_time is not None and next_time <= time_ms
 
     def run_until(self, time_ms: float, max_events: int = 10_000_000) -> None:
         """Run every event scheduled at or before ``time_ms``.
@@ -99,16 +106,17 @@ class Simulator:
         The clock ends exactly at ``time_ms`` even if the queue drains
         early, so timers keep a consistent reference point.
         """
+        pop_due = self.queue.pop_due
         executed = 0
         while True:
-            next_time = self.queue.peek_time()
-            if next_time is None or next_time > time_ms:
-                break
-            if executed >= max_events:
+            if executed >= max_events and self._due_by(time_ms):
                 raise SimulationError(
                     "run_until(%.3f) exceeded %d events; likely a scheduling "
                     "loop" % (time_ms, max_events))
-            self.step()
+            event = pop_due(time_ms)
+            if event is None:
+                break
+            self._fire(event)
             executed += 1
         if time_ms > self.now_ms:
             self.now_ms = float(time_ms)
@@ -136,24 +144,33 @@ class Simulator:
         checked after every executed event.  On a timeout the clock
         ends exactly on the deadline, like :meth:`run_until`; events
         later than the deadline stay queued.
+
+        Every session spends its events here, so the fire step of
+        :meth:`step` is inlined rather than called.
         """
         deadline = self.now_ms + timeout_ms
-        executed = 0
         if predicate():
             return True
+        pop_due = self.queue.pop_due
+        executed = 0
         while True:
-            next_time = self.queue.peek_time()
-            if next_time is None or next_time > deadline:
+            if executed >= max_events and self._due_by(deadline):
+                raise SimulationError(
+                    "run_until_true exceeded %d events" % (max_events,))
+            event = pop_due(deadline)
+            if event is None:
                 if deadline < self.now_ms:
                     raise SimulationError(
                         "run_until_true: negative timeout_ms=%r"
                         % (timeout_ms,))
                 self.now_ms = deadline
                 return False
-            if executed >= max_events:
-                raise SimulationError(
-                    "run_until_true exceeded %d events" % (max_events,))
-            self.step()
+            self.now_ms = event.time_ms
+            callback, args = event.callback, event.args
+            event.callback, event.args = None, ()
+            self._events_run += 1
+            PERF.events_run += 1
+            callback(*args)
             executed += 1
             if predicate():
                 return True

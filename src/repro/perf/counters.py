@@ -11,7 +11,8 @@ Counter inventory
 Wire layer (``repro.core.wire``, ``repro.ids``):
 
 ``encodes_performed``
-    Canonical JSON serialisations (one per message sized or framed).
+    Canonical JSON serialisations, one per real frame built; sizing a
+    message never encodes it, so the simulator leaves this at 0.
 ``size_calls``
     Calls to :func:`repro.core.wire.message_size_bytes` (sibling
     messages crossing a link).

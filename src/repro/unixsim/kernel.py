@@ -437,6 +437,7 @@ class Kernel:
             if proc.program is not None:
                 proc.program.on_halt(self, proc)
             proc.state = ProcState.DEAD
+        self.loadavg.note_change()
         self._lpm_hooks.clear()
 
     # ------------------------------------------------------------------

@@ -10,6 +10,14 @@ constant ``tau``, so over an interval of length ``dt`` with constant
 
 Updates happen lazily whenever the runnable count changes or the value
 is read, which keeps the estimator exact and free of periodic timers.
+
+The contract that keeps it exact: :meth:`LoadAverage.note_change` is
+the only place the runnable count is read, so the owner must call it
+after every transition into or out of the run queue.  The kernel does
+so on spawn, exit, stop, continue and halt, and ``SleeperProgram.start``
+on putting a fresh process to sleep; between two such calls the count
+is constant, and :meth:`LoadAverage.value` integrates with the count
+the last call saw.
 """
 
 from __future__ import annotations
@@ -53,9 +61,9 @@ class LoadAverage:
         self._last_n = self._runnable_fn()
 
     def value(self) -> float:
-        """Current ``la``."""
+        """Current ``la``; never reads the runnable count (see the
+        module docstring)."""
         self._integrate_to(self._now_fn())
-        self._last_n = self._runnable_fn()
         return self._value
 
     def force(self, value: float) -> None:

@@ -33,10 +33,11 @@ def test_session_work_shows_up_in_perf_stats():
     forest = manager.snapshot(prune=False)
     assert len(forest) == 1
     stats = manager.perf_stats()
-    # The gather crossed the wire: something was encoded and sized, the
-    # broadcast stamp was checked, and the simulator ran events.
-    assert stats["encodes_performed"] > 0
-    assert stats["size_calls"] >= stats["encodes_performed"]
+    # The gather crossed the wire: something was sized (never encoded:
+    # the simulator builds no frames), the broadcast stamp was checked,
+    # and the simulator ran events.
+    assert stats["size_calls"] > 0
+    assert stats["encodes_performed"] == 0
     assert stats["dedup_checks"] > 0
     assert stats["events_run"] > 0
     assert stats["sim_events_run"] >= stats["events_run"]

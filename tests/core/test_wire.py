@@ -1,11 +1,14 @@
 """Tests for message serialisation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.ids import BroadcastId
 from repro.core.messages import Message, MsgKind
 from repro.core.wire import HEADER_BYTES, decode, encode, message_size_bytes
+from repro.perf import PERF
 
 
 def sample_message(**overrides):
@@ -105,3 +108,70 @@ def test_repeat_encode_gives_identical_bytes_and_size():
 def test_every_kind_value_unique():
     values = [kind.value for kind in MsgKind]
     assert len(values) == len(set(values))
+
+
+# ----------------------------------------------------------------------
+# The sizer charges exactly what the encoder would put on the wire
+# ----------------------------------------------------------------------
+
+#: Any text, non-ASCII included (the encoder escapes it to ASCII).
+_TEXT = st.text(max_size=12)
+
+#: JSON payload values, nested lists and objects included.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+_STAMPS = st.builds(BroadcastId, origin=_TEXT,
+                    timestamp_ms=st.floats(min_value=0, max_value=1e9),
+                    seq=st.integers(min_value=0), signature=_TEXT)
+
+_MESSAGES = st.builds(
+    Message,
+    kind=st.sampled_from(list(MsgKind)),
+    req_id=st.integers(),
+    origin=_TEXT,
+    user=_TEXT,
+    payload=st.dictionaries(_TEXT, _JSON, max_size=5),
+    route=st.lists(_TEXT, max_size=5),
+    reply_to=st.none() | st.integers(),
+    broadcast=st.none() | _STAMPS,
+    final_dest=st.none() | _TEXT,
+    trace=st.none() | st.lists(st.integers(min_value=0), min_size=2,
+                               max_size=2),
+    lane=st.none() | _TEXT)
+
+
+@given(_MESSAGES)
+@settings(max_examples=100, deadline=None)
+def test_size_is_header_plus_encoded_length(message):
+    assert message_size_bytes(message) == HEADER_BYTES + len(encode(message))
+
+
+def test_size_of_non_ascii_counts_escaped_bytes():
+    message = sample_message(payload={"name": "h\u00e9l\u00e8ne \u2603"})
+    encoded = encode(message)
+    assert encoded.isascii()
+    assert message_size_bytes(message) == HEADER_BYTES + len(encoded)
+
+
+def test_sizing_builds_no_frame():
+    message = sample_message()
+    base = PERF.snapshot()
+    message_size_bytes(message)
+    delta = PERF.delta_since(base)
+    assert delta["size_calls"] == 1
+    assert delta["encodes_performed"] == 0
+
+
+@pytest.mark.parametrize("measure", [encode, message_size_bytes],
+                         ids=["encode", "size"])
+@pytest.mark.parametrize("payload", [{"program": object()},
+                                     {1: "int key", "b": "str key"}],
+                         ids=["object", "unsortable-keys"])
+def test_unserialisable_payload_rejected_by_both(measure, payload):
+    with pytest.raises(ReproError):
+        measure(sample_message(payload=payload))

@@ -121,3 +121,34 @@ def test_interleaved_push_and_pop_keep_time_seq_order():
     while queue:
         popped.append(queue.pop())
     assert popped == sorted(pushed, key=lambda e: (e.time_ms, e.seq))
+
+
+def test_pop_due_keeps_cancelled_count_right_through_compaction():
+    queue = EventQueue()
+    events = [Event(float(i), i, _noop, ())
+              for i in range(1, 3 * COMPACT_MIN_CANCELLED + 1)]
+    for event in events:
+        queue.push(event)
+    # Cancel the earliest few first: they stay resident at the head.
+    for event in events[:5]:
+        event.cancel()
+    assert queue._cancelled == 5 and queue.compactions == 0
+    # Cancel enough of the rest to force a compaction.
+    doomed = [e for e in events[5:] if e.seq % 3]
+    for event in doomed:
+        event.cancel()
+    assert queue.compactions == 1
+    resident_cancelled = sum(1 for entry in queue._heap if entry[2].cancelled)
+    assert queue._cancelled == resident_cancelled
+    survivors = [e for e in events if not e.cancelled]
+    assert len(queue) == len(survivors)
+    popped = []
+    while True:
+        event = queue.pop_due(events[-1].time_ms)
+        if event is None:
+            break
+        popped.append(event)
+    assert popped == survivors
+    assert queue._cancelled == 0
+    assert queue._heap == []
+    assert all(e._queue is None for e in events)

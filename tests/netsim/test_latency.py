@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.latency import _KERNEL_MESSAGE_ANCHORS, _interpolate
 from repro.netsim import (
     DEFAULT_COST_MODEL,
     HostClass,
@@ -76,6 +77,18 @@ def test_load_factor_normalised_at_light_load():
     for host_class in HostClass:
         assert load_factor(host_class, 0.5) == pytest.approx(1.0)
         assert load_factor(host_class, 0.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("host_class", list(HostClass))
+@pytest.mark.parametrize("load", [0.0, 0.5, 0.5001, 3.7])
+def test_load_factor_equals_the_interpolated_ratio(host_class, load):
+    # The light-load short cut must give exactly what the interpolation
+    # gives: every class's first anchor sits at la = 0.5.
+    anchors = _KERNEL_MESSAGE_ANCHORS[host_class]
+    assert anchors[0][0] == 0.5
+    expected = _interpolate(anchors, max(load, 0.0)) / anchors[0][1]
+    assert load_factor(host_class, load) == expected
+    assert (expected == 1.0) == (load <= 0.5)
 
 
 def test_load_factor_grows_faster_on_sun2():

@@ -1,6 +1,10 @@
 """Tests for topology, routing, partitions, and crashes."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     NoSuchHostError,
@@ -159,3 +163,92 @@ def test_services_register_and_unregister():
     node.unlisten("inetd")
     assert "inetd" not in node.services
     node.unlisten("inetd")  # idempotent
+
+
+# ----------------------------------------------------------------------
+# The (path, links) memo against a from-scratch BFS and walk
+# ----------------------------------------------------------------------
+
+_HOSTS = ("a", "b", "c", "d", "e")
+_PAIRS = [(x, y) for i, x in enumerate(_HOSTS) for y in _HOSTS[i + 1:]]
+
+_TOPOLOGY_OPS = st.one_of(
+    st.tuples(st.just("add_link"), st.sampled_from(_PAIRS),
+              st.integers(min_value=1, max_value=9)),
+    st.tuples(st.just("set_link_state"), st.sampled_from(_PAIRS),
+              st.booleans()),
+    st.tuples(st.just("set_partition"),
+              st.lists(st.sampled_from(_HOSTS), unique=True, max_size=3)),
+    st.tuples(st.just("heal_partition")),
+    st.tuples(st.just("crash_host"), st.sampled_from(_HOSTS)),
+    st.tuples(st.just("revive_host"), st.sampled_from(_HOSTS)),
+)
+
+
+def _scratch_transit(net, src, dst, nbytes):
+    """Breadth-first search over ``net.links`` in insertion order, then
+    a walk over the first link joining each hop: no memo involved."""
+    if not net.nodes[src].up or not net.nodes[dst].up:
+        raise UnreachableHostError("%s -> %s" % (src, dst))
+
+    def touching(name):
+        return [link for link in net.links if name in (link.a, link.b)]
+
+    path = [src] if src == dst else None
+    seen = {src}
+    frontier = deque([[src]])
+    while frontier and path is None:
+        here = frontier.popleft()
+        for link in touching(here[-1]):
+            other = link.b if link.a == here[-1] else link.a
+            if not link.usable or not net.nodes[other].up or other in seen:
+                continue
+            if other == dst:
+                path = here + [other]
+                break
+            seen.add(other)
+            frontier.append(here + [other])
+    if path is None:
+        raise UnreachableHostError("%s -> %s" % (src, dst))
+    delay = 0.0
+    for hop_a, hop_b in zip(path, path[1:]):
+        link = next(link for link in touching(hop_a)
+                    if {link.a, link.b} == {hop_a, hop_b})
+        if not link.usable:
+            raise UnreachableHostError("%s-%s" % (hop_a, hop_b))
+        delay += link.transfer_delay_ms(nbytes)
+    return delay
+
+
+def _outcome(compute, *args):
+    try:
+        return compute(*args)
+    except UnreachableHostError:
+        return "unreachable"
+
+
+@given(st.lists(_TOPOLOGY_OPS, min_size=1, max_size=25))
+@settings(max_examples=100, deadline=None)
+def test_transit_memo_matches_scratch_after_every_change(ops):
+    _, net = make_network(_HOSTS)
+    for op in ops:
+        name = op[0]
+        if name == "add_link":
+            (a, b), latency = op[1], op[2]
+            net.add_link(a, b, latency_ms=float(latency),
+                         bandwidth_bytes_per_ms=100.0 * latency)
+        elif name == "set_link_state":
+            (a, b), up = op[1], op[2]
+            if net.link_between(a, b) is None:
+                continue
+            net.set_link_state(a, b, up=up)
+        elif name == "set_partition":
+            net.set_partition([set(op[1])])
+        else:
+            getattr(net, name)(*op[1:])
+        for src in _HOSTS:
+            for dst in _HOSTS:
+                # Twice: the second read is answered from the memo.
+                for _ in range(2):
+                    assert (_outcome(net.transit_delay_ms, src, dst, 300)
+                            == _outcome(_scratch_transit, net, src, dst, 300))

@@ -4,7 +4,9 @@ Random sequences of syscalls (spawn, fork, exit, signals, reap, open,
 close) against invariants that must hold after every step:
 
 * parent/child links are mutually consistent;
-* the run-queue count equals the number of RUNNING processes;
+* the run-queue count equals the number of RUNNING processes, and the
+  load average's last-read count equals it too (so ``LoadAverage.value``
+  may integrate without re-reading it);
 * no reaped (DEAD) process remains in the table;
 * every zombie's resources are finalised;
 * descriptor tables only exist on live processes.
@@ -44,6 +46,7 @@ def check_invariants(kernel: Kernel) -> None:
             assert proc.end_ms is not None
             assert not proc.fd_table, "zombie with open descriptors"
     assert table.running_count() == running
+    assert kernel.loadavg._last_n == running
 
 
 @given(st.lists(st.tuples(OPS, st.integers(min_value=0, max_value=30)),

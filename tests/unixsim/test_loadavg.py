@@ -104,3 +104,38 @@ def test_fast_path_is_exact_not_approximate():
     before = PERF.loadavg_idle_skips
     assert 0.0 < la.value() < 2.0  # genuine exponential decay resumed
     assert PERF.loadavg_idle_skips == before
+
+
+def test_value_never_reads_the_runnable_count():
+    from repro.unixsim.loadavg import LoadAverage
+
+    clock = [0.0]
+    runnable = [1]
+    reads = [0]
+
+    def counting_runnable():
+        reads[0] += 1
+        return runnable[0]
+
+    la = LoadAverage(lambda: clock[0], counting_runnable, tau_ms=1_000.0)
+    la.note_change()
+    before = reads[0]
+    for step in range(1, 6):
+        clock[0] = step * 500.0
+        la.value()
+    assert reads[0] == before
+    # A run-queue change unseen by note_change stays unseen: value()
+    # keeps integrating toward the count the last note_change read.
+    runnable[0] = 0
+    clock[0] = 50_000.0
+    assert la.value() == pytest.approx(1.0)
+    la.note_change()
+    assert reads[0] == before + 1
+
+
+def test_halt_empties_the_run_queue_the_estimator_sees(world, alpha):
+    alpha.spawn_user_process("lfc", "spin", program=SpinnerProgram(None))
+    world.run_for(600_000.0)
+    assert alpha.load_average() > 0.9
+    alpha.kernel.halt()
+    assert alpha.kernel.loadavg._last_n == 0
