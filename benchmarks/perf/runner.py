@@ -20,22 +20,15 @@ runs through:
     ratio, and the span volume.  ``--trace-out`` additionally exports
     the traced run as Chrome trace-event JSON.
 
-``doctor_sweep``
-    The operational surface's read-only contract: repeated
-    ``probe_world`` + ``run_doctor`` sweeps over a live multi-host
-    session, asserting the simulated clock and the event-schedule
-    count are untouched afterwards — the doctor in the loop cannot
-    move a single ``sim_ms`` (see ``docs/OPERATIONS.md``).
-
 ``watch_steady``
-    The continuous watch loop's sampling overhead: repeated
-    ``probe_world`` + ``run_doctor`` + ``Watcher.feed`` sweeps with a
-    full :class:`~repro.perf.timeseries.MetricsSampler` attached over
-    a healthy multi-host session.  Asserts the frozen-clock /
-    zero-events contract still holds with the watch layer on top,
-    that ``watch_sweeps``/``watch_samples`` count one per sweep with
-    zero ``watch_edges``, and that every ring series respects its
-    capacity bound (the loop's memory does not grow with uptime).
+    The operational surface's read-only contract: repeated
+    ``probe_world`` + ``run_doctor`` + ``Watcher.feed`` sweeps over a
+    healthy 40-host session, asserting the simulated clock and the
+    event-schedule count are untouched afterwards — the doctor and
+    the watch loop cannot move a single ``sim_ms`` (see
+    ``docs/OPERATIONS.md``) — that every sweep is healthy, and that
+    ``doctor_runs``/``watch_sweeps`` count one per sweep with zero
+    ``watch_edges``.
 
 ``locate_200_hosts``
     The steady-state LOCATE cost at scale (24 hosts under --smoke):
@@ -261,11 +254,11 @@ def bench_span_overhead(smoke: bool = False, trace_out=None) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenario 4: doctor sweep — the ops layer's read-only guarantee
+# Scenario 4: watch steady state — the ops layer's read-only guarantee
 # ----------------------------------------------------------------------
 
-def bench_doctor_sweep(smoke: bool = False) -> dict:
-    from repro.ops import probe_world, run_doctor
+def bench_watch_steady(smoke: bool = False) -> dict:
+    from repro.ops import Watcher, probe_world, run_doctor
 
     n_hosts = 6 if smoke else 40
     sweeps = 20 if smoke else 200
@@ -285,84 +278,37 @@ def bench_doctor_sweep(smoke: bool = False) -> dict:
 
     def run() -> dict:
         # The contract OPERATIONS.md sells: probing is pure observation.
-        # Any event the probe scheduled or any clock tick it consumed
+        # Any event a sweep scheduled or any clock tick it consumed
         # would shift every sim_ms after it — so assert both are frozen.
+        watcher = Watcher()
         sim_before = world.sim.now_ms
         events_before = PERF.snapshot()["events_scheduled"]
         healthy = 0
-        checks_run = 0
-        for _ in range(sweeps):
-            report = run_doctor(probe_world(world))
-            healthy += report.ok
-            checks_run += len(report.results)
-        assert world.sim.now_ms == sim_before, \
-            "doctor sweep advanced the simulated clock"
-        assert PERF.snapshot()["events_scheduled"] == events_before, \
-            "doctor sweep scheduled simulator events"
-        assert healthy == sweeps
-        return {"n_hosts": n_hosts, "sweeps": sweeps,
-                "checks_run": checks_run,
-                "doctor_runs": PERF.snapshot()["doctor_runs"],
-                "sim_ms": round(world.sim.now_ms, 3)}
-
-    return _measure(run)
-
-
-def bench_watch_steady(smoke: bool = False) -> dict:
-    from repro.ops import Watcher, probe_world, run_doctor
-    from repro.perf import MetricsSampler
-
-    n_hosts = 6 if smoke else 40
-    sweeps = 20 if smoke else 200
-    world = World(seed=31)
-    names = ["h%02d" % i for i in range(n_hosts)]
-    for name in names:
-        world.add_host(name, HostClass.VAX_780)
-    world.ethernet()
-    world.add_user("lfc", 1001)
-    install(world)
-    world.write_recovery_file("lfc", [names[0]])
-    origin = PPMClient(world, "lfc", names[0]).connect()
-    for name in names[1:]:
-        origin.create_process("job-%s" % name, host=name,
-                              program=spinner_spec(None))
-    world.run_for(2_000.0)
-
-    def run() -> dict:
-        # The watch loop on top of the doctor's read-only contract:
-        # per-sweep edge detection plus full time-series sampling must
-        # add zero simulator perturbation (frozen clock, zero events)
-        # and bounded memory (every ring capped at its capacity).
-        sampler = MetricsSampler(capacity=64)
-        watcher = Watcher(sampler=sampler)
-        sim_before = world.sim.now_ms
-        events_before = PERF.snapshot()["events_scheduled"]
         for _ in range(sweeps):
             view = probe_world(world)
-            watcher.feed(run_doctor(view), view.probed_at_ms)
+            report = run_doctor(view)
+            healthy += report.ok
+            watcher.feed(report, view.probed_at_ms)
         assert world.sim.now_ms == sim_before, \
             "watch sweep advanced the simulated clock"
         assert PERF.snapshot()["events_scheduled"] == events_before, \
             "watch sweep scheduled simulator events"
+        assert healthy == sweeps
         counters = PERF.snapshot()
+        assert counters["doctor_runs"] == sweeps
         assert counters["watch_sweeps"] == sweeps
-        assert counters["watch_samples"] == sweeps
         assert counters["watch_edges"] == 0, \
             "a healthy steady state has no incident edges"
-        assert all(len(series) <= 64
-                   for series in sampler.series.values()), \
-            "ring buffers must stay within their capacity"
         return {"n_hosts": n_hosts, "sweeps": sweeps,
+                "doctor_runs": counters["doctor_runs"],
                 "watch_sweeps": counters["watch_sweeps"],
-                "watch_samples": counters["watch_samples"],
-                "series_tracked": len(sampler.series),
                 "sim_ms": round(world.sim.now_ms, 3)}
 
     return _measure(run)
 
 
 # ----------------------------------------------------------------------
-# Scenarios 6-8: LOCATE at scale and multi-tenancy (scenarios.py)
+# Scenarios 5-7: LOCATE at scale and multi-tenancy (scenarios.py)
 # ----------------------------------------------------------------------
 
 def bench_locate(smoke: bool = False) -> dict:
@@ -403,7 +349,6 @@ SCENARIOS = {
     "broadcast_flood": bench_broadcast_flood,
     "snapshot_40_hosts": bench_snapshot,
     "span_overhead": bench_span_overhead,
-    "doctor_sweep": bench_doctor_sweep,
     "watch_steady": bench_watch_steady,
     "locate_200_hosts": bench_locate,
     "locate_500_hosts": bench_locate_500,

@@ -304,6 +304,21 @@ def _dead_host_drill(world, crash_at: int = 2, reboot_at: int = 5,
     return act
 
 
+def _check_name(name: str) -> str:
+    """``--checks`` values: a doctor check name, or a usage error.
+
+    A ``type=`` rather than ``choices=CHECK_ORDER``: every subcommand,
+    ``repro serve`` included, builds the whole parser, and this keeps
+    that from importing :mod:`repro.ops`.
+    """
+    from .ops import CHECK_ORDER
+    if name not in CHECK_ORDER:
+        raise argparse.ArgumentTypeError(
+            "invalid choice: %r (choose from %s)"
+            % (name, ", ".join(CHECK_ORDER)))
+    return name
+
+
 def cmd_watch(args) -> int:
     """Run the continuous watch loop (docs/OPERATIONS.md, "Continuous
     watch"): netsim demo world by default, live fleet with
@@ -311,10 +326,8 @@ def cmd_watch(args) -> int:
     end, else with the first open incident's triage code."""
     from .ops import (EXIT_CODES, IncidentJournal, load_baseline,
                       watch_fleet, watch_world)
-    from .perf import MetricsSampler
 
     journal = IncidentJournal(args.journal)
-    sampler = MetricsSampler()
     baseline = load_baseline(args.baseline) if args.baseline else None
     checks = args.checks or None
 
@@ -336,7 +349,7 @@ def cmd_watch(args) -> int:
             max_sweeps=args.max_sweeps,
             expected_hosts=args.hosts or None,
             timeout_ms=args.timeout_ms, journal=journal,
-            checks=checks, sampler=sampler, baseline=baseline,
+            checks=checks, baseline=baseline,
             on_sweep=narrate)
     else:
         world, ppm, alerts = _run_traced_session(args.seed,
@@ -355,7 +368,7 @@ def cmd_watch(args) -> int:
         watcher = watch_world(
             world, interval_ms=args.interval_ms,
             max_sweeps=args.max_sweeps, journal=journal,
-            checks=checks, sampler=sampler, alerts=alerts,
+            checks=checks, alerts=alerts,
             baseline=baseline, on_sweep=on_sweep)
 
     open_incidents = watcher.open_incidents()
@@ -490,6 +503,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="append incident records (JSONL) here; "
                             "render later with `repro incidents`")
     watch.add_argument("--checks", nargs="*", default=None,
+                       type=_check_name,
                        help="watch only these checks (default: all)")
     watch.add_argument("--inject", choices=["dead-host"], default=None,
                        help="netsim only: crash ucbernie mid-watch "

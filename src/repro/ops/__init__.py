@@ -5,7 +5,8 @@
 
 * :mod:`repro.ops.checks` — the backend-neutral check library
   (:class:`WorldView` in, :class:`DoctorReport` with named checks and
-  distinct exit codes out).
+  distinct exit codes out) and the operational thresholds, each a
+  named constant the checks and triggers share.
 * :mod:`repro.ops.doctor` — the probes (netsim world in-process,
   realnet fleet over TCP) and :func:`run_doctor`.
 * :mod:`repro.ops.triggers` — prebuilt operational triggers (p99
@@ -13,9 +14,8 @@
   retransmission storm, host down, watch onset) over the paper's
   trigger engine.
 * :mod:`repro.ops.watch` — the continuous watch loop: interval
-  sweeps over either backend, onset/clear edge detection between
-  consecutive sweeps, and per-sweep time-series sampling
-  (:mod:`repro.perf.timeseries`).
+  sweeps over either backend and onset/clear edge detection between
+  consecutive sweeps.
 * :mod:`repro.ops.journal` — the append-only JSONL incident journal
   the watch loop writes, and the ``repro incidents`` rendering
   (timeline + MTTR per check).
@@ -30,7 +30,6 @@ from .checks import (
     CHECK_ORDER,
     EXIT_CODES,
     CheckResult,
-    DoctorConfig,
     DoctorReport,
     HostHealth,
     LpmHealth,
@@ -62,7 +61,6 @@ from .triggers import (
     dedup_cache_blowup_trigger,
     host_down_trigger,
     install_ops_triggers,
-    latency_rising_trigger,
     p99_regression_trigger,
     retransmission_storm_trigger,
     tree_repair_storm_trigger,
@@ -81,7 +79,6 @@ __all__ = [
     "CHECK_ORDER",
     "EXIT_CODES",
     "CheckResult",
-    "DoctorConfig",
     "DoctorReport",
     "HostHealth",
     "LpmHealth",
@@ -107,7 +104,6 @@ __all__ = [
     "dedup_cache_blowup_trigger",
     "host_down_trigger",
     "install_ops_triggers",
-    "latency_rising_trigger",
     "p99_regression_trigger",
     "retransmission_storm_trigger",
     "tree_repair_storm_trigger",

@@ -39,6 +39,31 @@ EXIT_CODES = {
 #: The triage order (dict order is insertion order, but be explicit).
 CHECK_ORDER = tuple(EXIT_CODES)
 
+# Operational thresholds, sized so a healthy demo session passes.  The
+# checks here and the triggers in :mod:`repro.ops.triggers` read these
+# names; each number is defined nowhere else.
+
+#: ``requests_retransmitted`` beyond this is an RPC anomaly (checked
+#: on the running total, triggered on the growth since arming).
+MAX_RETRANSMITS = 25
+#: Outstanding requests on any one LPM beyond this is an anomaly.
+MAX_PENDING_REQUESTS = 64
+#: A p99 beyond this factor times its recorded baseline regresses.
+SLO_FACTOR = 2.0
+#: Histogram classes with fewer samples than this are not judged.
+SLO_MIN_COUNT = 5
+#: Sparse-overlay degree slack: a node owns ~k outgoing ring/chord
+#: edges and accepts up to ~k incoming ones, so 2k is the bound.
+DEGREE_SLACK = 2
+#: Broadcast-tree repairs since arming beyond this are a storm.
+MAX_TREE_REPAIRS = 10
+#: This many crash-coordinator role changes inside the window below
+#: are a flap.
+CCS_FLAPS = 3
+CCS_FLAP_WINDOW_MS = 60_000.0
+#: Broadcast dedup seen-set entries beyond this are a blowup.
+MAX_DEDUP_ENTRIES = 10_000
+
 
 # ----------------------------------------------------------------------
 # The backend-neutral view the probes produce
@@ -109,23 +134,6 @@ class WorldView:
     #: (simulated ms on netsim, fabric wall-clock ms on realnet).
     #: Watch journal records and ``doctor --json`` share this field.
     probed_at_ms: Optional[float] = None
-
-
-@dataclass
-class DoctorConfig:
-    """Thresholds; defaults sized so a healthy demo session passes."""
-
-    #: ``requests_retransmitted`` beyond this is an RPC anomaly.
-    max_retransmits: int = 25
-    #: Outstanding requests on any one LPM beyond this is an anomaly.
-    max_pending_requests: int = 64
-    #: p99 regression factor against the recorded baseline.
-    slo_factor: float = 2.0
-    #: Histogram classes with fewer samples than this are not judged.
-    slo_min_count: int = 5
-    #: Sparse-overlay degree slack: a node owns ~k outgoing ring/chord
-    #: edges and accepts up to ~k incoming ones, so 2k is the bound.
-    degree_slack: int = 2
 
 
 # ----------------------------------------------------------------------
@@ -256,8 +264,7 @@ def offending_entities(result: CheckResult) -> Tuple[str, ...]:
 # The checks, in triage order
 # ----------------------------------------------------------------------
 
-def check_daemon_liveness(view: WorldView,
-                          config: DoctorConfig) -> CheckResult:
+def check_daemon_liveness(view: WorldView) -> CheckResult:
     """Every expected host is up and its daemon layer answers."""
     missing = [h for h in view.expected_hosts if h not in view.hosts]
     down = [h.name for h in view.hosts.values() if not h.up]
@@ -280,8 +287,7 @@ def check_daemon_liveness(view: WorldView,
                        % (len(view.hosts), len(view.expected_hosts)))
 
 
-def check_lpm_liveness(view: WorldView,
-                       config: DoctorConfig) -> CheckResult:
+def check_lpm_liveness(view: WorldView) -> CheckResult:
     """Every registered LPM is actually running."""
     dead = [lpm for lpm in view.lpms if not lpm.alive]
     if dead:
@@ -296,7 +302,7 @@ def check_lpm_liveness(view: WorldView,
                        "%d LPM(s) alive" % len(view.lpms))
 
 
-def check_orphans(view: WorldView, config: DoctorConfig) -> CheckResult:
+def check_orphans(view: WorldView) -> CheckResult:
     """No live process lacks a live LPM administering it."""
     if view.orphans:
         sample = ", ".join("%s pid %d (%s)" % (o.host, o.pid, o.command)
@@ -311,15 +317,14 @@ def check_orphans(view: WorldView, config: DoctorConfig) -> CheckResult:
     return CheckResult("orphan-processes", True, "no orphaned processes")
 
 
-def check_overlay_degree(view: WorldView,
-                         config: DoctorConfig) -> CheckResult:
+def check_overlay_degree(view: WorldView) -> CheckResult:
     """Under the sparse policy, every LPM's degree stays <= slack*k."""
     if view.sparse_degree is None:
         return CheckResult(
             "overlay-degree", True,
             "degree bound not applicable (policy %r)"
             % (view.topology_policy,))
-    bound = config.degree_slack * view.sparse_degree
+    bound = DEGREE_SLACK * view.sparse_degree
     over = [(lpm, len(lpm.siblings)) for lpm in view.lpms
             if lpm.alive and len(lpm.siblings) > bound]
     if over:
@@ -337,8 +342,7 @@ def check_overlay_degree(view: WorldView,
         % (max(degrees) if degrees else 0, bound, view.sparse_degree))
 
 
-def check_broadcast_coverage(view: WorldView,
-                             config: DoctorConfig) -> CheckResult:
+def check_broadcast_coverage(view: WorldView) -> CheckResult:
     """Under the sparse policy, the live sibling graph is connected, so
     a broadcast tree rooted anywhere can reach every live LPM."""
     if view.sparse_degree is None:
@@ -377,21 +381,20 @@ def check_broadcast_coverage(view: WorldView,
                        "all %d live LPMs reachable" % len(live))
 
 
-def check_rpc_anomalies(view: WorldView,
-                        config: DoctorConfig) -> CheckResult:
+def check_rpc_anomalies(view: WorldView) -> CheckResult:
     """Retransmission and pending-request volumes look sane."""
     retransmits = view.counters.get("requests_retransmitted", 0)
     worst = max(view.lpms, key=lambda l: l.pending_requests,
                 default=None)
     problems = []
-    if retransmits > config.max_retransmits:
+    if retransmits > MAX_RETRANSMITS:
         problems.append("%d retransmissions (threshold %d)"
-                        % (retransmits, config.max_retransmits))
+                        % (retransmits, MAX_RETRANSMITS))
     if worst is not None and \
-            worst.pending_requests > config.max_pending_requests:
+            worst.pending_requests > MAX_PENDING_REQUESTS:
         problems.append("%d pending requests on %s@%s (threshold %d)"
                         % (worst.pending_requests, worst.user,
-                           worst.host, config.max_pending_requests))
+                           worst.host, MAX_PENDING_REQUESTS))
     if problems:
         return CheckResult("rpc-anomalies", False, "; ".join(problems),
                            {"retransmits": retransmits})
@@ -402,37 +405,47 @@ def check_rpc_anomalies(view: WorldView,
            worst.pending_requests if worst is not None else 0))
 
 
-def check_latency_slo(view: WorldView, config: DoctorConfig,
+def p99_regression(op: str, block: Optional[dict],
+                   baseline_p99_ms: Optional[float]) -> Optional[str]:
+    """The one p99-versus-baseline rule, shared by the ``latency-slo``
+    check and the ``ops:p99-regression`` trigger: a description of the
+    breach when ``op``'s p99 exceeds ``SLO_FACTOR`` x its baseline over
+    at least ``SLO_MIN_COUNT`` samples, else None.  A missing or
+    non-positive baseline judges nothing."""
+    if not block or baseline_p99_ms is None or baseline_p99_ms <= 0:
+        return None
+    if block.get("count", 0) < SLO_MIN_COUNT:
+        return None
+    p99 = block.get("p99_ms")
+    if p99 is None or p99 <= SLO_FACTOR * baseline_p99_ms:
+        return None
+    return "%s p99 %.1fms > %.1fx baseline %.1fms" % (
+        op, p99, SLO_FACTOR, baseline_p99_ms)
+
+
+def check_latency_slo(view: WorldView,
                       baseline: Optional[Dict[str, float]] = None
                       ) -> CheckResult:
-    """Per-operation p99 stays within ``slo_factor`` of the recorded
+    """Per-operation p99 stays within ``SLO_FACTOR`` of the recorded
     baseline (see ``repro doctor --write-baseline``)."""
     if not baseline:
         return CheckResult("latency-slo", True,
                            "no baseline recorded; SLO check skipped")
     regressions = []
     for op, budget_p99 in sorted(baseline.items()):
-        block = view.latency.get(op)
-        if block is None or budget_p99 is None or budget_p99 <= 0:
-            continue
-        if block.get("count", 0) < config.slo_min_count:
-            continue
-        p99 = block.get("p99_ms")
-        if p99 is not None and p99 > config.slo_factor * budget_p99:
-            regressions.append("%s p99 %.1fms > %.1fx baseline %.1fms"
-                               % (op, p99, config.slo_factor,
-                                  budget_p99))
+        breach = p99_regression(op, view.latency.get(op), budget_p99)
+        if breach is not None:
+            regressions.append(breach)
     if regressions:
         return CheckResult("latency-slo", False,
                            "; ".join(regressions),
                            {"regressions": regressions})
     return CheckResult("latency-slo", True,
                        "p99 within %.1fx of baseline for %d op class(es)"
-                       % (config.slo_factor, len(baseline)))
+                       % (SLO_FACTOR, len(baseline)))
 
 
-def check_registry_staleness(view: WorldView,
-                             config: DoctorConfig) -> CheckResult:
+def check_registry_staleness(view: WorldView) -> CheckResult:
     """Every published realnet registry entry still answers."""
     if view.backend != "realnet":
         return CheckResult("registry-staleness", True,
@@ -449,8 +462,7 @@ def check_registry_staleness(view: WorldView,
                        % len(view.registry_entries))
 
 
-def check_trigger_alerts(view: WorldView,
-                         config: DoctorConfig) -> CheckResult:
+def check_trigger_alerts(view: WorldView) -> CheckResult:
     """No operational trigger has fired."""
     if view.alerts:
         sample = "; ".join("%s (%s)" % (a.name, a.detail)
@@ -481,18 +493,17 @@ _CHECK_FNS = {
 
 
 def run_checks(view: WorldView,
-               baseline: Optional[Dict[str, float]] = None,
-               config: Optional[DoctorConfig] = None) -> DoctorReport:
+               baseline: Optional[Dict[str, float]] = None
+               ) -> DoctorReport:
     """Run every check against the view, in triage order."""
-    config = config if config is not None else DoctorConfig()
     results = []
     for name in CHECK_ORDER:
         fn = _CHECK_FNS[name]
         started = time.perf_counter()
         if name == "latency-slo":
-            result = fn(view, config, baseline)
+            result = fn(view, baseline)
         else:
-            result = fn(view, config)
+            result = fn(view)
         result.duration_ms = (time.perf_counter() - started) * 1000.0
         results.append(result)
     return DoctorReport(view.backend, results, view=view)

@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..perf import PERF
 from .checks import (
-    DoctorConfig,
     DoctorReport,
     HostHealth,
     LpmHealth,
@@ -194,10 +193,10 @@ def probe_fleet(registry_path: str,
 # ----------------------------------------------------------------------
 
 def run_doctor(view: WorldView,
-               baseline: Optional[Dict[str, float]] = None,
-               config: Optional[DoctorConfig] = None) -> DoctorReport:
+               baseline: Optional[Dict[str, float]] = None
+               ) -> DoctorReport:
     """Run every check; counts the run (and failures) in ``PERF``."""
-    report = run_checks(view, baseline=baseline, config=config)
+    report = run_checks(view, baseline=baseline)
     PERF.doctor_runs += 1
     PERF.doctor_checks_failed += len(report.failing)
     return report

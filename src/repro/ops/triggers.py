@@ -2,24 +2,30 @@
 
 The paper's trigger machinery (:mod:`repro.tracing.triggers`) lets a
 user fire arbitrary actions on history-dependent conditions; this
-module ships the conditions an *operator* wants armed by default:
+module ships the conditions an *operator* wants armed by default.
+Every threshold is a constant of :mod:`repro.ops.checks`, shared with
+the doctor's checks:
 
 ``ops:p99-regression``
-    A latency histogram's p99 exceeded ``factor`` x its recorded
-    baseline (source: ``tracer.latency_summary()``).
+    The ``rpc_rtt`` p99 exceeded ``SLO_FACTOR`` x its recorded
+    baseline (source: ``tracer.latency_summary()``) — the same rule
+    the ``latency-slo`` check applies.
 ``ops:tree-repair-storm``
-    ``PERF.tree_repairs`` grew by more than ``threshold`` since the
-    trigger was armed — the broadcast trees are thrashing.
+    ``PERF.tree_repairs`` grew by more than ``MAX_TREE_REPAIRS`` since
+    the trigger was armed — the broadcast trees are thrashing.
 ``ops:ccs-flap``
     The crash-coordinator role changed hands (``CCS_ASSUMED`` /
-    ``CCS_RELINQUISHED``) ``threshold`` or more times inside
-    ``window_ms`` — recovery is oscillating instead of settling.
+    ``CCS_RELINQUISHED``) ``CCS_FLAPS`` or more times inside
+    ``CCS_FLAP_WINDOW_MS`` — recovery is oscillating instead of
+    settling.
 ``ops:dedup-cache-blowup``
-    The broadcast dedup seen-set exceeded ``threshold`` entries —
-    stamps are not expiring (retention misconfigured or a flood loop).
+    The broadcast dedup seen-set exceeded ``MAX_DEDUP_ENTRIES``
+    entries — stamps are not expiring (retention misconfigured or a
+    flood loop).
 ``ops:retransmission-storm``
-    ``PERF.requests_retransmitted`` grew past ``threshold`` since
-    arming — the RPC layer is fighting loss instead of making calls.
+    ``PERF.requests_retransmitted`` grew by more than
+    ``MAX_RETRANSMITS`` since arming — the RPC layer is fighting loss
+    instead of making calls.
 ``ops:host-down``
     A ``FAILURE_DETECTED`` event was recorded (a sibling's circuit
     broke and the failure detector noticed).
@@ -28,13 +34,6 @@ module ships the conditions an *operator* wants armed by default:
     check *onset* edge — a health check that passed last sweep fails
     now.  Edge-triggered by construction: the watch loop records one
     ``WATCH_EDGE`` event per transition, never per poll.
-``ops:latency-rising``
-    An operation's sampled p99 (the ``<op>_p99_ms`` ring series the
-    watch loop feeds into its :class:`~repro.perf.timeseries.
-    MetricsSampler`) shows a positive trend over the window —
-    latency is still *within* SLO but drifting toward the cliff, the
-    multi-tenant early-warning a hard p99 threshold fires too late
-    for.  Requires a ``sampler``; see :func:`install_ops_triggers`.
 
 Each firing appends an :class:`~repro.ops.checks.OpsAlert` to the
 shared alert log, which ``repro doctor`` surfaces through the
@@ -54,7 +53,12 @@ from typing import Callable, Dict, List, Optional
 from ..perf import PERF
 from ..tracing.events import TraceEventType
 from ..tracing.triggers import Trigger
-from .checks import OpsAlert
+from .checks import (CCS_FLAP_WINDOW_MS, CCS_FLAPS, MAX_DEDUP_ENTRIES,
+                     MAX_RETRANSMITS, MAX_TREE_REPAIRS, OpsAlert,
+                     p99_regression)
+
+#: The operation class the p99 trigger judges.
+P99_OP = "rpc_rtt"
 
 
 def _alerting(name: str, alerts: List[OpsAlert],
@@ -69,53 +73,45 @@ def _alerting(name: str, alerts: List[OpsAlert],
 
 def p99_regression_trigger(summary_fn: Callable[[], Dict[str, dict]],
                            baseline_p99_ms: float,
-                           alerts: List[OpsAlert],
-                           op: str = "rpc_rtt",
-                           factor: float = 2.0,
-                           min_count: int = 5) -> Trigger:
-    """Fire when ``op``'s p99 exceeds ``factor`` x the baseline."""
-    state = {"p99": None}
+                           alerts: List[OpsAlert]) -> Trigger:
+    """Fire when the ``rpc_rtt`` p99 regresses against the baseline
+    (:func:`~repro.ops.checks.p99_regression`)."""
+    state = {"breach": ""}
 
     def predicate(event, history) -> bool:
-        block = summary_fn().get(op) or {}
-        if block.get("count", 0) < min_count:
+        breach = p99_regression(P99_OP, summary_fn().get(P99_OP),
+                                baseline_p99_ms)
+        if breach is None:
             return False
-        p99 = block.get("p99_ms")
-        if p99 is None or p99 <= factor * baseline_p99_ms:
-            return False
-        state["p99"] = p99
+        state["breach"] = breach
         return True
 
     return Trigger(
         name="ops:p99-regression",
-        action=_alerting(
-            "ops:p99-regression", alerts,
-            lambda: "%s p99 %.1fms > %.1fx baseline %.1fms"
-            % (op, state["p99"], factor, baseline_p99_ms)),
+        action=_alerting("ops:p99-regression", alerts,
+                         lambda: state["breach"]),
         predicate=predicate, once=True)
 
 
-def tree_repair_storm_trigger(alerts: List[OpsAlert],
-                              threshold: int = 10) -> Trigger:
-    """Fire when tree repairs since arming exceed ``threshold``."""
+def tree_repair_storm_trigger(alerts: List[OpsAlert]) -> Trigger:
+    """Fire when tree repairs since arming exceed ``MAX_TREE_REPAIRS``."""
     start = PERF.tree_repairs
 
     def predicate(event, history) -> bool:
-        return PERF.tree_repairs - start >= threshold
+        return PERF.tree_repairs - start > MAX_TREE_REPAIRS
 
     return Trigger(
         name="ops:tree-repair-storm",
         action=_alerting(
             "ops:tree-repair-storm", alerts,
             lambda: "%d tree repairs since armed (threshold %d)"
-            % (PERF.tree_repairs - start, threshold)),
+            % (PERF.tree_repairs - start, MAX_TREE_REPAIRS)),
         predicate=predicate, once=True)
 
 
-def ccs_flap_trigger(alerts: List[OpsAlert],
-                     window_ms: float = 60_000.0,
-                     threshold: int = 3) -> Trigger:
-    """Fire when the CCS role flaps ``threshold`` times in a window."""
+def ccs_flap_trigger(alerts: List[OpsAlert]) -> Trigger:
+    """Fire when the CCS role changes hands ``CCS_FLAPS`` times inside
+    ``CCS_FLAP_WINDOW_MS``."""
     flap_types = (TraceEventType.CCS_ASSUMED,
                   TraceEventType.CCS_RELINQUISHED)
     state = {"count": 0}
@@ -123,30 +119,30 @@ def ccs_flap_trigger(alerts: List[OpsAlert],
     def predicate(event, history) -> bool:
         if event.event_type not in flap_types:
             return False
-        count = sum(history.count_in_window(event.time_ms, window_ms,
-                                            flap_type)
+        count = sum(history.count_in_window(event.time_ms,
+                                            CCS_FLAP_WINDOW_MS, flap_type)
                     for flap_type in flap_types)
         state["count"] = count
-        return count >= threshold
+        return count >= CCS_FLAPS
 
     return Trigger(
         name="ops:ccs-flap",
         action=_alerting(
             "ops:ccs-flap", alerts,
             lambda: "%d CCS role changes in %.0fms (threshold %d)"
-            % (state["count"], window_ms, threshold)),
+            % (state["count"], CCS_FLAP_WINDOW_MS, CCS_FLAPS)),
         predicate=predicate, once=True)
 
 
 def dedup_cache_blowup_trigger(size_fn: Callable[[], int],
-                               alerts: List[OpsAlert],
-                               threshold: int = 10_000) -> Trigger:
-    """Fire when the broadcast dedup seen-set exceeds ``threshold``."""
+                               alerts: List[OpsAlert]) -> Trigger:
+    """Fire when the broadcast dedup seen-set exceeds
+    ``MAX_DEDUP_ENTRIES``."""
     state = {"size": 0}
 
     def predicate(event, history) -> bool:
         size = size_fn()
-        if size <= threshold:
+        if size <= MAX_DEDUP_ENTRIES:
             return False
         state["size"] = size
         return True
@@ -156,24 +152,24 @@ def dedup_cache_blowup_trigger(size_fn: Callable[[], int],
         action=_alerting(
             "ops:dedup-cache-blowup", alerts,
             lambda: "dedup seen-set at %d entries (threshold %d)"
-            % (state["size"], threshold)),
+            % (state["size"], MAX_DEDUP_ENTRIES)),
         predicate=predicate, once=True)
 
 
-def retransmission_storm_trigger(alerts: List[OpsAlert],
-                                 threshold: int = 25) -> Trigger:
-    """Fire when retransmissions since arming exceed ``threshold``."""
+def retransmission_storm_trigger(alerts: List[OpsAlert]) -> Trigger:
+    """Fire when retransmissions since arming exceed
+    ``MAX_RETRANSMITS``."""
     start = PERF.requests_retransmitted
 
     def predicate(event, history) -> bool:
-        return PERF.requests_retransmitted - start >= threshold
+        return PERF.requests_retransmitted - start > MAX_RETRANSMITS
 
     return Trigger(
         name="ops:retransmission-storm",
         action=_alerting(
             "ops:retransmission-storm", alerts,
             lambda: "%d retransmissions since armed (threshold %d)"
-            % (PERF.requests_retransmitted - start, threshold)),
+            % (PERF.requests_retransmitted - start, MAX_RETRANSMITS)),
         predicate=predicate, once=True)
 
 
@@ -214,51 +210,11 @@ def watch_onset_trigger(alerts: List[OpsAlert]) -> Trigger:
         predicate=predicate)
 
 
-def latency_rising_trigger(sampler, alerts: List[OpsAlert],
-                           op: str = "rpc_rtt",
-                           window_ms: float = 60_000.0,
-                           min_rate_ms_per_s: float = 1.0) -> Trigger:
-    """Fire when ``op``'s sampled p99 trends upward across the window.
-
-    Evaluated against :meth:`~repro.perf.timeseries.MetricsSampler.
-    rising` over the ``<op>_p99_ms`` ring series, so it needs at least
-    two watch sweeps' worth of samples before it can fire; the rate
-    floor keeps bucket-granularity wobble from latching an alert.
-    """
-    series = "%s_p99_ms" % (op,)
-    state = {"rate": 0.0}
-
-    def predicate(event, history) -> bool:
-        rate = sampler.rising((series,), window_ms).get(series)
-        if rate is None or rate < min_rate_ms_per_s:
-            return False
-        state["rate"] = rate
-        return True
-
-    return Trigger(
-        name="ops:latency-rising",
-        action=_alerting(
-            "ops:latency-rising", alerts,
-            lambda: "%s p99 rising %.2f ms/s over %.0fms window"
-            % (op, state["rate"], window_ms)),
-        predicate=predicate, once=True)
-
-
 def install_ops_triggers(engine,
                          alerts: Optional[List[OpsAlert]] = None,
                          summary_fn: Optional[Callable] = None,
                          baseline: Optional[Dict[str, float]] = None,
-                         dedup_size_fn: Optional[Callable] = None,
-                         p99_op: str = "rpc_rtt",
-                         p99_factor: float = 2.0,
-                         repair_threshold: int = 10,
-                         flap_window_ms: float = 60_000.0,
-                         flap_threshold: int = 3,
-                         dedup_threshold: int = 10_000,
-                         retransmit_threshold: int = 25,
-                         sampler=None,
-                         rising_window_ms: float = 60_000.0,
-                         rising_min_rate_ms_per_s: float = 1.0
+                         dedup_size_fn: Optional[Callable] = None
                          ) -> List[OpsAlert]:
     """Arm the standard operational set on a trigger engine.
 
@@ -266,9 +222,8 @@ def install_ops_triggers(engine,
     :func:`repro.ops.doctor.probe_world` so the doctor's
     ``trigger-alerts`` check sees the firings.  The p99 trigger is
     installed only when both a ``summary_fn`` and a baseline p99 for
-    ``p99_op`` are available; the dedup trigger only with a
-    ``dedup_size_fn``; the latency-rising trigger only with a
-    ``sampler`` (the one the watch loop feeds).
+    ``rpc_rtt`` are available; the dedup trigger only with a
+    ``dedup_size_fn``.
 
     Idempotent per engine: a trigger whose name is already armed is
     skipped, so arming twice (a session helper *and* a watch loop,
@@ -284,22 +239,13 @@ def install_ops_triggers(engine,
             engine.add(trigger)
 
     if summary_fn is not None and baseline and \
-            baseline.get(p99_op) is not None:
-        arm(p99_regression_trigger(
-            summary_fn, baseline[p99_op], log, op=p99_op,
-            factor=p99_factor))
-    arm(tree_repair_storm_trigger(log, threshold=repair_threshold))
-    arm(ccs_flap_trigger(log, window_ms=flap_window_ms,
-                         threshold=flap_threshold))
+            baseline.get(P99_OP) is not None:
+        arm(p99_regression_trigger(summary_fn, baseline[P99_OP], log))
+    arm(tree_repair_storm_trigger(log))
+    arm(ccs_flap_trigger(log))
     if dedup_size_fn is not None:
-        arm(dedup_cache_blowup_trigger(
-            dedup_size_fn, log, threshold=dedup_threshold))
-    arm(retransmission_storm_trigger(
-        log, threshold=retransmit_threshold))
-    if sampler is not None:
-        arm(latency_rising_trigger(
-            sampler, log, op=p99_op, window_ms=rising_window_ms,
-            min_rate_ms_per_s=rising_min_rate_ms_per_s))
+        arm(dedup_cache_blowup_trigger(dedup_size_fn, log))
+    arm(retransmission_storm_trigger(log))
     arm(host_down_trigger(log))
     arm(watch_onset_trigger(log))
     return log

@@ -36,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..perf import PERF, MetricsSampler
+from ..perf import PERF
 from ..tracing.events import TraceEventType
-from .checks import (CHECK_ORDER, DoctorConfig, DoctorReport,
-                     offending_entities)
+from .checks import CHECK_ORDER, DoctorReport, offending_entities
 from .doctor import probe_fleet, probe_world, run_doctor
 
 #: Default sweep interval: netsim virtual ms / realnet wall ms.
@@ -83,21 +82,24 @@ class Watcher:
 
     Feed it one :class:`~repro.ops.checks.DoctorReport` per sweep;
     it remembers which checks were failing and returns only the
-    transitions.  Side channels are all optional: a ``journal``
-    persists edges, a ``recorder`` turns them into ``WATCH_EDGE``
-    trace events (which the ``ops:watch-onset`` trigger consumes),
-    and a ``sampler`` snapshots the perf counters per sweep.
-    ``checks`` narrows the watched set (default: all nine).
+    transitions.  Side channels are both optional: a ``journal``
+    persists edges, and a ``recorder`` turns them into ``WATCH_EDGE``
+    trace events (which the ``ops:watch-onset`` trigger consumes).
+    ``checks`` narrows the watched set (default: all nine); a name
+    outside ``CHECK_ORDER`` is a ``ValueError``, since it would watch
+    nothing and report a sick world healthy.
     """
 
     def __init__(self, checks: Optional[Sequence[str]] = None,
-                 recorder=None, journal=None,
-                 sampler: Optional[MetricsSampler] = None) -> None:
+                 recorder=None, journal=None) -> None:
         self.checks: Optional[Tuple[str, ...]] = \
             tuple(checks) if checks is not None else None
+        unknown = sorted(set(self.checks or ()) - set(CHECK_ORDER))
+        if unknown:
+            raise ValueError("unknown check(s) %s; choose from %s"
+                             % (", ".join(unknown), ", ".join(CHECK_ORDER)))
         self.recorder = recorder
         self.journal = journal
-        self.sampler = sampler
         self.sweeps = 0
         self.edges: List[WatchEdge] = []
         #: failing check -> (onset t_ms, onset entities)
@@ -115,10 +117,6 @@ class Watcher:
         """Diff one sweep's report against the previous; record edges."""
         PERF.watch_sweeps += 1
         self.sweeps += 1
-        if self.sampler is not None:
-            view = report.view
-            self.sampler.sample(
-                t_ms, latency=view.latency if view is not None else None)
         edges: List[WatchEdge] = []
         for result in report.results:
             if self.checks is not None and result.name not in self.checks:
@@ -161,10 +159,8 @@ class Watcher:
 def watch_world(world, interval_ms: float = DEFAULT_INTERVAL_MS,
                 max_sweeps: int = 8,
                 journal=None, checks: Optional[Sequence[str]] = None,
-                sampler: Optional[MetricsSampler] = None,
                 alerts=None, engines: Sequence = (),
                 baseline: Optional[Dict[str, float]] = None,
-                config: Optional[DoctorConfig] = None,
                 on_sweep: Optional[Callable] = None) -> Watcher:
     """Watch an in-process netsim world.
 
@@ -177,14 +173,14 @@ def watch_world(world, interval_ms: float = DEFAULT_INTERVAL_MS,
     repair the world mid-watch.
     """
     watcher = Watcher(checks=checks, recorder=world.recorder,
-                      journal=journal, sampler=sampler)
+                      journal=journal)
     if journal is not None:
         journal.start("netsim", interval_ms, watcher.check_roster(),
                       t_ms=float(world.sim.now_ms))
     for _ in range(max_sweeps):
         world.run_for(interval_ms)
         view = probe_world(world, alerts=alerts, engines=engines)
-        report = run_doctor(view, baseline=baseline, config=config)
+        report = run_doctor(view, baseline=baseline)
         edges = watcher.feed(report, t_ms=view.probed_at_ms)
         if on_sweep is not None:
             on_sweep(watcher, report, edges)
@@ -197,10 +193,8 @@ def watch_fleet(registry_path: str,
                 expected_hosts: Optional[Sequence[str]] = None,
                 timeout_ms: float = 3000.0,
                 journal=None, checks: Optional[Sequence[str]] = None,
-                sampler: Optional[MetricsSampler] = None,
                 alerts=None,
                 baseline: Optional[Dict[str, float]] = None,
-                config: Optional[DoctorConfig] = None,
                 on_sweep: Optional[Callable] = None,
                 recorder=None) -> Watcher:
     """Watch a live ``repro serve`` fleet over real TCP.
@@ -217,7 +211,7 @@ def watch_fleet(registry_path: str,
     from ..realnet.registry import HostRegistry
 
     watcher = Watcher(checks=checks, recorder=recorder,
-                      journal=journal, sampler=sampler)
+                      journal=journal)
     fabric = AsyncioFabric(HostRegistry(registry_path),
                            local_host="watch")
     if journal is not None:
@@ -232,7 +226,7 @@ def watch_fleet(registry_path: str,
                                expected_hosts=expected_hosts,
                                timeout_ms=timeout_ms, alerts=alerts,
                                fabric=fabric)
-            report = run_doctor(view, baseline=baseline, config=config)
+            report = run_doctor(view, baseline=baseline)
             edges = watcher.feed(report, t_ms=view.probed_at_ms)
             if on_sweep is not None:
                 on_sweep(watcher, report, edges)

@@ -21,7 +21,6 @@ from .counters import PERF, PerfCounters
 from .histogram import BUCKET_BOUNDS_MS, LatencyHistogram
 from .spans import (OP_CLASSES, Span, SpanTracer, disable_tracing,
                     enable_tracing)
-from .timeseries import DEFAULT_CAPACITY, MetricsSampler, RingSeries
 
 __all__ = [
     "PERF", "PerfCounters",
@@ -29,5 +28,4 @@ __all__ = [
     "OP_CLASSES", "Span", "SpanTracer", "enable_tracing",
     "disable_tracing",
     "chrome_trace", "chrome_trace_events", "write_chrome_trace",
-    "DEFAULT_CAPACITY", "MetricsSampler", "RingSeries",
 ]

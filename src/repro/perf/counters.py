@@ -154,7 +154,7 @@ Operational surface (``repro.ops``):
     Operational-trigger firings latched onto an alert log (the
     prebuilt ``ops:*`` triggers' default action).
 
-Continuous watch (``repro.ops.watch``, ``repro.perf.timeseries``):
+Continuous watch (``repro.ops.watch``):
 
 ``watch_sweeps``
     Probe sweeps a watch loop fed through its edge detector
@@ -164,9 +164,6 @@ Continuous watch (``repro.ops.watch``, ``repro.perf.timeseries``):
     Onset/clear transitions the watch loop detected and journalled
     (each incident contributes one onset and, once recovered, one
     clear).
-``watch_samples``
-    Time-series sampling ticks (:meth:`MetricsSampler.sample` calls —
-    one per sweep when a sampler is attached).
 
 Span tracing (``repro.perf.spans``):
 
@@ -221,7 +218,6 @@ _COUNTERS = (
     "ops_alerts_raised",
     "watch_sweeps",
     "watch_edges",
-    "watch_samples",
     "spans_started",
     "spans_finished",
     "histogram_records",

@@ -8,7 +8,6 @@ names the exit) is pinned here because CI scripts match on it.
 from repro.ops import (
     CHECK_ORDER,
     EXIT_CODES,
-    DoctorConfig,
     HostHealth,
     LpmHealth,
     OpsAlert,
@@ -19,6 +18,8 @@ from repro.ops import (
     report_to_dict,
     run_checks,
 )
+from repro.ops.checks import (MAX_PENDING_REQUESTS, MAX_RETRANSMITS,
+                              SLO_FACTOR, SLO_MIN_COUNT)
 
 
 def healthy_view(**overrides) -> WorldView:
@@ -186,16 +187,18 @@ class TestRpcAnomalies:
 
     def test_pending_request_pileup_fails(self):
         view = healthy_view(lpms=[
-            LpmHealth("alpha", "lfc", alive=True, pending_requests=65)])
+            LpmHealth("alpha", "lfc", alive=True,
+                      pending_requests=MAX_PENDING_REQUESTS + 1)])
         result = result_for(run_checks(view), "rpc-anomalies")
         assert not result.ok and "pending" in result.detail
 
-    def test_thresholds_come_from_config(self):
-        view = healthy_view(counters={"requests_retransmitted": 3})
-        config = DoctorConfig(max_retransmits=2)
-        result = result_for(run_checks(view, config=config),
-                            "rpc-anomalies")
-        assert not result.ok
+    def test_retransmits_fail_only_past_max_retransmits(self):
+        at_limit = healthy_view(
+            counters={"requests_retransmitted": MAX_RETRANSMITS})
+        assert result_for(run_checks(at_limit), "rpc-anomalies").ok
+        past = healthy_view(
+            counters={"requests_retransmitted": MAX_RETRANSMITS + 1})
+        assert not result_for(run_checks(past), "rpc-anomalies").ok
 
 
 class TestLatencySlo:
@@ -224,6 +227,18 @@ class TestLatencySlo:
         result = result_for(run_checks(view, baseline={"rpc_rtt": 100.0}),
                             "latency-slo")
         assert result.ok
+
+    def test_boundary_is_slo_factor_over_slo_min_count(self):
+        def judged(count, p99_ms):
+            view = healthy_view(latency={
+                "rpc_rtt": {"count": count, "p99_ms": p99_ms}})
+            return result_for(
+                run_checks(view, baseline={"rpc_rtt": 100.0}),
+                "latency-slo").ok
+
+        assert judged(SLO_MIN_COUNT, SLO_FACTOR * 100.0)
+        assert not judged(SLO_MIN_COUNT, SLO_FACTOR * 100.0 + 0.1)
+        assert judged(SLO_MIN_COUNT - 1, 1_000.0)
 
 
 class TestRegistryStaleness:

@@ -11,7 +11,7 @@ from repro.ops import (EXIT_CODES, IncidentJournal, Watcher, WorldView,
                        render_incidents, run_checks, watch_world)
 from repro.ops.checks import HostHealth
 from repro.ops.watch import RUNBOOK_ANCHORS
-from repro.perf import PERF, MetricsSampler
+from repro.perf import PERF
 from repro.tracing import TraceEventType, TraceRecorder, TriggerEngine
 
 HOSTS = ["alpha", "beta", "gamma"]
@@ -114,13 +114,11 @@ class TestWatcherEdges:
                     if a.name == "ops:watch-onset"]) == 1
         assert recorder.count(TraceEventType.WATCH_EDGE) == 2
 
-    def test_sampler_ticks_once_per_sweep(self):
-        sampler = MetricsSampler(counters=("events_run",))
-        watcher = Watcher(checks=("daemon-liveness",), sampler=sampler)
-        for t_ms in (0.0, 100.0, 200.0):
-            watcher.feed(run_checks(make_view()), t_ms)
-        assert PERF.watch_samples == 3
-        assert len(sampler.series["events_run"]) == 3
+    def test_unknown_check_name_is_rejected(self):
+        # A misspelt name would watch nothing and call a sick world
+        # healthy.
+        with pytest.raises(ValueError, match="daemon-livenes"):
+            Watcher(checks=("daemon-livenes",))
 
 
 class TestIncidentJournal:

@@ -183,6 +183,17 @@ def test_watch_unrecovered_incident_names_the_exit(capsys):
     assert "1 open incident(s)" in capsys.readouterr().out
 
 
+def test_watch_rejects_a_misspelt_check_name(capsys):
+    # Watching no check would report the drill's crash as healthy.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["watch", "--inject", "dead-host",
+              "--checks", "daemon-livenes"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'daemon-livenes'" in err
+    assert "daemon-liveness" in err
+
+
 def test_watch_then_incidents_roundtrip(tmp_path, capsys):
     journal = tmp_path / "journal.jsonl"
     main(["watch", "--seed", "2", "--inject", "dead-host",

@@ -4,10 +4,11 @@
 Three checks keep the docs from rotting as the codebase grows:
 
 1. **Link validity** — every relative markdown link in every tracked
-   ``*.md`` file must point at a file (or directory) that exists.
-   External links (``http://``, ``https://``, ``mailto:``) and pure
-   in-page anchors (``#...``) are ignored, as are links inside fenced
-   code blocks.
+   ``*.md`` file must point at a file (or directory) that exists, and
+   a ``file.md#anchor`` fragment must name a heading of that file (its
+   GitHub slug).  External links (``http://``, ``https://``,
+   ``mailto:``) and pure in-page anchors (``#...``) are ignored, as
+   are links and headings inside fenced code blocks.
 
 2. **Package coverage** — every package under ``src/repro/`` must be
    mentioned (as ``repro.<name>``) in ``DESIGN.md`` or somewhere under
@@ -32,7 +33,7 @@ from __future__ import annotations
 import os
 import re
 import sys
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -42,6 +43,7 @@ SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules",
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"^\s*(```|~~~)")
+_HEADING = re.compile(r"^#{1,6}\s+(.*?)[\s#]*$")
 
 
 def markdown_files() -> Iterator[str]:
@@ -53,32 +55,65 @@ def markdown_files() -> Iterator[str]:
                 yield os.path.join(dirpath, filename)
 
 
-def links_in(path: str) -> Iterator[Tuple[int, str]]:
-    """``(line_number, target)`` for every link outside code fences."""
+def unfenced_lines(path: str) -> Iterator[Tuple[int, str]]:
+    """``(line_number, line)`` for every line outside code fences."""
     in_fence = False
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if _FENCE.match(line):
                 in_fence = not in_fence
-                continue
-            if in_fence:
-                continue
-            for match in _LINK.finditer(line):
-                yield lineno, match.group(1)
+            elif not in_fence:
+                yield lineno, line
+
+
+def links_in(path: str) -> Iterator[Tuple[int, str]]:
+    """``(line_number, target)`` for every link outside code fences."""
+    for lineno, line in unfenced_lines(path):
+        for match in _LINK.finditer(line):
+            yield lineno, match.group(1)
+
+
+def github_slug(heading: str) -> str:
+    """The anchor GitHub gives a heading: link markup reduced to its
+    text, lower-cased, punctuation dropped, spaces made hyphens."""
+    text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", heading).lower()
+    return re.sub(r"[^\w\- ]", "", text).replace(" ", "-")
+
+
+def anchors_in(path: str) -> Set[str]:
+    """Every heading anchor of a markdown file; a repeated heading gets
+    GitHub's ``-1``, ``-2`` ... suffixes."""
+    anchors: Set[str] = set()
+    seen: Dict[str, int] = {}
+    for _lineno, line in unfenced_lines(path):
+        match = _HEADING.match(line)
+        if match:
+            slug = github_slug(match.group(1))
+            repeat = seen.get(slug, 0)
+            seen[slug] = repeat + 1
+            anchors.add(slug if not repeat else "%s-%d" % (slug, repeat))
+    return anchors
 
 
 def check_links() -> List[str]:
     errors: List[str] = []
+    anchors: Dict[str, Set[str]] = {}
     for path in markdown_files():
         rel = os.path.relpath(path, REPO_ROOT)
         for lineno, target in links_in(path):
             if target.startswith(("http://", "https://", "mailto:", "#")):
                 continue
+            file_part, _, fragment = target.partition("#")
             resolved = os.path.normpath(
-                os.path.join(os.path.dirname(path),
-                             target.split("#", 1)[0]))
+                os.path.join(os.path.dirname(path), file_part))
             if not os.path.exists(resolved):
                 errors.append("%s:%d: broken link %r" % (rel, lineno, target))
+            elif fragment and resolved.endswith(".md"):
+                if resolved not in anchors:
+                    anchors[resolved] = anchors_in(resolved)
+                if fragment not in anchors[resolved]:
+                    errors.append("%s:%d: no heading for anchor %r"
+                                  % (rel, lineno, target))
     return errors
 
 
