@@ -30,21 +30,6 @@ runs through:
     ``doctor_runs``/``watch_sweeps`` count one per sweep with zero
     ``watch_edges``.
 
-``locate_200_hosts``
-    The steady-state LOCATE cost at scale (24 hosts under --smoke):
-    the full-mesh overlay, where every lookup floods all O(n²) edges,
-    against the ``sparse`` bounded-degree overlay, where the first
-    lookup floods O(n·k) edges and repeats ride the route cache (a
-    two-message unicast probe), repeat *broadcasts* ride the pruned
-    per-source tree (~n−1 forwards), and repeated failed lookups are
-    refused from the negative cache without any traffic.  Records
-    open-link counts and per-locate flood forwards for both shapes.
-
-``locate_500_hosts``
-    The sparse overlay alone at 500 hosts (48 under --smoke) on a
-    two-level hub topology — 10 fully meshed backbone hosts with the
-    rest hanging off them, O(n) physical links.
-
 ``multitenant_50x24``
     The multi-tenant claim: 50 users x 24 hosts (8 x 6 under --smoke)
     under the open-loop lognormal workload of ``benchmarks.workloads``
@@ -104,8 +89,6 @@ _REPORTED = (
     "heap_compactions",
     "gather_merges", "gather_records_merged",
     "stream_batched_deliveries", "stream_segments_drained",
-    "tree_forwards", "tree_prunes", "tree_repairs",
-    "locate_cache_hits", "locate_cache_stale",
     "circuit_shares", "circuit_lanes_attached", "auth_cache_hits",
 )
 
@@ -308,27 +291,8 @@ def bench_watch_steady(smoke: bool = False) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenarios 5-7: LOCATE at scale and multi-tenancy (scenarios.py)
+# Scenario 5: multi-tenancy (scenarios.py)
 # ----------------------------------------------------------------------
-
-def bench_locate(smoke: bool = False) -> dict:
-    from .scenarios import locate_scenario
-
-    return _measure(locate_scenario(
-        n_hosts=24 if smoke else 200,
-        mesh_locates=2,                     # each refloods the mesh
-        sparse_locates=5 if smoke else 8))  # cached, nearly free
-
-
-def bench_locate_500(smoke: bool = False) -> dict:
-    from .scenarios import locate_scenario
-
-    return _measure(locate_scenario(
-        n_hosts=48 if smoke else 500,
-        sparse_locates=5 if smoke else 8,
-        policies=("sparse",),
-        hubs=4 if smoke else 10))
-
 
 def bench_multitenant(smoke: bool = False) -> dict:
     from .scenarios import multitenant_scenario
@@ -350,8 +314,6 @@ SCENARIOS = {
     "snapshot_40_hosts": bench_snapshot,
     "span_overhead": bench_span_overhead,
     "watch_steady": bench_watch_steady,
-    "locate_200_hosts": bench_locate,
-    "locate_500_hosts": bench_locate_500,
     "multitenant_50x24": bench_multitenant,
 }
 

@@ -62,15 +62,8 @@ class PPMConfig:
 
     #: Sibling-graph policy: ``"on_demand"`` opens connections only when
     #: needed (the paper's design); ``"full_mesh"`` keeps all pairs
-    #: connected (the A3 ablation); ``"sparse"`` maintains a
-    #: bounded-degree ring-plus-chords overlay (with per-source
-    #: broadcast trees and cache-first LOCATE) so sessions scale past
-    #: ~100 hosts with O(n·k) links instead of O(n²).
+    #: connected (the A3 ablation).
     topology_policy: str = "on_demand"
-
-    #: Target degree of the ``"sparse"`` overlay (ring plus chords;
-    #: each LPM keeps about this many overlay links).
-    sparse_degree: int = 6
 
     #: Transport between sibling LPMs: ``"stream"`` (the paper's TCP
     #: virtual circuits) or ``"datagram"`` (the scalability alternative
@@ -121,13 +114,10 @@ class PPMConfig:
             raise ConfigError("handler_pool_max must be at least 1")
         if self.request_timeout_ms <= 0:
             raise ConfigError("request_timeout_ms must be positive")
-        if self.topology_policy not in ("on_demand", "full_mesh",
-                                        "sparse"):
+        if self.topology_policy not in ("on_demand", "full_mesh"):
             raise ConfigError(
-                "topology_policy must be 'on_demand', 'full_mesh', or "
-                "'sparse', got %r" % (self.topology_policy,))
-        if self.sparse_degree < 2:
-            raise ConfigError("sparse_degree must be at least 2")
+                "topology_policy must be 'on_demand' or 'full_mesh', "
+                "got %r" % (self.topology_policy,))
         if self.transport not in ("stream", "datagram"):
             raise ConfigError(
                 "transport must be 'stream' or 'datagram', got %r"

@@ -3,7 +3,7 @@
 A PPM is "a distributed program based on a collection of user processes
 which make use of specialized system daemons" (abstract).  This package
 implements the Local Process Manager (LPM), the message protocol between
-siblings, broadcast over the sparse on-demand topology, route caching,
+siblings, broadcast over the on-demand sibling graph, route caching,
 the snapshot and resource-statistics tools, cross-machine process
 control, crash recovery with the Crash Coordinator Site, and the
 subroutine library tools link against.

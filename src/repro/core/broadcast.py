@@ -1,4 +1,4 @@
-"""Broadcast over the sparse on-demand overlay.
+"""Broadcast over the on-demand sibling graph.
 
 "Because our on-demand communication topology is designed to produce
 low-connectivity graphs, we have to pay a price for broadcast requests.
@@ -13,13 +13,6 @@ retention window, and floods unseen requests to every sibling except the
 arrival link — flooding over a connected graph is the graph-covering
 algorithm.  A hop limit guards the pathological window=0 configuration
 the A2 ablation explores.
-
-Under the ``sparse`` topology policy the flood's accept/duplicate
-verdicts double as per-source spanning-tree feedback: the link a fresh
-stamp arrived on is the reverse-path parent, and every duplicate drop
-identifies a non-tree edge for :mod:`repro.core.spantree` to prune, so
-repeat broadcasts from the same source traverse ~(n−1) tree links.  The
-stamp's monotone ``seq`` doubles as the tree epoch.
 """
 
 from __future__ import annotations

@@ -121,7 +121,7 @@ class DatagramEndpoint:
                     "token": token, "secret": lpm.secret,
                     "ccs_host": lpm.ccs_host,
                     "intro_id": self.fabric.next_intro_id(),
-                    "known": lpm.topology.known_hosts()}
+                    "known": lpm.transport.authenticated()}
         self._transmit(datagram, nbytes, 0.0, tries=1)
 
     def _transmit(self, datagram: dict, nbytes: int,
@@ -399,7 +399,7 @@ class DatagramFabric:
             {"kind": "intro_ack", "seq": 0,
              "acked_seq": datagram["seq"], "from_host": lpm.name,
              "secret": lpm.secret, "ccs_host": lpm.ccs_host,
-             "known": lpm.topology.known_hosts()},
+             "known": lpm.transport.authenticated()},
             nbytes=200)
 
     def _handle_data(self, datagram: dict, sender: str) -> None:

@@ -21,11 +21,7 @@ the paper describes:
 * :mod:`repro.core.router` — forwarding over cached source-destination
   routes, route learning and invalidation;
 * :mod:`repro.core.gather` — the recursive snapshot/rstats collection
-  with gpid-sorted record merging;
-* :mod:`repro.core.topology` — session membership and the
-  bounded-degree ``sparse`` overlay wiring;
-* :mod:`repro.core.spantree` — per-source broadcast trees (prune on
-  duplicate feedback, flood fallback and repair).
+  with gpid-sorted record merging.
 
 What remains here is what only the LPM can do: own the kernel and
 accept sockets, the local process records, request execution
@@ -42,7 +38,6 @@ from typing import Callable, Dict, List, Optional
 from ..errors import ConnectionClosedError, ReproError
 from ..ids import GlobalPid
 from ..latency import load_factor
-from ..perf import PERF
 from ..tracing.events import TraceEventType
 from ..unixsim.process import ProcState, trace_flags_from_names
 from ..util import Deferred
@@ -55,16 +50,10 @@ from .processtable import INFRA_COMMANDS, ProcessTable
 from .recovery import RecoveryManager
 from .router import MessageRouter
 from .rpc import RequestChannel
-from .spantree import TreeBroadcast
 from .toolservice import ToolService
-from .topology import TopologyManager
 from .transport import SiblingTransport
 
 __all__ = ["INFRA_COMMANDS", "LocalProcessManager", "install"]
-
-#: How long a cache-first LOCATE probe (unicast along a cached route)
-#: waits before falling back to the broadcast flood.
-LOCATE_PROBE_TIMEOUT_MS = 2_000.0
 
 #: Trace granularity for adopted processes, as flag names from
 #: :mod:`repro.tracing.events` (section 2: "accept parameters that
@@ -113,8 +102,6 @@ class LocalProcessManager:
             lambda: self.sim.now_ms, lambda: self.secret)
         # The layers (see the module docstring) plus tool serving.
         self.transport = SiblingTransport(self)
-        self.topology = TopologyManager(self)
-        self.treecast = TreeBroadcast(self)
         self.router = MessageRouter(self)
         self.rpc = RequestChannel(self)
         self.gather = GatherEngine(self)
@@ -305,12 +292,6 @@ class LocalProcessManager:
             self._handle_create(message)
         elif kind is MsgKind.LOCATE:
             self._handle_locate(message, peer)
-        elif kind is MsgKind.TOPO_GOSSIP:
-            self.topology.on_gossip(message)
-        elif kind is MsgKind.TREE_PRUNE:
-            self.treecast.on_prune(message, peer)
-        elif kind is MsgKind.TREE_REPAIR:
-            self.treecast.on_repair(message, peer)
         elif kind is MsgKind.CCS_REPORT:
             self.recovery.on_ccs_report(message)
         elif kind is MsgKind.CCS_PROBE:
@@ -388,19 +369,6 @@ class LocalProcessManager:
 
     def _handle_locate(self, message: Message, from_host: str) -> None:
         tracer = self.sim.tracer
-        if message.broadcast is None:
-            # A cache-first unicast probe addressed to this host (the
-            # sparse policy's fast path): answer found / not-found
-            # directly; no flood, no dedup state.
-            target = message.payload["pid"]
-            found = message.payload["host"] == self.name and \
-                target in self.records
-            payload = {"ok": found, "host": self.name, "pid": target}
-            if found:
-                payload["state"] = self.records[target].state
-            self.router.route_send(message.make_reply(
-                MsgKind.LOCATE_ACK, self.name, payload))
-            return
         if not self.broadcast.should_accept(message.broadcast,
                                             hops=len(message.route)):
             if tracer is not None:
@@ -409,8 +377,6 @@ class LocalProcessManager:
                                origin=message.origin)
             self._trace(TraceEventType.BROADCAST_DUPLICATE,
                         origin=message.origin)
-            # Duplicate-drop feedback: this edge is not a tree edge.
-            self.treecast.on_duplicate(message, from_host)
             return
         if tracer is not None:
             tracer.instant("dedup:accept", host=self.name,
@@ -419,9 +385,6 @@ class LocalProcessManager:
         target = message.payload["pid"]
         target_host = message.payload["host"]
         if target_host == self.name and target in self.records:
-            # The flood stops here; leave a leaf tree entry so repeat
-            # tree broadcasts don't mistake this host for severed state.
-            self.treecast.on_found(message, from_host)
             reply = message.make_reply(
                 MsgKind.LOCATE_ACK, self.name,
                 {"ok": True, "host": self.name, "pid": target,
@@ -431,9 +394,9 @@ class LocalProcessManager:
         # Flood onward (graph covering), extending the recorded route.
         # Loop suppression is the signed-timestamp seen-set alone, as in
         # the paper; the route is for the reply, not a visited list.
-        # Under the sparse policy, a built tree narrows the targets to
-        # this host's unpruned children (see repro.core.spantree).
-        for peer in self.treecast.forward_targets(message, from_host):
+        for peer in self.authenticated_siblings():
+            if peer == from_host:
+                continue
             onward = Message(kind=MsgKind.LOCATE, req_id=message.req_id,
                              origin=message.origin, user=message.user,
                              payload=dict(message.payload),
@@ -456,64 +419,13 @@ class LocalProcessManager:
     def locate(self, host: str, pid: int,
                on_result: Callable[[Optional[Message]], None],
                timeout_ms: float = 5_000.0, trace_parent=None) -> None:
-        """Find process ``<host, pid>`` on the overlay.
-
-        Under the ``sparse`` policy the caches are consulted first: a
-        fresh negative-cache entry answers None locally, and a cached
-        (or direct) route to the owner host is probed with a unicast
-        LOCATE.  Only the named host can ever answer a LOCATE, so its
-        probe reply — found or not — is authoritative; only a stale or
-        unanswerable route falls back to the broadcast flood.  Other
-        policies broadcast immediately."""
-        if self.config.topology_policy == "sparse":
-            if self.router.locate_miss_fresh(host, pid):
-                PERF.locate_cache_hits += 1
-                self.sim.schedule(0.0, on_result, None)
-                return
-            route = self.router.outbound_route(host)
-            if route is not None:
-                self._locate_probe(host, pid, route, on_result,
-                                   timeout_ms, trace_parent)
-                return
-        self._locate_flood(host, pid, on_result, timeout_ms,
-                           trace_parent)
-
-    def _locate_probe(self, host: str, pid: int, route: List[str],
-                      on_result, timeout_ms: float,
-                      trace_parent) -> None:
-        """Unicast LOCATE along a cached route; flood on failure."""
-        def on_probe(reply: Optional[Message]) -> None:
-            if reply is not None and reply.payload.get("ok"):
-                PERF.locate_cache_hits += 1
-                on_result(reply)
-                return
-            if reply is not None and reply.payload.get("host") == host:
-                # The owner host itself said "not found" — flooding
-                # cannot find a better answer, so cache the miss.
-                PERF.locate_cache_hits += 1
-                self.router.note_locate_miss(host, pid)
-                on_result(None)
-                return
-            PERF.locate_cache_stale += 1
-            self.routes.forget(host)
-            self._locate_flood(host, pid, on_result, timeout_ms,
-                               trace_parent)
-
-        self.send_request(host, MsgKind.LOCATE, {"host": host, "pid": pid},
-                          on_probe,
-                          timeout_ms=LOCATE_PROBE_TIMEOUT_MS,
-                          route=route, use_handler=False,
-                          trace_parent=trace_parent)
-
-    def _locate_flood(self, host: str, pid: int, on_result,
-                      timeout_ms: float, trace_parent) -> None:
-        """Broadcast a LOCATE over the sibling graph; the owner answers
-        along the recorded route."""
+        """Find process ``<host, pid>`` by broadcasting a LOCATE over
+        the sibling graph; the owner answers along the recorded route,
+        and ``on_result`` gets the reply or None on timeout."""
         stamp = self.broadcast.stamp()
         req_id = self.rpc.next_req_id()
         resolved = Deferred()
         tracer = self.sim.tracer
-        sparse = self.config.topology_policy == "sparse"
         span = None if tracer is None else tracer.start(
             "broadcast:locate", host=self.name, parent=trace_parent,
             cat="broadcast", target="%s/%s" % (host, pid))
@@ -524,28 +436,20 @@ class LocalProcessManager:
                     tracer.finish(
                         span, op="broadcast_settle",
                         outcome="found" if reply is not None else "timeout")
-                if sparse:
-                    if reply is None:
-                        self.router.note_locate_miss(host, pid)
-                    else:
-                        self.router.locate_misses.discard((host, pid))
                 on_result(reply)
 
         timer = self.sim.schedule(timeout_ms, on_ack, None)
         self.rpc.register(req_id, on_ack, timer)
-        peers, tree_mode = self.treecast.origin_targets(stamp)
+        peers = self.authenticated_siblings()
         if not peers:
             self.rpc.cancel(req_id)
             on_ack(None)
             return
         self._trace(TraceEventType.BROADCAST_SENT, what="locate")
         for peer in peers:
-            payload = {"host": host, "pid": pid}
-            if tree_mode:
-                payload["tree"] = True
             locate = Message(kind=MsgKind.LOCATE, req_id=req_id,
                              origin=self.name, user=self.user,
-                             payload=payload,
+                             payload={"host": host, "pid": pid},
                              route=[self.name, peer], broadcast=stamp,
                              trace=None if span is None else span.ctx())
             try:
@@ -603,7 +507,6 @@ class LocalProcessManager:
             return
         self.alive = False
         self.recovery.cancel_timers()
-        self.topology.shutdown()
         self._cancel_ttl()
         self.rpc.cancel_all()
         self.transport.shutdown()

@@ -46,10 +46,6 @@ class MsgKind(Enum):
     RSTATS_REPLY = "rstats_reply"
     LOCATE = "locate"            # broadcast: who owns this process?
     LOCATE_ACK = "locate_ack"
-    #: Sparse-overlay maintenance (``topology_policy="sparse"`` only).
-    TOPO_GOSSIP = "topo_gossip"  # membership gossip between neighbors
-    TREE_PRUNE = "tree_prune"    # duplicate-drop feedback: not a tree edge
-    TREE_REPAIR = "tree_repair"  # severed subtree: source must re-flood
     #: Crash recovery (section 5).
     CCS_REPORT = "ccs_report"    # an LPM reports to the CCS after failure
     CCS_ACK = "ccs_ack"

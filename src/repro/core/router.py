@@ -17,15 +17,8 @@ from typing import List, Optional
 
 from ..errors import ConnectionClosedError
 from ..tracing.events import TraceEventType
-from .expiry import ExpiryMap
 from .messages import Message, MsgKind
 from .routing import RouteCache
-
-#: How long a failed LOCATE is remembered (the negative miss cache):
-#: repeat lookups of a process the overlay already failed to find are
-#: answered locally instead of re-flooding.  Only consulted under the
-#: ``"sparse"`` policy.
-LOCATE_MISS_TTL_MS = 30_000.0
 
 
 def ack_kind_for(kind: MsgKind) -> MsgKind:
@@ -46,12 +39,6 @@ class MessageRouter:
     def __init__(self, lpm) -> None:
         self.lpm = lpm
         self.cache = RouteCache(lpm.name)
-        #: Negative LOCATE cache: ``(host, pid)`` lookups the overlay
-        #: recently failed to answer, retained for
-        #: ``LOCATE_MISS_TTL_MS`` so repeat lookups are refused locally
-        #: instead of re-flooding.
-        self.locate_misses = ExpiryMap(LOCATE_MISS_TTL_MS,
-                                       lambda: lpm.sim.now_ms)
 
     # ------------------------------------------------------------------
     # Relaying
@@ -145,18 +132,3 @@ class MessageRouter:
         for dest in self.cache.invalidate_via(broken_peer):
             self.lpm._trace(TraceEventType.ROUTE_LEARNED, dest=dest,
                             forgotten=True)
-        # Broadcast-tree state through the peer is stale for the same
-        # reason the routes are (no-op outside the sparse policy).
-        self.lpm.treecast.on_link_lost(broken_peer)
-
-    # ------------------------------------------------------------------
-    # LOCATE result caching
-    # ------------------------------------------------------------------
-
-    def note_locate_miss(self, host: str, pid: int) -> None:
-        self.locate_misses.add((host, pid))
-
-    def locate_miss_fresh(self, host: str, pid: int) -> bool:
-        """Whether a LOCATE for ``(host, pid)`` failed within the
-        negative-cache TTL (so the flood can be skipped)."""
-        return (host, pid) in self.locate_misses

@@ -116,15 +116,10 @@ class RequestChannel:
         if timeout_ms is None:
             timeout_ms = lpm.config.request_timeout_ms
         if route is None:
-            direct = lpm.transport.link_to(dest)
-            if direct is not None:
-                route = [lpm.name, dest]
-            else:
-                cached = lpm.router.cache.route_to(dest)
-                if cached is None:
-                    on_reply(None)
-                    return
-                route = cached
+            route = lpm.router.outbound_route(dest)
+            if route is None:
+                on_reply(None)
+                return
         next_hop = route[1] if len(route) > 1 else dest
         link = lpm.transport.links.get(next_hop)
         if link is None or not link.endpoint.open:

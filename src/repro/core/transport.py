@@ -126,7 +126,7 @@ class SiblingTransport:
                       origin=lpm.name, user=lpm.user,
                       payload={"secret": lpm.secret,
                                "ccs_host": lpm.ccs_host,
-                               "known": lpm.topology.known_hosts()})
+                               "known": self.authenticated()})
         self.send_on_link(link, ack)
         lpm.recovery.on_contact(peer)
         self.apply_topology_policy(payload.get("known", []))
@@ -202,7 +202,7 @@ class SiblingTransport:
         hello = {"role": "sibling", "user": lpm.user,
                  "from_host": lpm.name, "token": bootstrap["token"],
                  "secret": lpm.secret, "ccs_host": lpm.ccs_host,
-                 "known": lpm.topology.known_hosts()}
+                 "known": self.authenticated()}
         if self.pool is not None:
             self._open_lane(peer, hello, done)
             return
@@ -246,21 +246,15 @@ class SiblingTransport:
             setup_ms=lpm.cost.connect_ms,
             detect_ms=lpm.config.connection_detect_ms)
 
-    def apply_topology_policy(self, known_hosts: List[str]) -> None:
+    def apply_topology_policy(self, known: List[str]) -> None:
         """Under the ``full_mesh`` ablation policy, eagerly connect to
-        every LPM a new sibling knows about; under ``sparse``, fold the
-        hosts into the membership (the topology manager rewires toward
-        its bounded-degree overlay); the paper's on-demand policy does
-        nothing here ("In most operational scenarios we expect to have
-        only very few of all the potential connections between sibling
-        LPMs in place", section 4)."""
-        policy = self.lpm.config.topology_policy
-        if policy == "sparse":
-            self.lpm.topology.note_hosts(known_hosts)
+        every LPM a new sibling knows about; the paper's on-demand
+        policy does nothing here ("In most operational scenarios we
+        expect to have only very few of all the potential connections
+        between sibling LPMs in place", section 4)."""
+        if self.lpm.config.topology_policy != "full_mesh":
             return
-        if policy != "full_mesh":
-            return
-        for host in known_hosts:
+        for host in known:
             if host != self.lpm.name and host not in self.links:
                 self.ensure_sibling(host)
 

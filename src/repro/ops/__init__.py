@@ -10,7 +10,7 @@
 * :mod:`repro.ops.doctor` — the probes (netsim world in-process,
   realnet fleet over TCP) and :func:`run_doctor`.
 * :mod:`repro.ops.triggers` — prebuilt operational triggers (p99
-  regression, tree-repair storm, CCS flap, dedup-cache blowup,
+  regression, CCS flap, dedup-cache blowup,
   retransmission storm, host down, watch onset) over the paper's
   trigger engine.
 * :mod:`repro.ops.watch` — the continuous watch loop: interval
@@ -63,7 +63,6 @@ from .triggers import (
     install_ops_triggers,
     p99_regression_trigger,
     retransmission_storm_trigger,
-    tree_repair_storm_trigger,
     watch_onset_trigger,
 )
 from .watch import (
@@ -106,7 +105,6 @@ __all__ = [
     "install_ops_triggers",
     "p99_regression_trigger",
     "retransmission_storm_trigger",
-    "tree_repair_storm_trigger",
     "watch_onset_trigger",
     "DEFAULT_INTERVAL_MS",
     "RUNBOOK_ANCHORS",

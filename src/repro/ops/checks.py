@@ -9,7 +9,7 @@ view, so the same checks — and the same verdict names, details, and
 exit codes — serve both backends.
 
 Checks are ordered by the triage runbook (``docs/OPERATIONS.md``):
-daemon layer first, then LPMs, then the overlay, then outstanding
+daemon layer first, then LPMs and their processes, then outstanding
 obligations (RPC), then throttling/SLOs.  The doctor's exit code is
 the code of the *first* failing check in that order, so a non-zero
 exit always names the highest-priority broken layer.
@@ -23,13 +23,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Check name -> distinct process exit code, in triage order.  0 is
 #: reserved for "healthy"; the codes are part of the CLI contract
-#: (scripts and CI match on them) and must never be renumbered.
+#: (scripts and CI match on them) and must never be renumbered.  13
+#: and 14 are retired (they were ``overlay-degree`` and
+#: ``broadcast-coverage``) and must not be reused.
 EXIT_CODES = {
     "daemon-liveness": 10,
     "lpm-liveness": 11,
     "orphan-processes": 12,
-    "overlay-degree": 13,
-    "broadcast-coverage": 14,
     "rpc-anomalies": 15,
     "latency-slo": 16,
     "registry-staleness": 17,
@@ -52,11 +52,6 @@ MAX_PENDING_REQUESTS = 64
 SLO_FACTOR = 2.0
 #: Histogram classes with fewer samples than this are not judged.
 SLO_MIN_COUNT = 5
-#: Sparse-overlay degree slack: a node owns ~k outgoing ring/chord
-#: edges and accepts up to ~k incoming ones, so 2k is the bound.
-DEGREE_SLACK = 2
-#: Broadcast-tree repairs since arming beyond this are a storm.
-MAX_TREE_REPAIRS = 10
 #: This many crash-coordinator role changes inside the window below
 #: are a flap.
 CCS_FLAPS = 3
@@ -86,7 +81,6 @@ class LpmHealth:
     host: str
     user: str
     alive: bool
-    siblings: Tuple[str, ...] = ()
     pending_requests: int = 0
 
 
@@ -118,10 +112,6 @@ class WorldView:
     hosts: Dict[str, HostHealth] = field(default_factory=dict)
     lpms: List[LpmHealth] = field(default_factory=list)
     orphans: List[OrphanRecord] = field(default_factory=list)
-    #: Degree bound k when the sparse overlay policy is active; None
-    #: means the bound (and tree coverage) is not an invariant here.
-    sparse_degree: Optional[int] = None
-    topology_policy: str = "on_demand"
     counters: Dict[str, int] = field(default_factory=dict)
     #: op class -> histogram summary (from ``tracer.latency_summary()``).
     latency: Dict[str, dict] = field(default_factory=dict)
@@ -246,12 +236,6 @@ def offending_entities(result: CheckResult) -> Tuple[str, ...]:
     if result.name == "orphan-processes":
         return tuple(sorted("%s:%d" % (host, pid) for host, _user, pid,
                             _command in data.get("orphans", ())))
-    if result.name == "overlay-degree":
-        return tuple(sorted("%s@%s" % (user, host)
-                            for host, user, _degree
-                            in data.get("over", ())))
-    if result.name == "broadcast-coverage":
-        return tuple(data.get("unreachable", ()))
     if result.name == "registry-staleness":
         return tuple(data.get("stale", ()))
     if result.name == "trigger-alerts":
@@ -315,70 +299,6 @@ def check_orphans(view: WorldView) -> CheckResult:
             {"orphans": [(o.host, o.user, o.pid, o.command)
                          for o in view.orphans]})
     return CheckResult("orphan-processes", True, "no orphaned processes")
-
-
-def check_overlay_degree(view: WorldView) -> CheckResult:
-    """Under the sparse policy, every LPM's degree stays <= slack*k."""
-    if view.sparse_degree is None:
-        return CheckResult(
-            "overlay-degree", True,
-            "degree bound not applicable (policy %r)"
-            % (view.topology_policy,))
-    bound = DEGREE_SLACK * view.sparse_degree
-    over = [(lpm, len(lpm.siblings)) for lpm in view.lpms
-            if lpm.alive and len(lpm.siblings) > bound]
-    if over:
-        detail = "degree over %d: %s" % (bound, ", ".join(
-            "%s@%s=%d" % (lpm.user, lpm.host, deg)
-            for lpm, deg in over[:4]))
-        return CheckResult("overlay-degree", False, detail,
-                           {"bound": bound,
-                            "over": [(l.host, l.user, d)
-                                     for l, d in over]})
-    degrees = [len(lpm.siblings) for lpm in view.lpms if lpm.alive]
-    return CheckResult(
-        "overlay-degree", True,
-        "max degree %d <= bound %d (k=%d)"
-        % (max(degrees) if degrees else 0, bound, view.sparse_degree))
-
-
-def check_broadcast_coverage(view: WorldView) -> CheckResult:
-    """Under the sparse policy, the live sibling graph is connected, so
-    a broadcast tree rooted anywhere can reach every live LPM."""
-    if view.sparse_degree is None:
-        return CheckResult(
-            "broadcast-coverage", True,
-            "coverage enforced under the sparse policy only (policy %r)"
-            % (view.topology_policy,))
-    live = {lpm.host: lpm for lpm in view.lpms if lpm.alive}
-    if len(live) <= 1:
-        return CheckResult("broadcast-coverage", True,
-                           "%d live LPM(s): trivially covered"
-                           % len(live))
-    # Undirected reachability over live sibling edges.
-    edges: Dict[str, set] = {host: set() for host in live}
-    for lpm in live.values():
-        for peer in lpm.siblings:
-            if peer in live:
-                edges[lpm.host].add(peer)
-                edges[peer].add(lpm.host)
-    start = sorted(live)[0]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for peer in edges[frontier.pop()]:
-            if peer not in seen:
-                seen.add(peer)
-                frontier.append(peer)
-    unreachable = sorted(set(live) - seen)
-    if unreachable:
-        return CheckResult(
-            "broadcast-coverage", False,
-            "overlay partitioned: %s unreachable from %s"
-            % (", ".join(unreachable), start),
-            {"unreachable": unreachable, "from": start})
-    return CheckResult("broadcast-coverage", True,
-                       "all %d live LPMs reachable" % len(live))
 
 
 def check_rpc_anomalies(view: WorldView) -> CheckResult:
@@ -483,8 +403,6 @@ _CHECK_FNS = {
     "daemon-liveness": check_daemon_liveness,
     "lpm-liveness": check_lpm_liveness,
     "orphan-processes": check_orphans,
-    "overlay-degree": check_overlay_degree,
-    "broadcast-coverage": check_broadcast_coverage,
     "rpc-anomalies": check_rpc_anomalies,
     "latency-slo": check_latency_slo,
     "registry-staleness": check_registry_staleness,

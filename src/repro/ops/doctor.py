@@ -63,12 +63,10 @@ def probe_world(world, alerts: Optional[List[OpsAlert]] = None,
     for (host_name, user), lpm in sorted(world.lpms.items()):
         lpms.append(LpmHealth(
             host=host_name, user=user, alive=bool(lpm.is_running()),
-            siblings=tuple(sorted(lpm.authenticated_siblings())),
             pending_requests=len(lpm.rpc.pending)))
 
     orphans = _sim_orphans(world)
 
-    sparse = world.config.topology_policy == "sparse"
     tracer = world.sim.tracer
     view = WorldView(
         backend="netsim",
@@ -76,8 +74,6 @@ def probe_world(world, alerts: Optional[List[OpsAlert]] = None,
         hosts=hosts,
         lpms=lpms,
         orphans=orphans,
-        sparse_degree=world.config.sparse_degree if sparse else None,
-        topology_policy=world.config.topology_policy,
         counters=PERF.snapshot(),
         latency=tracer.latency_summary() if tracer is not None else {},
         alerts=list(alerts) if alerts else [],
@@ -176,8 +172,6 @@ def probe_fleet(registry_path: str,
         orphans=[OrphanRecord(host=o.get("host", "?"), user="",
                               pid=o["pid"], command=o["command"])
                  for o in raw.get("orphans", ())],
-        sparse_degree=None,
-        topology_policy="on_demand",
         counters=PERF.snapshot(),
         latency={},
         registry_entries=dict(raw["registry"]),

@@ -10,9 +10,6 @@ the doctor's checks:
     The ``rpc_rtt`` p99 exceeded ``SLO_FACTOR`` x its recorded
     baseline (source: ``tracer.latency_summary()``) — the same rule
     the ``latency-slo`` check applies.
-``ops:tree-repair-storm``
-    ``PERF.tree_repairs`` grew by more than ``MAX_TREE_REPAIRS`` since
-    the trigger was armed — the broadcast trees are thrashing.
 ``ops:ccs-flap``
     The crash-coordinator role changed hands (``CCS_ASSUMED`` /
     ``CCS_RELINQUISHED``) ``CCS_FLAPS`` or more times inside
@@ -54,8 +51,7 @@ from ..perf import PERF
 from ..tracing.events import TraceEventType
 from ..tracing.triggers import Trigger
 from .checks import (CCS_FLAP_WINDOW_MS, CCS_FLAPS, MAX_DEDUP_ENTRIES,
-                     MAX_RETRANSMITS, MAX_TREE_REPAIRS, OpsAlert,
-                     p99_regression)
+                     MAX_RETRANSMITS, OpsAlert, p99_regression)
 
 #: The operation class the p99 trigger judges.
 P99_OP = "rpc_rtt"
@@ -90,22 +86,6 @@ def p99_regression_trigger(summary_fn: Callable[[], Dict[str, dict]],
         name="ops:p99-regression",
         action=_alerting("ops:p99-regression", alerts,
                          lambda: state["breach"]),
-        predicate=predicate, once=True)
-
-
-def tree_repair_storm_trigger(alerts: List[OpsAlert]) -> Trigger:
-    """Fire when tree repairs since arming exceed ``MAX_TREE_REPAIRS``."""
-    start = PERF.tree_repairs
-
-    def predicate(event, history) -> bool:
-        return PERF.tree_repairs - start > MAX_TREE_REPAIRS
-
-    return Trigger(
-        name="ops:tree-repair-storm",
-        action=_alerting(
-            "ops:tree-repair-storm", alerts,
-            lambda: "%d tree repairs since armed (threshold %d)"
-            % (PERF.tree_repairs - start, MAX_TREE_REPAIRS)),
         predicate=predicate, once=True)
 
 
@@ -241,7 +221,6 @@ def install_ops_triggers(engine,
     if summary_fn is not None and baseline and \
             baseline.get(P99_OP) is not None:
         arm(p99_regression_trigger(summary_fn, baseline[P99_OP], log))
-    arm(tree_repair_storm_trigger(log))
     arm(ccs_flap_trigger(log))
     if dedup_size_fn is not None:
         arm(dedup_cache_blowup_trigger(dedup_size_fn, log))

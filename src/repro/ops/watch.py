@@ -52,8 +52,6 @@ RUNBOOK_ANCHORS: Dict[str, str] = {
     "daemon-liveness": "docs/OPERATIONS.md#fast-recovery-playbook",
     "lpm-liveness": "docs/OPERATIONS.md#fast-recovery-playbook",
     "orphan-processes": "docs/OPERATIONS.md#fast-recovery-playbook",
-    "overlay-degree": "docs/OPERATIONS.md#fast-recovery-playbook",
-    "broadcast-coverage": "docs/OPERATIONS.md#fast-recovery-playbook",
     "rpc-anomalies": "docs/OPERATIONS.md#fast-recovery-playbook",
     "latency-slo":
         "docs/OPERATIONS.md#the-health-baseline-what-healthy-looks-like",

@@ -78,29 +78,6 @@ Routing (``repro.core.routing``):
     the via-host index this counts only routes actually through the
     lost peer; the old full-cache scan examined every cached route.
 
-Broadcast trees (``repro.core.spantree``):
-
-``tree_forwards``
-    Broadcast copies sent along established tree edges (tree-mode
-    forwards).  Steady-state tree broadcasts cost about ``n - 1`` of
-    these instead of one flood copy per overlay edge.
-``tree_prunes``
-    Candidate children struck off a tree after duplicate-drop
-    feedback (``TREE_PRUNE`` notices honoured).
-``tree_repairs``
-    ``TREE_REPAIR`` notices processed while a severed or stateless
-    tree climbed back to its source for a rebuilding flood.
-
-Cache-first LOCATE (``repro.core.lpm`` / ``repro.core.router``):
-
-``locate_cache_hits``
-    LOCATE requests answered without flooding: a unicast probe along
-    a cached route confirmed the process, or the negative miss cache
-    answered a recently failed lookup.
-``locate_cache_stale``
-    Cached-route LOCATE probes that failed (stale route or moved
-    process), forcing the broadcast-flood fallback.
-
 Shared circuits (``repro.core.circuitpool``):
 
 ``circuit_shares``
@@ -199,11 +176,6 @@ _COUNTERS = (
     "gather_merges",
     "gather_records_merged",
     "route_invalidation_scans",
-    "tree_forwards",
-    "tree_prunes",
-    "tree_repairs",
-    "locate_cache_hits",
-    "locate_cache_stale",
     "circuit_shares",
     "circuit_lanes_attached",
     "auth_cache_hits",

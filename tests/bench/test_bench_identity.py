@@ -1,4 +1,4 @@
-"""The runner's world-scale scenarios repeat exactly, and
+"""The runner's world-scale scenario repeats exactly, and
 ``tools/check_bench.py`` reports a row that stopped matching."""
 
 import importlib.util
@@ -34,14 +34,10 @@ def run_measured(scenario, **kwargs):
 
 
 @pytest.mark.parametrize("scenario, kwargs", [
-    (scenarios.locate_scenario,
-     dict(n_hosts=24, mesh_locates=2, sparse_locates=5)),
-    (scenarios.locate_scenario,
-     dict(n_hosts=48, sparse_locates=5, policies=("sparse",), hubs=4)),
     (scenarios.multitenant_scenario,
      dict(n_users=8, n_hosts=6, gateways=2, fanout=3,
           horizon_ms=20_000.0)),
-], ids=["locate_mesh_vs_sparse", "locate_hub_topology", "multitenant"])
+], ids=["multitenant"])
 def test_scenario_is_deterministic_run_to_run(scenario, kwargs):
     first_result, first_counters = run_measured(scenario, **kwargs)
     second_result, second_counters = run_measured(scenario, **kwargs)
@@ -60,13 +56,13 @@ def load_check_bench():
 
 def test_check_bench_reports_each_doctored_key():
     differences = load_check_bench().differences
-    actual = {"wall_s": 0.5, "sim_ms_sparse": 1234.5, "events_run": 10,
-              "links_sparse": 4, "push_reduction_x": 9.8,
+    actual = {"wall_s": 0.5, "sim_ms_private": 1234.5, "events_run": 10,
+              "links_private": 4, "push_reduction_x": 9.8,
               "slo_shared": {"login": {"count": 1}}}
     assert differences("demo", dict(actual), actual) == []
-    doctored = dict(actual, wall_s=9.9, sim_ms_sparse=1234.6, events_run=11,
+    doctored = dict(actual, wall_s=9.9, sim_ms_private=1234.6, events_run=11,
                     push_reduction_x=1.0, only_recorded=3)
     assert differences("demo", doctored, actual) == [
         "demo.events_run: recorded 11, now 10",
-        "demo.sim_ms_sparse: recorded 1234.6, now 1234.5",
+        "demo.sim_ms_private: recorded 1234.6, now 1234.5",
     ]

@@ -138,6 +138,29 @@ class TestRequestFailurePaths:
         lpm.locate("beta", 42, replies.append)
         assert replies == [None]
 
+    def test_stampless_locate_is_dropped(self, world):
+        # A LOCATE is only ever a signed broadcast.  One without a
+        # stamp fails the dedup check like a forgery: beta neither
+        # answers it (even though it owns the process) nor floods it
+        # on to its other sibling, gamma.
+        alpha_client = PPMClient(world, "lfc", "alpha").connect()
+        anchor = alpha_client.create_process(
+            "anchor", host="beta", program=spinner_spec(None))
+        PPMClient(world, "lfc", "beta").connect().create_process(
+            "leaf", host="gamma", program=spinner_spec(None))
+        alpha, beta = lpm_of(world, "alpha"), lpm_of(world, "beta")
+        assert beta.authenticated_siblings() == ["alpha", "gamma"]
+        forwards_before = beta.broadcast.forwards
+        replies = []
+        alpha.send_request("beta", MsgKind.LOCATE,
+                           {"host": "beta", "pid": anchor.pid},
+                           replies.append, timeout_ms=2_000.0,
+                           use_handler=False)
+        world.run_for(5_000.0)
+        assert replies == [None]
+        assert beta.broadcast.forwards == forwards_before
+        assert beta.is_running()
+
 
 class TestDeterminism:
     def build_and_run(self, seed):

@@ -9,7 +9,7 @@ from repro import (
     World,
     install,
 )
-from repro.ops import EXIT_CODES, probe_world, run_doctor
+from repro.ops import EXIT_CODES, probe_world
 from repro.perf import PERF
 
 HOSTS = [("alpha", HostClass.VAX_780), ("beta", HostClass.VAX_750),
@@ -105,32 +105,6 @@ class TestFailureClasses:
         report = world.doctor(baseline={"rpc_rtt": 0.001})
         assert [r.name for r in report.failing] == ["latency-slo"]
         assert report.exit_code == EXIT_CODES["latency-slo"]
-
-
-class TestSparseOverlay:
-    def test_sparse_world_passes_overlay_checks(self):
-        config = PPMConfig(topology_policy="sparse", sparse_degree=2)
-        world = build_world(config=config)
-        ppm = start_session(world)
-        ppm.create_process("coordinator", host="beta")
-        ppm.create_process("solver", host="gamma")
-        world.run_for(2_000.0)
-        report = world.doctor()
-        assert report.ok, report.render()
-        by_name = {r.name: r for r in report.results}
-        assert "bound" in by_name["overlay-degree"].detail
-        assert "reachable" in by_name["broadcast-coverage"].detail \
-            or "trivially" in by_name["broadcast-coverage"].detail
-
-    def test_on_demand_world_skips_overlay_invariants(self):
-        world = build_world()
-        start_session(world)
-        world.run_for(1_000.0)
-        view = probe_world(world)
-        assert view.sparse_degree is None
-        report = run_doctor(view)
-        by_name = {r.name: r for r in report.results}
-        assert "not applicable" in by_name["overlay-degree"].detail
 
 
 class TestCounters:

@@ -5,7 +5,7 @@ import pytest
 from repro.ops import install_ops_triggers, run_checks
 from repro.ops.checks import (CCS_FLAP_WINDOW_MS, CCS_FLAPS,
                               MAX_DEDUP_ENTRIES, MAX_RETRANSMITS,
-                              MAX_TREE_REPAIRS, HostHealth, WorldView)
+                              HostHealth, WorldView)
 from repro.perf import PERF
 from repro.tracing import TraceEventType, TraceRecorder, TriggerEngine
 
@@ -49,17 +49,6 @@ class TestStandardSet:
         recorder.record(TraceEventType.FAILURE_DETECTED, host="alpha")
         assert "ops:host-down" in fired(alerts)
         assert PERF.ops_alerts_raised == 1
-
-    def test_tree_repair_storm_fires_past_threshold(self):
-        clock, recorder, engine = make_engine()
-        alerts = install_ops_triggers(engine)
-        PERF.tree_repairs += MAX_TREE_REPAIRS
-        recorder.record(TraceEventType.SIBLING_MESSAGE, host="alpha")
-        assert "ops:tree-repair-storm" not in fired(alerts), \
-            "reaching the threshold is not exceeding it"
-        PERF.tree_repairs += 1
-        recorder.record(TraceEventType.SIBLING_MESSAGE, host="alpha")
-        assert "ops:tree-repair-storm" in fired(alerts)
 
     def test_ccs_flap_fires_on_oscillation_in_window(self):
         clock, recorder, engine = make_engine()

@@ -91,6 +91,7 @@ class TestConfig:
                        {"broadcast_dedup_window_ms": -5},
                        {"handler_pool_max": 0},
                        {"topology_policy": "ring"},
+                       {"topology_policy": "sparse"},
                        {"transport": "carrier-pigeon"},
                        {"request_timeout_ms": 0},
                        {"ccs_probe_interval_ms": 0},
@@ -99,9 +100,14 @@ class TestConfig:
                 PPMConfig(**kwargs)
 
     def test_with_overrides(self):
-        from repro import DEFAULT_CONFIG
+        from dataclasses import asdict
+
+        from repro import DEFAULT_CONFIG, PPMConfig
+        before = asdict(DEFAULT_CONFIG)
         config = DEFAULT_CONFIG.with_overrides(handler_pool_max=3)
         assert config.handler_pool_max == 3
-        assert DEFAULT_CONFIG.handler_pool_max != 3 or True
+        assert config is not DEFAULT_CONFIG
+        assert asdict(DEFAULT_CONFIG) == before
+        assert DEFAULT_CONFIG == PPMConfig()
         assert config.lpm_time_to_live_ms == \
             DEFAULT_CONFIG.lpm_time_to_live_ms

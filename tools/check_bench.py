@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """Benchmark identity check: the simulator still computes the same run.
 
-Runs every ``benchmarks.perf.runner`` scenario except
-``locate_200_hosts`` (a minute on its own, most of it world build) at
-full size and compares every ``sim_ms`` value and every integer-valued
-key — counters, link counts, flood forwards — with the row committed in
+Runs every ``benchmarks.perf.runner`` scenario at full size and
+compares every ``sim_ms`` value and every integer-valued key —
+counters, link counts, flood forwards — with the row committed in
 ``BENCH_core.json`` under a label.  Wall times are never compared.
 
     python tools/check_bench.py [LABEL]
@@ -24,7 +23,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: The committed row to compare against; a PR that records its own row
 #: (because it changed a number on purpose) bumps this to its label.
 BASELINE_LABEL = "pr30"
-SKIPPED = ("locate_200_hosts",)
 
 
 def differences(name: str, expected: dict, actual: dict) -> List[str]:
@@ -50,8 +48,6 @@ def main() -> int:
         recorded = json.load(handle)["benchmarks"]
     lines = []
     for name, bench in SCENARIOS.items():
-        if name in SKIPPED:
-            continue
         if label not in recorded.get(name, {}):
             lines.append("%s: no row recorded under %r" % (name, label))
             continue
@@ -61,7 +57,7 @@ def main() -> int:
     if lines:
         return 1
     print("bench: ok (%d scenarios identical to the %r row)"
-          % (len(SCENARIOS) - len(SKIPPED), label))
+          % (len(SCENARIOS), label))
     return 0
 
 
