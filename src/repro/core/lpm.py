@@ -67,6 +67,8 @@ class LocalProcessManager:
 
     def __init__(self, host, user: str, token: str) -> None:
         self.host = host
+        #: The host's name, read on every message: a plain attribute.
+        self.name = host.name
         self.world = host.world
         self.sim = host.sim
         #: The backend seam: all connection establishment and datagram
@@ -123,21 +125,18 @@ class LocalProcessManager:
     # Identity helpers
     # ==================================================================
 
-    @property
-    def name(self) -> str:
-        return self.host.name
-
     def gpid_of(self, pid: int) -> GlobalPid:
         return GlobalPid(self.name, pid)
 
     def _trace(self, event_type: TraceEventType, gpid=None, **details):
-        self.world.recorder.record(event_type, host=self.name,
-                                   user=self.user, gpid=gpid, **details)
+        self.world.recorder.record(event_type, self.name, self.user, gpid,
+                                   **details)
 
     def _cpu(self, base_ms: float) -> float:
         """Load- and class-scaled CPU cost on this host."""
-        return base_ms * load_factor(self.host.host_class,
-                                     self.host.load_average())
+        host = self.host  # Host.load_average(), without two calls
+        la = host.kernel.loadavg.value() if host.node.up else 0.0
+        return base_ms * load_factor(host.host_class, la)
 
     def _cpu_occupy(self, base_ms: float) -> float:
         """Book serialised CPU time on this LPM.
@@ -152,7 +151,7 @@ class LocalProcessManager:
         return (start - self.sim.now_ms) + cost
 
     def is_running(self) -> bool:
-        return self.alive and self.proc.alive and self.host.up
+        return self.alive and self.proc.state.alive and self.host.node.up
 
     def describe_endpoints(self) -> dict:
         """Figure 4 data: the LPM's communication end points."""
@@ -305,8 +304,7 @@ class LocalProcessManager:
         try:
             action = ControlAction(action_name)
         except ValueError:
-            return {"ok": False, "error": "unknown action %r"
-                                          % (action_name,)}
+            return {"ok": False, "error": "unknown action %r" % (action_name,)}
         try:
             apply_action(self.host.kernel, pid, action, self.uid)
         except ReproError as exc:

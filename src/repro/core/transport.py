@@ -329,8 +329,10 @@ class SiblingTransport:
                            parent=message.trace, cat="xport",
                            peer=link.peer, nbytes=nbytes,
                            forwarded=forwarding)
+        # ``_value_`` is ``value`` without the enum property's descriptor
+        # call, one per sibling message.
         lpm._trace(TraceEventType.SIBLING_MESSAGE, peer=link.peer,
-                   kind=message.kind.value, nbytes=nbytes,
+                   kind=message.kind._value_, nbytes=nbytes,
                    forwarded=forwarding)
         link.endpoint.send(message, nbytes=nbytes,
                            extra_delay_ms=lpm._cpu_occupy(cost))

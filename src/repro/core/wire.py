@@ -42,7 +42,7 @@ def _broadcast_from_dict(data: Optional[dict]) -> Optional[BroadcastId]:
 def _fields(message: Message) -> dict:
     """The JSON object a message encodes as."""
     fields = {
-        "kind": message.kind.value,
+        "kind": message.kind._value_,  # ``value``, minus a descriptor call
         "req_id": message.req_id,
         "origin": message.origin,
         "user": message.user,

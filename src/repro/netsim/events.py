@@ -16,9 +16,9 @@ operation.
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Callable, Optional
+from heapq import heapify, heappop, heappush
+from typing import Callable, Iterator, Optional
 
 from ..perf import PERF
 
@@ -80,33 +80,47 @@ class EventQueue:
         self.compactions = 0
 
     def push(self, event: Event) -> None:
-        """Insert ``event``, preserving the ``(time, seq)`` total order."""
+        """Insert ``event``, preserving the ``(time, seq)`` total order.
+
+        :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`
+        repeat these three steps inline; keep the three in step."""
         event._queue = self
-        heapq.heappush(self._heap, (event.time_ms, event.seq, event))
+        heappush(self._heap, (event.time_ms, event.seq, event))
         self._live += 1
 
-    def pop_due(self, time_ms: float) -> Optional[Event]:
-        """Remove and return the earliest live event due at or before
-        ``time_ms``, or None when there is none.
+    def due(self, time_ms: float) -> Iterator[Event]:
+        """Remove and yield, in ``(time, seq)`` order, each live event
+        due at or before ``time_ms``; stop when there is none.
 
-        Cancelled events at the head are dropped on the way.
+        This is the queue's one pop path: the simulator's run loops
+        iterate it, and :meth:`pop_due` takes its first event.
+        Cancelled events at the head are dropped on the way.  The heap
+        is read afresh for every event, because a callback run between
+        two yields may cancel enough events to :meth:`_compact`, which
+        replaces the heap list.
         """
-        heap = self._heap
-        while heap:
+        while True:
+            heap = self._heap
+            if not heap:
+                return
             due, _seq, event = heap[0]
             if event.cancelled:
-                heapq.heappop(heap)
+                heappop(heap)
                 event._queue = None
                 self._cancelled -= 1
             elif due > time_ms:
-                return None
+                return
             else:
-                heapq.heappop(heap)
+                heappop(heap)
                 event._queue = None
                 event.fired = True
                 self._live -= 1
-                return event
-        return None
+                yield event
+
+    def pop_due(self, time_ms: float) -> Optional[Event]:
+        """Remove and return the earliest live event due at or before
+        ``time_ms``, or None when there is none."""
+        return next(self.due(time_ms), None)
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or None when empty."""
@@ -116,7 +130,7 @@ class EventQueue:
         """Time of the earliest live event, or None when empty."""
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)[2]._queue = None
+            heappop(heap)[2]._queue = None
             self._cancelled -= 1
         return heap[0][0] if heap else None
 
@@ -143,7 +157,7 @@ class EventQueue:
                 entry[2]._queue = None
             else:
                 survivors.append(entry)
-        heapq.heapify(survivors)
+        heapify(survivors)
         self._heap = survivors
         self._cancelled = 0
         self.compactions += 1

@@ -9,6 +9,8 @@ fully deterministic.
 from __future__ import annotations
 
 import random
+from heapq import heappush
+from itertools import islice
 from typing import Callable, Optional
 
 from ..errors import SimulationError
@@ -41,11 +43,25 @@ class Simulator:
 
     def schedule(self, delay_ms: float, callback: Callable[..., None],
                  *args) -> Event:
-        """Run ``callback(*args)`` after ``delay_ms`` simulated ms."""
+        """Run ``callback(*args)`` after ``delay_ms`` simulated ms.
+
+        Every timer and delivery comes through here or
+        :meth:`schedule_at`, so each builds its event and pushes it
+        itself (the steps of :meth:`EventQueue.push`) rather than
+        calling down a chain.
+        """
         if delay_ms < 0:
             raise SimulationError("cannot schedule into the past "
                                   "(delay_ms=%r)" % (delay_ms,))
-        return self.schedule_at(self.now_ms + delay_ms, callback, *args)
+        PERF.events_scheduled += 1
+        self._seq = seq = self._seq + 1
+        time_ms = self.now_ms + delay_ms
+        queue = self.queue
+        event = Event(time_ms, seq, callback, args)
+        event._queue = queue
+        heappush(queue._heap, (time_ms, seq, event))
+        queue._live += 1
+        return event
 
     def schedule_at(self, time_ms: float, callback: Callable[..., None],
                     *args) -> Event:
@@ -55,9 +71,13 @@ class Simulator:
                 "cannot schedule into the past (t=%.3f, now=%.3f)"
                 % (time_ms, self.now_ms))
         PERF.events_scheduled += 1
-        self._seq += 1
-        event = Event(float(time_ms), self._seq, callback, args)
-        self.queue.push(event)
+        self._seq = seq = self._seq + 1
+        time_ms = float(time_ms)
+        queue = self.queue
+        event = Event(time_ms, seq, callback, args)
+        event._queue = queue
+        heappush(queue._heap, (time_ms, seq, event))
+        queue._live += 1
         return event
 
     def cancel(self, event: Optional[Event]) -> None:
@@ -106,18 +126,14 @@ class Simulator:
         The clock ends exactly at ``time_ms`` even if the queue drains
         early, so timers keep a consistent reference point.
         """
-        pop_due = self.queue.pop_due
-        executed = 0
-        while True:
-            if executed >= max_events and self._due_by(time_ms):
-                raise SimulationError(
-                    "run_until(%.3f) exceeded %d events; likely a scheduling "
-                    "loop" % (time_ms, max_events))
-            event = pop_due(time_ms)
-            if event is None:
-                break
+        for event in islice(self.queue.due(time_ms), max_events):
             self._fire(event)
-            executed += 1
+        # The queue stops only when nothing is due, so a due event left
+        # over means the loop stopped at ``max_events``.
+        if self._due_by(time_ms):
+            raise SimulationError(
+                "run_until(%.3f) exceeded %d events; likely a scheduling "
+                "loop" % (time_ms, max_events))
         if time_ms > self.now_ms:
             self.now_ms = float(time_ms)
 
@@ -151,29 +167,24 @@ class Simulator:
         deadline = self.now_ms + timeout_ms
         if predicate():
             return True
-        pop_due = self.queue.pop_due
-        executed = 0
-        while True:
-            if executed >= max_events and self._due_by(deadline):
-                raise SimulationError(
-                    "run_until_true exceeded %d events" % (max_events,))
-            event = pop_due(deadline)
-            if event is None:
-                if deadline < self.now_ms:
-                    raise SimulationError(
-                        "run_until_true: negative timeout_ms=%r"
-                        % (timeout_ms,))
-                self.now_ms = deadline
-                return False
+        for event in islice(self.queue.due(deadline), max_events):
             self.now_ms = event.time_ms
             callback, args = event.callback, event.args
             event.callback, event.args = None, ()
             self._events_run += 1
             PERF.events_run += 1
             callback(*args)
-            executed += 1
             if predicate():
                 return True
+        # As in run_until: a due event left over means max_events.
+        if self._due_by(deadline):
+            raise SimulationError(
+                "run_until_true exceeded %d events" % (max_events,))
+        if deadline < self.now_ms:
+            raise SimulationError(
+                "run_until_true: negative timeout_ms=%r" % (timeout_ms,))
+        self.now_ms = deadline
+        return False
 
     def __repr__(self) -> str:
         return "Simulator(now=%.3f ms, pending=%d, run=%d)" % (

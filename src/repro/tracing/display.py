@@ -164,10 +164,10 @@ def render_gantt(events: List[TraceEvent], until_ms: float,
     return "\n".join(lines)
 
 
-def render_timeline(events: List[TraceEvent],
+def render_timeline(events: Sequence[TraceEvent],
                     limit: int = 50) -> str:
     """A compact event timeline (most recent last)."""
-    shown = events[-limit:]
+    shown = list(events)[-limit:]
     lines = ["timeline (%d of %d events):" % (len(shown), len(events))]
     lines.extend("  %s" % (event,) for event in shown)
     return "\n".join(lines)

@@ -9,7 +9,6 @@ determine the amount of process events recorded").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -116,16 +115,43 @@ def admitted(event_type: TraceEventType, granularity: Granularity) -> bool:
     return False
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    """One recorded occurrence."""
+    """One recorded occurrence.
 
-    time_ms: float
-    event_type: TraceEventType
-    host: str
-    user: str = ""
-    gpid: Optional[GlobalPid] = None
-    details: dict = field(default_factory=dict)
+    A plain ``__slots__`` class rather than a frozen dataclass: the
+    recorder builds one per sibling message, and a frozen dataclass's
+    ``__init__`` pays an ``object.__setattr__`` per field.  Equality,
+    field order and defaults are a dataclass's; treat instances as
+    read-only.
+    """
+
+    __slots__ = ("time_ms", "event_type", "host", "user", "gpid", "details")
+
+    def __init__(self, time_ms: float, event_type: TraceEventType,
+                 host: str, user: str = "",
+                 gpid: Optional[GlobalPid] = None,
+                 details: Optional[dict] = None) -> None:
+        self.time_ms = time_ms
+        self.event_type = event_type
+        self.host = host
+        self.user = user
+        self.gpid = gpid
+        self.details = {} if details is None else details
+
+    def _fields(self) -> tuple:
+        return (self.time_ms, self.event_type, self.host, self.user,
+                self.gpid, self.details)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # details is a dict, so an event was never hashable
+
+    def __repr__(self) -> str:
+        return ("TraceEvent(time_ms=%r, event_type=%r, host=%r, user=%r, "
+                "gpid=%r, details=%r)" % self._fields())
 
     def matches(self, event_type: Optional[TraceEventType] = None,
                 host: Optional[str] = None,

@@ -3,10 +3,14 @@ and live subscribers (the hook the trigger engine attaches to)."""
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from collections import deque
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..ids import GlobalPid
 from .events import Granularity, TraceEvent, TraceEventType, admitted
+
+#: Every class is admitted at FINE, the default: skip the lookup.
+_FINE = Granularity.FINE
 
 
 class TraceRecorder:
@@ -22,10 +26,23 @@ class TraceRecorder:
                  capacity: Optional[int] = None) -> None:
         self._now_fn = now_fn
         self.granularity = granularity
-        self.capacity = capacity
-        self.events: List[TraceEvent] = []
+        #: Oldest first; with a ``capacity`` the deque evicts the oldest
+        #: event in O(1) as each new one arrives.
+        self.events: Deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0
-        self._subscribers: List[Callable[[TraceEvent], None]] = []
+        #: Replaced, never mutated, by (un)subscribe: ``record`` walks
+        #: the tuple it read, so a callback may unsubscribe itself.
+        self._subscribers: Tuple[Callable[[TraceEvent], None], ...] = ()
+
+    @property
+    def capacity(self) -> Optional[int]:
+        """Most events kept (None: unbounded); settable at any time,
+        keeping the newest."""
+        return self.events.maxlen
+
+    @capacity.setter
+    def capacity(self, capacity: Optional[int]) -> None:
+        self.events = deque(self.events, maxlen=capacity)
 
     def set_granularity(self, granularity: Granularity) -> None:
         """Adjust how much is recorded from now on."""
@@ -33,25 +50,26 @@ class TraceRecorder:
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Receive every admitted event as it is recorded."""
-        self._subscribers.append(callback)
+        self._subscribers += (callback,)
 
     def unsubscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         if callback in self._subscribers:
-            self._subscribers.remove(callback)
+            subscribers = list(self._subscribers)
+            subscribers.remove(callback)
+            self._subscribers = tuple(subscribers)
 
     def record(self, event_type: TraceEventType, host: str,
                user: str = "", gpid: Optional[GlobalPid] = None,
                **details) -> Optional[TraceEvent]:
         """Record one event; returns it, or None when filtered out."""
-        if not admitted(event_type, self.granularity):
+        granularity = self.granularity
+        if granularity is not _FINE and not admitted(event_type, granularity):
             self.dropped += 1
             return None
-        event = TraceEvent(time_ms=self._now_fn(), event_type=event_type,
-                           host=host, user=user, gpid=gpid, details=details)
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            self.events.pop(0)
+        event = TraceEvent(self._now_fn(), event_type, host, user, gpid,
+                           details)
         self.events.append(event)
-        for subscriber in list(self._subscribers):
+        for subscriber in self._subscribers:
             subscriber(event)
         return event
 

@@ -62,8 +62,11 @@ class LoadAverage:
 
     def value(self) -> float:
         """Current ``la``; never reads the runnable count (see the
-        module docstring)."""
-        self._integrate_to(self._now_fn())
+        module docstring).  A read at an instant already integrated
+        to returns the stored value without calling the integrator."""
+        now_ms = self._now_fn()
+        if now_ms != self._last_ms:
+            self._integrate_to(now_ms)
         return self._value
 
     def force(self, value: float) -> None:

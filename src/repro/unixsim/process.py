@@ -29,7 +29,12 @@ class ProcState(Enum):
 
     @property
     def alive(self) -> bool:
-        return self not in (ProcState.ZOMBIE, ProcState.DEAD)
+        return self not in _GONE
+
+
+#: The states of a process that has exited (a module tuple: reading
+#: enum members off the class costs a metaclass lookup each).
+_GONE = (ProcState.ZOMBIE, ProcState.DEAD)
 
 
 class TraceFlag(IntFlag):

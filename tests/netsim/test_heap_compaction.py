@@ -8,6 +8,8 @@ experiment's byte-identical outputs rest on.
 
 import random
 
+import pytest
+
 from repro.netsim.events import COMPACT_MIN_CANCELLED, Event, EventQueue
 from repro.netsim.simulator import Simulator
 
@@ -152,3 +154,39 @@ def test_pop_due_keeps_cancelled_count_right_through_compaction():
     assert queue._cancelled == 0
     assert queue._heap == []
     assert all(e._queue is None for e in events)
+
+
+@pytest.mark.parametrize("stop", ["predicate", "timeout"])
+def test_compaction_mid_run_until_true_fires_each_live_event_once(stop):
+    # A callback cancels enough events to compact the queue, which
+    # rebuilds the heap list while the run loop is between two events.
+    # The loop must go on from the rebuilt heap: every live event fires
+    # once, in (time, seq) order, and none fires again afterwards.
+    sim = Simulator(seed=5)
+    fired = []
+    victims = [sim.schedule(2.0 + i % 5, fired.append, ("victim", i))
+               for i in range(2 * COMPACT_MIN_CANCELLED)]
+    live = [(2.0 + i % 3, sim.schedule(2.0 + i % 3, fired.append, i))
+            for i in range(COMPACT_MIN_CANCELLED // 4)]
+
+    def cancel_victims() -> None:
+        fired.append("cancel")
+        for event in victims:
+            sim.cancel(event)
+
+    sim.schedule(1.0, cancel_victims)
+    expected = ["cancel"] + [
+        i for i, _ in sorted(enumerate(live),
+                             key=lambda item: (item[1][0], item[1][1].seq))]
+    if stop == "predicate":
+        assert sim.run_until_true(lambda: len(fired) == len(expected),
+                                  timeout_ms=100.0)
+        assert sim.now_ms == max(time_ms for time_ms, _ in live)
+    else:
+        assert not sim.run_until_true(lambda: False, timeout_ms=100.0)
+        assert sim.now_ms == 100.0
+    assert sim.queue.compactions == 1
+    assert fired == expected
+    assert len(sim.queue) == 0 and sim.events_run == len(expected)
+    sim.run_until_idle()
+    assert fired == expected and sim.events_run == len(expected)
