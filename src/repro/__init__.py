@@ -25,109 +25,36 @@ See DESIGN.md for the architecture and EXPERIMENTS.md for the
 paper-versus-measured results.
 """
 
-from .config import DEFAULT_CONFIG, KERNEL_MESSAGE_BYTES, PPMConfig
-from .errors import (
-    AdoptionError,
-    AuthenticationError,
-    ConfigError,
-    ConnectionClosedError,
-    HostDownError,
-    NoLPMError,
-    NoSuchHostError,
-    NoSuchProcessError,
-    PPMError,
-    ProcessPermissionError,
-    RecoveryError,
-    ReproError,
-    RequestTimeoutError,
-    SimulationError,
-    UnreachableHostError,
-)
-from .ids import BroadcastId, GlobalPid, SessionId
-from .netsim import CostModel, DEFAULT_COST_MODEL, HostClass, Simulator
-from .unixsim import Host, Signal, World
-from .core import (
-    ControlAction,
-    LocalProcessManager,
-    Message,
-    MsgKind,
-    PersonalProcessManager,
-    PPMClient,
-    ProcessRecord,
-    ResilientComputation,
-    SnapshotForest,
-    UnitSpec,
-    build_program,
-    file_worker_spec,
-    fork_tree_spec,
-    install,
-    sleeper_spec,
-    spinner_spec,
-    worker_spec,
-)
-from .tracing import (
-    Granularity,
-    HistoryStore,
-    TraceEvent,
-    TraceEventType,
-    TraceRecorder,
-    Trigger,
-    TriggerEngine,
-)
+from .util import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("PPMConfig", "DEFAULT_CONFIG", "KERNEL_MESSAGE_BYTES"),
+    ".errors": ("ReproError", "ConfigError", "SimulationError",
+                "NoSuchHostError", "HostDownError", "UnreachableHostError",
+                "ConnectionClosedError", "NoSuchProcessError",
+                "ProcessPermissionError", "AdoptionError",
+                "AuthenticationError", "PPMError", "NoLPMError",
+                "RequestTimeoutError", "RecoveryError", "RegistryError"),
+    ".ids": ("GlobalPid", "BroadcastId", "SessionId"),
+    ".latency": ("HostClass", "CostModel", "DEFAULT_COST_MODEL"),
+    ".netsim.simulator": ("Simulator",),
+    ".unixsim.world": ("World",),
+    ".unixsim.host": ("Host",),
+    ".unixsim.signals": ("Signal",),
+    ".core.messages": ("Message", "MsgKind"),
+    ".core.lpm": ("LocalProcessManager", "install"),
+    ".core.snapshot": ("ProcessRecord", "SnapshotForest"),
+    ".core.control": ("ControlAction",),
+    ".core.client": ("PPMClient",),
+    ".core.ppm": ("PersonalProcessManager",),
+    ".core.progspec": ("build_program", "spinner_spec", "sleeper_spec",
+                       "worker_spec", "file_worker_spec",
+                       "fork_tree_spec"),
+    ".core.resilient": ("ResilientComputation", "UnitSpec"),
+    ".tracing.events": ("TraceEvent", "TraceEventType", "Granularity"),
+    ".tracing.recorder": ("TraceRecorder",),
+    ".tracing.history": ("HistoryStore",),
+    ".tracing.triggers": ("Trigger", "TriggerEngine"),
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "PPMConfig",
-    "DEFAULT_CONFIG",
-    "KERNEL_MESSAGE_BYTES",
-    "ReproError",
-    "ConfigError",
-    "SimulationError",
-    "NoSuchHostError",
-    "HostDownError",
-    "UnreachableHostError",
-    "ConnectionClosedError",
-    "NoSuchProcessError",
-    "ProcessPermissionError",
-    "AdoptionError",
-    "AuthenticationError",
-    "PPMError",
-    "NoLPMError",
-    "RequestTimeoutError",
-    "RecoveryError",
-    "GlobalPid",
-    "BroadcastId",
-    "SessionId",
-    "Simulator",
-    "HostClass",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
-    "World",
-    "Host",
-    "Signal",
-    "Message",
-    "MsgKind",
-    "LocalProcessManager",
-    "install",
-    "ProcessRecord",
-    "SnapshotForest",
-    "ControlAction",
-    "PPMClient",
-    "PersonalProcessManager",
-    "build_program",
-    "spinner_spec",
-    "sleeper_spec",
-    "worker_spec",
-    "file_worker_spec",
-    "fork_tree_spec",
-    "ResilientComputation",
-    "UnitSpec",
-    "TraceEvent",
-    "TraceEventType",
-    "Granularity",
-    "TraceRecorder",
-    "HistoryStore",
-    "Trigger",
-    "TriggerEngine",
-]

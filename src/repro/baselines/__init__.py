@@ -16,12 +16,9 @@ closes: control coverage over arbitrary genealogies, and the cost of
 per-operation connections versus maintained channels.
 """
 
-from .csh import CshJobControl
-from .rexec import RexecClient, RexecDaemon, install_rexecd
+from ..util import lazy_exports
 
-__all__ = [
-    "CshJobControl",
-    "RexecClient",
-    "RexecDaemon",
-    "install_rexecd",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".csh": ("CshJobControl",),
+    ".rexec": ("RexecClient", "RexecDaemon", "install_rexecd"),
+})

@@ -1,29 +1,12 @@
 """Benchmark support: workload generators, scenario builders, and the
 paper-style table formatting used by the ``benchmarks/`` harness."""
 
-from .workloads import (
-    raise_load_to_band,
-    measure_kernel_deliveries,
-    populate_remote_processes,
-)
-from .scenarios import (
-    Table2Chain,
-    build_table1_world,
-    build_table2_chain,
-    build_figure5_topology,
-    FIGURE5_TOPOLOGIES,
-)
-from .tables import comparison_table, write_result
+from ..util import lazy_exports
 
-__all__ = [
-    "raise_load_to_band",
-    "measure_kernel_deliveries",
-    "populate_remote_processes",
-    "Table2Chain",
-    "build_table1_world",
-    "build_table2_chain",
-    "build_figure5_topology",
-    "FIGURE5_TOPOLOGIES",
-    "comparison_table",
-    "write_result",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".workloads": ("raise_load_to_band", "measure_kernel_deliveries",
+                   "populate_remote_processes"),
+    ".scenarios": ("Table2Chain", "build_table1_world", "build_table2_chain",
+                   "build_figure5_topology", "FIGURE5_TOPOLOGIES"),
+    ".tables": ("comparison_table", "write_result"),
+})

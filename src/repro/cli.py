@@ -34,10 +34,6 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .core.ppm import PersonalProcessManager
-from .core.shell import PPMShell
-from .latency import HostClass
-from .unixsim.world import World
 
 
 def build_demo_world(seed: int = 1, trace: bool = False):
@@ -46,6 +42,9 @@ def build_demo_world(seed: int = 1, trace: bool = False):
     ``trace`` attaches a span tracer before the session starts so the
     bootstrap traffic is captured too.
     """
+    from .core.ppm import PersonalProcessManager
+    from .latency import HostClass
+    from .unixsim.world import World
     world = World(seed=seed)
     world.add_host("ucbvax", HostClass.VAX_780)
     world.add_host("ucbarpa", HostClass.VAX_750)
@@ -61,6 +60,7 @@ def build_demo_world(seed: int = 1, trace: bool = False):
 
 
 def cmd_demo(args) -> int:
+    from .core.shell import PPMShell
     world, ppm = build_demo_world(seed=args.seed)
     shell = PPMShell(ppm)
     script = [
@@ -87,6 +87,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_shell(args) -> int:
+    from .core.shell import PPMShell
     world, ppm = build_demo_world(seed=args.seed)
     shell = PPMShell(ppm)
     print("PPM interactive shell (simulated network: ucbvax, ucbarpa, "

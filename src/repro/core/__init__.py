@@ -13,50 +13,19 @@ able to create LPMs, then use :class:`repro.core.client.PPMClient` (or
 the :class:`repro.core.ppm.PersonalProcessManager` facade) as a tool.
 """
 
-from .messages import Message, MsgKind
-from .lpm import LocalProcessManager, install
-from .snapshot import ProcessRecord, SnapshotForest
-from .control import ControlAction
-from .client import PPMClient
-from .ppm import PersonalProcessManager
-from .progspec import (
-    build_program,
-    spinner_spec,
-    sleeper_spec,
-    worker_spec,
-    file_worker_spec,
-    fork_tree_spec,
-)
-from .resilient import ResilientComputation, UnitSpec
-from .files_tool import (
-    open_files_by_process,
-    render_open_files,
-    render_closed_files,
-    render_fd_table,
-    file_usage_summary,
-)
+from ..util import lazy_exports
 
-__all__ = [
-    "Message",
-    "MsgKind",
-    "LocalProcessManager",
-    "install",
-    "ProcessRecord",
-    "SnapshotForest",
-    "ControlAction",
-    "PPMClient",
-    "PersonalProcessManager",
-    "build_program",
-    "spinner_spec",
-    "sleeper_spec",
-    "worker_spec",
-    "file_worker_spec",
-    "fork_tree_spec",
-    "ResilientComputation",
-    "UnitSpec",
-    "open_files_by_process",
-    "render_open_files",
-    "render_closed_files",
-    "render_fd_table",
-    "file_usage_summary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".messages": ("Message", "MsgKind"),
+    ".lpm": ("LocalProcessManager", "install"),
+    ".snapshot": ("ProcessRecord", "SnapshotForest"),
+    ".control": ("ControlAction",),
+    ".client": ("PPMClient",),
+    ".ppm": ("PersonalProcessManager",),
+    ".progspec": ("build_program", "spinner_spec", "sleeper_spec",
+                  "worker_spec", "file_worker_spec", "fork_tree_spec"),
+    ".resilient": ("ResilientComputation", "UnitSpec"),
+    ".files_tool": ("open_files_by_process", "render_open_files",
+                    "render_closed_files", "render_fd_table",
+                    "file_usage_summary"),
+})

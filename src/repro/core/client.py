@@ -21,8 +21,7 @@ from __future__ import annotations
 from typing import List, Optional, Union
 
 from ..errors import NoLPMError, PPMError, RequestTimeoutError
-from ..ids import GlobalPid
-from ..unixsim.inetd import INETD_SERVICE, PPM_SERVICE
+from ..ids import INETD_SERVICE, PPM_SERVICE, GlobalPid
 from ..util import Deferred
 from .control import ControlAction
 from .messages import Message, MsgKind

@@ -10,9 +10,12 @@ dependencies" — any process of the user's, anywhere, by ``<host, pid>``.
 from __future__ import annotations
 
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from ..unixsim.kernel import Kernel
 from ..unixsim.signals import Signal
+
+if TYPE_CHECKING:
+    from ..unixsim.kernel import Kernel
 
 
 class ControlAction(Enum):

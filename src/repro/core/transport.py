@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..ids import INETD_SERVICE, PPM_SERVICE
 from ..tracing.events import TraceEventType
-from ..unixsim.inetd import INETD_SERVICE, PPM_SERVICE
 from ..util import Deferred
 from .circuitpool import CircuitPool
 from .dgram import DatagramFabric

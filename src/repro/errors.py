@@ -38,6 +38,10 @@ class ConnectionClosedError(ReproError):
     """A stream connection was used after it closed or broke."""
 
 
+class RegistryError(ReproError):
+    """The realnet host registry file exists but is not a registry."""
+
+
 class NoSuchProcessError(ReproError):
     """A pid (or <host, pid> identity) does not name a live process."""
 

@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from .errors import ReproError
 from .perf import PERF
 
+#: The well-known service inetd listens on (both backends).
+INETD_SERVICE = "inetd"
+#: The sub-service tools and remote LPMs request for PPM bootstrap.
+PPM_SERVICE = "ppm"
+
 
 @dataclass(frozen=True, order=True)
 class GlobalPid:

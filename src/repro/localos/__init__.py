@@ -9,14 +9,9 @@ approach the paper cites as the elegant alternative, section 6), exit
 records retained while children live.
 """
 
-from .procfs import ProcStat, read_stat, children_map, descendants
-from .backend import RealBackend, ManagedProcess
+from ..util import lazy_exports
 
-__all__ = [
-    "ProcStat",
-    "read_stat",
-    "children_map",
-    "descendants",
-    "RealBackend",
-    "ManagedProcess",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".procfs": ("ProcStat", "read_stat", "children_map", "descendants"),
+    ".backend": ("RealBackend", "ManagedProcess"),
+})

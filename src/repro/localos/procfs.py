@@ -40,6 +40,10 @@ _READ_BYTES = 4096
 #: What opening or reading a process's file raises once it is gone.
 _GONE = (FileNotFoundError, ProcessLookupError, PermissionError)
 
+#: Clock ticks per second, the unit of the stat times; fixed for the
+#: life of the kernel, so read once.
+_HERTZ = os.sysconf("SC_CLK_TCK")
+
 
 @dataclass(frozen=True)
 class ProcStat:
@@ -56,20 +60,18 @@ class ProcStat:
 
     @property
     def utime_ms(self) -> float:
-        hertz = os.sysconf("SC_CLK_TCK")
-        return 1000.0 * self.utime_ticks / hertz
+        return 1000.0 * self.utime_ticks / _HERTZ
 
     @property
     def stime_ms(self) -> float:
-        hertz = os.sysconf("SC_CLK_TCK")
-        return 1000.0 * self.stime_ticks / hertz
+        return 1000.0 * self.stime_ticks / _HERTZ
 
     @property
     def started_at(self) -> float:
         """When the process started, in ``time.time()`` seconds (to
         the clock tick); the kernel counts it from boot."""
         boot_epoch = time.time() - time.clock_gettime(time.CLOCK_BOOTTIME)
-        return boot_epoch + self.start_ticks / os.sysconf("SC_CLK_TCK")
+        return boot_epoch + self.start_ticks / _HERTZ
 
 
 def _read(path: str) -> Optional[bytes]:

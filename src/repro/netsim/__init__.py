@@ -7,33 +7,15 @@ section 3), an alternative datagram transport, and the latency model
 calibrated against the paper's measurements (Tables 1-3).
 """
 
-from ..latency import (
-    HostClass,
-    CostModel,
-    DEFAULT_COST_MODEL,
-    kernel_message_delay_ms,
-    load_factor,
-)
-from .events import Event, EventQueue
-from .simulator import Simulator
-from .link import Link
-from .network import Network, NetworkNode
-from .stream import StreamConnection, StreamEndpoint
-from .datagram import DatagramTransport
+from ..util import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "HostClass",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
-    "kernel_message_delay_ms",
-    "load_factor",
-    "Link",
-    "Network",
-    "NetworkNode",
-    "StreamConnection",
-    "StreamEndpoint",
-    "DatagramTransport",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": ("Event", "EventQueue"),
+    ".simulator": ("Simulator",),
+    "..latency": ("HostClass", "CostModel", "DEFAULT_COST_MODEL",
+                  "kernel_message_delay_ms", "load_factor"),
+    ".link": ("Link",),
+    ".network": ("Network", "NetworkNode"),
+    ".stream": ("StreamConnection", "StreamEndpoint"),
+    ".datagram": ("DatagramTransport",),
+})

@@ -26,90 +26,21 @@ event queue, and the triggers only run once installed.  See
 ``docs/OPERATIONS.md`` for the runbook.
 """
 
-from .checks import (
-    CHECK_ORDER,
-    EXIT_CODES,
-    CheckResult,
-    DoctorReport,
-    HostHealth,
-    LpmHealth,
-    OpsAlert,
-    OrphanRecord,
-    WorldView,
-    check_to_dict,
-    offending_entities,
-    report_to_dict,
-    run_checks,
-)
-from .doctor import (
-    alerts_from_engine,
-    load_baseline,
-    probe_fleet,
-    probe_world,
-    run_doctor,
-    write_baseline,
-)
-from .journal import (
-    IncidentJournal,
-    incident_records,
-    mttr_by_check,
-    read_journal,
-    render_incidents,
-)
-from .triggers import (
-    ccs_flap_trigger,
-    dedup_cache_blowup_trigger,
-    host_down_trigger,
-    install_ops_triggers,
-    p99_regression_trigger,
-    retransmission_storm_trigger,
-    watch_onset_trigger,
-)
-from .watch import (
-    DEFAULT_INTERVAL_MS,
-    RUNBOOK_ANCHORS,
-    WatchEdge,
-    Watcher,
-    watch_fleet,
-    watch_world,
-)
+from ..util import lazy_exports
 
-__all__ = [
-    "CHECK_ORDER",
-    "EXIT_CODES",
-    "CheckResult",
-    "DoctorReport",
-    "HostHealth",
-    "LpmHealth",
-    "OpsAlert",
-    "OrphanRecord",
-    "WorldView",
-    "check_to_dict",
-    "offending_entities",
-    "report_to_dict",
-    "run_checks",
-    "alerts_from_engine",
-    "load_baseline",
-    "probe_fleet",
-    "probe_world",
-    "run_doctor",
-    "write_baseline",
-    "IncidentJournal",
-    "incident_records",
-    "mttr_by_check",
-    "read_journal",
-    "render_incidents",
-    "ccs_flap_trigger",
-    "dedup_cache_blowup_trigger",
-    "host_down_trigger",
-    "install_ops_triggers",
-    "p99_regression_trigger",
-    "retransmission_storm_trigger",
-    "watch_onset_trigger",
-    "DEFAULT_INTERVAL_MS",
-    "RUNBOOK_ANCHORS",
-    "WatchEdge",
-    "Watcher",
-    "watch_fleet",
-    "watch_world",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".checks": ("CHECK_ORDER", "EXIT_CODES", "CheckResult", "DoctorReport",
+                "HostHealth", "LpmHealth", "OpsAlert", "OrphanRecord",
+                "WorldView", "check_to_dict", "offending_entities",
+                "report_to_dict", "run_checks"),
+    ".doctor": ("alerts_from_engine", "load_baseline", "probe_fleet",
+                "probe_world", "run_doctor", "write_baseline"),
+    ".journal": ("IncidentJournal", "incident_records", "mttr_by_check",
+                 "read_journal", "render_incidents"),
+    ".triggers": ("ccs_flap_trigger", "dedup_cache_blowup_trigger",
+                  "host_down_trigger", "install_ops_triggers",
+                  "p99_regression_trigger", "retransmission_storm_trigger",
+                  "watch_onset_trigger"),
+    ".watch": ("DEFAULT_INTERVAL_MS", "RUNBOOK_ANCHORS", "WatchEdge",
+               "Watcher", "watch_fleet", "watch_world"),
+})

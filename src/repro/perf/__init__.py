@@ -16,16 +16,13 @@ Chrome trace-event JSON by :mod:`repro.perf.chrometrace`) — see
 ``docs/OBSERVABILITY.md``.
 """
 
-from .chrometrace import chrome_trace, chrome_trace_events, write_chrome_trace
-from .counters import PERF, PerfCounters
-from .histogram import BUCKET_BOUNDS_MS, LatencyHistogram
-from .spans import (OP_CLASSES, Span, SpanTracer, disable_tracing,
-                    enable_tracing)
+from ..util import lazy_exports
 
-__all__ = [
-    "PERF", "PerfCounters",
-    "BUCKET_BOUNDS_MS", "LatencyHistogram",
-    "OP_CLASSES", "Span", "SpanTracer", "enable_tracing",
-    "disable_tracing",
-    "chrome_trace", "chrome_trace_events", "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".counters": ("PERF", "PerfCounters"),
+    ".histogram": ("BUCKET_BOUNDS_MS", "LatencyHistogram"),
+    ".spans": ("OP_CLASSES", "Span", "SpanTracer", "enable_tracing",
+               "disable_tracing"),
+    ".chrometrace": ("chrome_trace", "chrome_trace_events",
+                     "write_chrome_trace"),
+})

@@ -28,9 +28,10 @@ Layout:
   host daemon entry point and the client-side session/launch helpers.
 """
 
-from .fabric import AsyncioFabric
-from .registry import HostRegistry
-from .session import RealSession, launch_hosts
+from ..util import lazy_exports
 
-__all__ = ["AsyncioFabric", "HostRegistry", "RealSession",
-           "launch_hosts"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".fabric": ("AsyncioFabric",),
+    ".registry": ("HostRegistry",),
+    ".session": ("RealSession", "launch_hosts"),
+})

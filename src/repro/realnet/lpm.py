@@ -26,10 +26,9 @@ from typing import Callable, Dict, List, Optional
 from ..core.control import ControlAction
 from ..core.messages import Message, MsgKind
 from ..errors import NoSuchProcessError, PPMError
-from ..ids import GlobalPid
+from ..ids import INETD_SERVICE, PPM_SERVICE, GlobalPid
 from ..localos import RealBackend
 from ..localos.procfs import ORPHAN_MARKER
-from ..unixsim.inetd import INETD_SERVICE, PPM_SERVICE
 from ..util import Deferred
 
 #: Default program for a created process with no explicit argv: a

@@ -15,7 +15,7 @@ from typing import Dict
 import os
 
 from ..core.circuitpool import CircuitPool
-from ..unixsim.inetd import INETD_SERVICE, PPM_SERVICE
+from ..ids import INETD_SERVICE, PPM_SERVICE
 from .lpm import RealLpm
 
 

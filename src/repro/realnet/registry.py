@@ -25,6 +25,8 @@ import tempfile
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..errors import RegistryError
+
 
 class HostRegistry:
     """One shared registry file of live realnet listeners."""
@@ -35,20 +37,32 @@ class HostRegistry:
     # -- reading ---------------------------------------------------------
 
     def read(self) -> Dict[str, Tuple[str, int]]:
+        """The published entries; ``{}`` before any host publishes.
+
+        Raises :class:`RegistryError` when the file exists but does
+        not parse as a registry: every update reads before it writes,
+        so reading it as empty would replace the other hosts' entries
+        with the writer's own.
+        """
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)
-        except (OSError, ValueError):
+            return {host: (entry[0], int(entry[1]))
+                    for host, entry in raw.items()}
+        except FileNotFoundError:
             return {}
-        return {host: (entry[0], int(entry[1]))
-                for host, entry in raw.items()}
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise RegistryError("host registry %s is corrupt: %s"
+                                % (self.path, exc)) from None
 
     def lookup(self, host: str) -> Optional[Tuple[str, int]]:
         return self.read().get(host)
 
     def wait_for(self, hosts: List[str], timeout_s: float = 15.0,
                  poll_s: float = 0.05) -> bool:
-        """Block until every named host has published, or time out."""
+        """Block until every named host has published, or time out.
+
+        A corrupt registry raises :class:`RegistryError` at once."""
         deadline = time.monotonic() + timeout_s
         while True:
             known = self.read()

@@ -8,70 +8,21 @@ store, the trigger engine, the data-reduction tools, and the text
 renderers (the paper's "data analysis and data representation tools").
 """
 
-from .events import TraceEvent, TraceEventType, Granularity
-from .recorder import TraceRecorder
-from .history import HistoryStore
-from .triggers import Trigger, TriggerEngine, TriggerFiring
-from .reduction import (
-    event_counts,
-    per_command_usage,
-    process_lifetimes,
-    message_rate,
-)
-from .display import (
-    render_forest,
-    render_topology,
-    render_timeline,
-    render_endpoints,
-    render_creation_steps,
-    render_gantt,
-    state_intervals,
-)
-from .export import (
-    forest_to_dot,
-    topology_to_dot,
-    events_to_json,
-    forest_to_json,
-)
-from .ipc import (
-    ipc_matrix,
-    ipc_by_kind,
-    user_ipc_matrix,
-    render_ipc_matrix,
-    render_ipc_by_kind,
-    render_user_ipc,
-    hottest_links,
-)
+from ..util import lazy_exports
 
-__all__ = [
-    "TraceEvent",
-    "TraceEventType",
-    "Granularity",
-    "TraceRecorder",
-    "HistoryStore",
-    "Trigger",
-    "TriggerEngine",
-    "TriggerFiring",
-    "event_counts",
-    "per_command_usage",
-    "process_lifetimes",
-    "message_rate",
-    "render_forest",
-    "render_topology",
-    "render_timeline",
-    "render_endpoints",
-    "render_creation_steps",
-    "render_gantt",
-    "state_intervals",
-    "forest_to_dot",
-    "topology_to_dot",
-    "events_to_json",
-    "forest_to_json",
-    "ipc_matrix",
-    "ipc_by_kind",
-    "user_ipc_matrix",
-    "render_ipc_matrix",
-    "render_ipc_by_kind",
-    "render_user_ipc",
-    "hottest_links",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": ("TraceEvent", "TraceEventType", "Granularity"),
+    ".recorder": ("TraceRecorder",),
+    ".history": ("HistoryStore",),
+    ".triggers": ("Trigger", "TriggerEngine", "TriggerFiring"),
+    ".reduction": ("event_counts", "per_command_usage",
+                   "process_lifetimes", "message_rate"),
+    ".display": ("render_forest", "render_topology", "render_timeline",
+                 "render_endpoints", "render_creation_steps",
+                 "render_gantt", "state_intervals"),
+    ".export": ("forest_to_dot", "topology_to_dot", "events_to_json",
+                "forest_to_json"),
+    ".ipc": ("ipc_matrix", "ipc_by_kind", "user_ipc_matrix",
+             "render_ipc_matrix", "render_ipc_by_kind", "render_user_ipc",
+             "hottest_links"),
+})

@@ -9,59 +9,23 @@ files (``.recovery``, ``.rhosts``), user accounts, and the two daemons —
 on top of :mod:`repro.netsim`.
 """
 
-from .signals import Signal, default_action, SignalAction
-from .process import Process, ProcState, Rusage, TraceFlag
-from .proctable import ProcessTable
-from .loadavg import LoadAverage
-from .filesystem import SimFilesystem
-from .users import UserAccount, UserRegistry
-from .kernel import Kernel, KernelMessage, KernelEvent
-from .ipc import UserChannel, UserIpc
-from .programs import (
-    Program,
-    SpinnerProgram,
-    SleeperProgram,
-    WorkerProgram,
-    FileWorkerProgram,
-    ForkTreeProgram,
-    EchoProgram,
-    TalkerProgram,
-)
-from .inetd import InetDaemon
-from .nameserver import CcsNameServer
-from .pmd import ProcessManagerDaemon
-from .host import Host
-from .world import World
+from ..util import lazy_exports
 
-__all__ = [
-    "Signal",
-    "SignalAction",
-    "default_action",
-    "Process",
-    "ProcState",
-    "Rusage",
-    "TraceFlag",
-    "ProcessTable",
-    "LoadAverage",
-    "SimFilesystem",
-    "UserAccount",
-    "UserRegistry",
-    "Kernel",
-    "KernelMessage",
-    "KernelEvent",
-    "Program",
-    "SpinnerProgram",
-    "SleeperProgram",
-    "WorkerProgram",
-    "FileWorkerProgram",
-    "ForkTreeProgram",
-    "EchoProgram",
-    "TalkerProgram",
-    "UserChannel",
-    "UserIpc",
-    "InetDaemon",
-    "CcsNameServer",
-    "ProcessManagerDaemon",
-    "Host",
-    "World",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".signals": ("Signal", "SignalAction", "default_action"),
+    ".process": ("Process", "ProcState", "Rusage", "TraceFlag"),
+    ".proctable": ("ProcessTable",),
+    ".loadavg": ("LoadAverage",),
+    ".filesystem": ("SimFilesystem",),
+    ".users": ("UserAccount", "UserRegistry"),
+    ".kernel": ("Kernel", "KernelMessage", "KernelEvent"),
+    ".programs": ("Program", "SpinnerProgram", "SleeperProgram",
+                  "WorkerProgram", "FileWorkerProgram", "ForkTreeProgram",
+                  "EchoProgram", "TalkerProgram"),
+    ".ipc": ("UserChannel", "UserIpc"),
+    ".inetd": ("InetDaemon",),
+    ".nameserver": ("CcsNameServer",),
+    ".pmd": ("ProcessManagerDaemon",),
+    ".host": ("Host",),
+    ".world": ("World",),
+})

@@ -12,13 +12,9 @@ events so the architecture benchmark can regenerate the figure.
 from __future__ import annotations
 
 from ..errors import AuthenticationError
+from ..ids import INETD_SERVICE, PPM_SERVICE
 from ..tracing.events import TraceEventType
 from .process import ProcState
-
-#: The well-known service inetd listens on.
-INETD_SERVICE = "inetd"
-#: The sub-service tools and remote LPMs request for PPM bootstrap.
-PPM_SERVICE = "ppm"
 
 
 class InetDaemon:

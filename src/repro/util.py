@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import importlib
+import sys
+from typing import Callable, Dict, List, Optional, Sequence
 
 
 class Deferred:
@@ -65,3 +67,32 @@ def format_table(headers: List[str], rows: List[List[str]],
     for row in columns[1:]:
         parts.append(line(row))
     return "\n".join(parts)
+
+
+def lazy_exports(package: str, table: Dict[str, Sequence[str]]):
+    """PEP 562 exports for ``package``, loaded on first use.
+
+    ``table`` maps each submodule (relative to ``package``) to the
+    names the package exports from it.  Returns ``(__all__,
+    __getattr__, __dir__)`` for the package to bind: importing the
+    package loads none of the submodules, the first read of a name
+    imports its submodule and caches the value in the package
+    globals, and ``from package import *`` and ``dir(package)`` still
+    list every export.
+    """
+    home = {name: module for module, names in table.items()
+            for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError("module %r has no attribute %r"
+                                 % (package, name))
+        value = namespace[name] = getattr(
+            importlib.import_module(home[name], package), name)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(home))
+
+    return list(home), __getattr__, __dir__

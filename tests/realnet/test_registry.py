@@ -5,6 +5,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from repro.errors import RegistryError
 from repro.realnet.registry import HostRegistry
 
 
@@ -28,12 +31,32 @@ def test_publish_merges_across_writers(tmp_path):
                       "beta": ("127.0.0.1", 2000)}
 
 
-def test_missing_and_corrupt_files_read_empty(tmp_path):
+def test_missing_file_reads_empty(tmp_path):
     registry = HostRegistry(str(tmp_path / "absent.json"))
     assert registry.read() == {}
-    corrupt = tmp_path / "corrupt.json"
-    corrupt.write_text("{half a json doc")
-    assert HostRegistry(str(corrupt)).read() == {}
+
+
+@pytest.mark.parametrize("garbage", [
+    "{half a json doc", "[1, 2]", '{"alpha": 7}', '{"alpha": ["a"]}',
+    b"\xff\xfe"])
+def test_corrupt_registry_raises_and_is_left_alone(tmp_path, garbage):
+    """A registry that does not parse is an error, not an empty fleet:
+    publishing over it would drop every other host's entry."""
+    path = tmp_path / "reg.json"
+    if isinstance(garbage, bytes):
+        path.write_bytes(garbage)
+    else:
+        path.write_text(garbage)
+    before = path.read_bytes()
+    registry = HostRegistry(str(path))
+    for update in (lambda: registry.publish("beta", "127.0.0.1", 1),
+                   lambda: registry.withdraw("alpha"),
+                   lambda: registry.prune(["alpha"]),
+                   lambda: registry.wait_for(["alpha"], timeout_s=5.0),
+                   registry.read):
+        with pytest.raises(RegistryError, match=str(path)):
+            update()
+        assert path.read_bytes() == before
 
 
 def test_write_is_atomic_replace(tmp_path):

@@ -1,0 +1,67 @@
+"""What a process imports: a ``repro serve`` host loads the realnet
+stack, not the simulator, and every package exports lazily."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+import repro
+
+
+def loaded_after(code):
+    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+    probe = (code + "\nimport json, sys\nprint(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'repro')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_serve_imports_no_simulator():
+    loaded = loaded_after("import repro.cli, repro.realnet.serve")
+    assert "repro.realnet.serve" in loaded
+    banned = [name for name in loaded
+              if name.split(".")[1:2] in (["netsim"], ["tracing"], ["ops"])
+              or name in ("repro.core.lpm", "repro.core.ppm",
+                          "repro.core.client", "repro.core.transport")]
+    assert banned == []
+    assert [name for name in loaded if name.startswith("repro.unixsim")] \
+        == ["repro.unixsim", "repro.unixsim.signals"]
+
+
+def test_importing_repro_loads_no_subpackage():
+    assert loaded_after("import repro") == ["repro", "repro.util"]
+
+
+def test_a_read_caches_the_value_in_the_package():
+    assert repro.World is repro.unixsim.world.World
+    assert "World" in vars(repro)
+
+
+def test_layering_lint_reads_only_import_time_imports(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "check_layering",
+        os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools",
+                     "check_layering.py"))
+    lint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lint)
+    source = tmp_path / "node.py"
+    source.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "from ..unixsim.signals import Signal\n"
+        "if TYPE_CHECKING:\n"
+        "    from ..unixsim.kernel import Kernel\n"
+        "try:\n"
+        "    from ..tracing import events\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def later():\n"
+        "    from ..ops import doctor\n")
+    imports = lint.module_imports(str(source), "repro.realnet",
+                                  top_level=True)
+    assert sorted(name for name in imports
+                  if lint._matches(name, lint.SERVE_BANNED)
+                  and not lint._matches(name, lint.SERVE_ALLOWED)) \
+        == ["repro.tracing", "repro.tracing.events"]

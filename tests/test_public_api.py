@@ -3,6 +3,7 @@ package's layering holds."""
 
 import importlib
 import inspect
+import re
 
 import pytest
 
@@ -26,13 +27,23 @@ def test_all_public_classes_and_functions_documented():
 
 @pytest.mark.parametrize("module_name", [
     "repro.netsim", "repro.unixsim", "repro.core", "repro.tracing",
-    "repro.localos", "repro.baselines", "repro.bench",
+    "repro.localos", "repro.baselines", "repro.bench", "repro",
+    "repro.realnet", "repro.ops", "repro.perf",
 ])
 def test_subpackage_exports_resolve(module_name):
+    """Every export resolves (loaded lazily, on first read), and
+    ``dir`` and ``import *`` list exactly ``__all__``."""
     module = importlib.import_module(module_name)
     for name in getattr(module, "__all__", []):
         assert hasattr(module, name), "%s.%s missing" % (module_name,
                                                          name)
+    assert set(module.__all__) <= set(dir(module))
+    star = {}
+    exec("from %s import *" % module_name, star)
+    assert set(star) - {"__builtins__"} == set(module.__all__)
+    with pytest.raises(AttributeError,
+                       match=re.escape(repr(module_name))):
+        module.no_such_name
 
 
 def test_every_module_has_a_docstring():

@@ -38,8 +38,11 @@ The backend abstraction (``repro.core.fabric``) adds its own rules:
    simulator, the protocol stack, and the tools stay loadable — and
    deterministic — without ever touching a socket API.
 9. ``repro.realnet`` never imports ``repro.netsim``: the two backends
-   are siblings and must not entangle.  (The shared service-name
-   constants live in ``repro.unixsim.inetd``, which realnet may use.)
+   are siblings and must not entangle.  And a serve process loads only
+   what it runs: at module level, ``repro.realnet`` and
+   ``repro.localos`` import no ``repro.unixsim`` module but
+   ``signals``, and nothing from ``repro.tracing`` or ``repro.ops``.
+   (The shared service-name constants live in ``repro.ids``.)
 
 The real backend reads the kernel's process table in one place:
 
@@ -78,6 +81,13 @@ NETSIM = os.path.join(REPO_ROOT, "src", "repro", "netsim")
 NETSIM_PACKAGE = "repro.netsim"
 SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
 REALNET = os.path.join(SRC_ROOT, "realnet")
+
+#: The packages a serve process runs (rule 9), and the prefixes they
+#: may not import at module level; ``repro.unixsim.signals`` is the
+#: one simulator module they share.
+SERVE_PACKAGES = ("realnet", "localos")
+SERVE_BANNED = ("repro.unixsim", "repro.tracing", "repro.ops")
+SERVE_ALLOWED = ("repro.unixsim.signals",)
 
 #: Real-network primitives; only the packages named in
 #: :data:`NETWORK_API_ALLOWED` may import them (rule 8).
@@ -145,8 +155,29 @@ LPM_ALLOWED_PREFIXES = (
 )
 
 
-def module_imports(path: str, package: str) -> Set[str]:
-    """Absolute dotted names imported anywhere in the file.
+def _top_level(body: Sequence[ast.stmt]) -> List[ast.stmt]:
+    """The statements of ``body`` that run at import: nested ``if``
+    and ``try`` blocks included, ``if TYPE_CHECKING:`` and function
+    and class bodies not."""
+    found: List[ast.stmt] = []
+    for node in body:
+        found.append(node)
+        if isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and
+                    node.test.id == "TYPE_CHECKING"):
+                found += _top_level(node.body)
+            found += _top_level(node.orelse)
+        elif isinstance(node, ast.Try):
+            for block in (node.body, node.orelse, node.finalbody,
+                          *(handler.body for handler in node.handlers)):
+                found += _top_level(block)
+    return found
+
+
+def module_imports(path: str, package: str,
+                   top_level: bool = False) -> Set[str]:
+    """Absolute dotted names imported anywhere in the file (only at
+    import time with ``top_level``).
 
     Relative imports are resolved against ``package`` (the package the
     file lives in).  ``from X import y`` contributes both ``X`` and
@@ -155,7 +186,8 @@ def module_imports(path: str, package: str) -> Set[str]:
     with open(path, "r", encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), filename=path)
     found: Set[str] = set()
-    for node in ast.walk(tree):
+    nodes = _top_level(tree.body) if top_level else ast.walk(tree)
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 found.add(alias.name)
@@ -327,7 +359,8 @@ def check() -> List[str]:
                         "%s:%d calls message_size_bytes: only a message "
                         "crossing a link is sized" % (module, line))
 
-    # Rule 9: the backends stay siblings.
+    # Rule 9: the backends stay siblings, and a serve process loads
+    # no simulator.
     for filename in sorted(os.listdir(REALNET)):
         if not filename.endswith(".py"):
             continue
@@ -337,6 +370,20 @@ def check() -> List[str]:
             if _matches(name, ("repro.netsim",)):
                 errors.append("realnet/%s imports %r: the backends must "
                               "not entangle" % (filename, name))
+    for package in SERVE_PACKAGES:
+        directory = os.path.join(SRC_ROOT, package)
+        for filename in sorted(os.listdir(directory)):
+            if not filename.endswith(".py"):
+                continue
+            imports = module_imports(os.path.join(directory, filename),
+                                     "repro." + package, top_level=True)
+            for name in sorted(imports):
+                if _matches(name, SERVE_BANNED) and \
+                        not _matches(name, SERVE_ALLOWED):
+                    errors.append(
+                        "%s/%s imports %r at module level: a serve "
+                        "process must not load the simulator"
+                        % (package, filename, name))
     return errors
 
 
