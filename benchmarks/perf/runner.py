@@ -33,12 +33,10 @@ runs through:
 ``multitenant_50x24``
     The multi-tenant claim: 50 users x 24 hosts (8 x 6 under --smoke)
     under the open-loop lognormal workload of ``benchmarks.workloads``
-    (login -> create fan-out -> locate -> tool_call -> gather), run
-    twice — ``circuit_sharing`` on vs off.  Records per-op latency
-    SLOs (p50/p95/p99) for both modes plus the steady-state inter-host
-    connection counts: with sharing, co-located users' sibling
-    channels collapse onto one circuit per host pair (target >= 5x
-    fewer connections at full scale).
+    (login -> create fan-out -> locate -> tool_call -> gather), every
+    user's LPM on its own private circuits.  Records per-op latency
+    SLOs (p50/p95/p99) and the steady-state inter-host connection
+    count.
 
 Usage::
 
@@ -89,7 +87,7 @@ _REPORTED = (
     "heap_compactions",
     "gather_merges", "gather_records_merged",
     "stream_batched_deliveries", "stream_segments_drained",
-    "circuit_shares", "circuit_lanes_attached", "auth_cache_hits",
+    "auth_cache_hits",
 )
 
 
@@ -291,11 +289,11 @@ def bench_watch_steady(smoke: bool = False) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scenario 5: multi-tenancy (scenarios.py)
+# Scenario 5: multi-tenancy (benchmarks.workloads)
 # ----------------------------------------------------------------------
 
 def bench_multitenant(smoke: bool = False) -> dict:
-    from .scenarios import multitenant_scenario
+    from benchmarks.workloads import multitenant_scenario
 
     return _measure(multitenant_scenario(
         n_users=8 if smoke else 50,

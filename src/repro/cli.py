@@ -205,8 +205,7 @@ def cmd_serve(args) -> int:
     from .realnet.serve import serve_host
     return serve_host(args.host, args.registry,
                       bind_address=args.bind, budget_s=args.budget_s,
-                      trace_spans=args.trace_spans,
-                      share_circuits=args.share_circuits)
+                      trace_spans=args.trace_spans)
 
 
 def cmd_run_real(args) -> int:
@@ -447,9 +446,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="exit after this many wall seconds")
     serve.add_argument("--trace-spans", action="store_true",
                        help="enable span tracing in this process")
-    serve.add_argument("--share-circuits", action="store_true",
-                       help="multiplex all users' sibling channels to a "
-                            "peer host over one shared TCP circuit")
     serve.set_defaults(fn=cmd_serve)
 
     run_real = sub.add_parser(

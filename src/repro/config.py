@@ -71,14 +71,6 @@ class PPMConfig:
     #: connections, ARQ reliability).
     transport: str = "stream"
 
-    #: Whether co-located LPMs of *different* users share one physical
-    #: inter-host circuit per host pair (multi-tenant mode): the first
-    #: LPM to need ``(host_a, host_b)`` opens the circuit, later LPMs
-    #: attach per-user lanes demultiplexed by ``Message.lane``.  Off by
-    #: default — single-tenant runs stay byte-identical on the wire.
-    #: Only meaningful with the ``"stream"`` transport.
-    circuit_sharing: bool = False
-
     #: Datagram-transport retransmission timeout and retry budget.
     datagram_rto_ms: float = 400.0
     datagram_max_retries: int = 5

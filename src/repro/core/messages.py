@@ -51,9 +51,6 @@ class MsgKind(Enum):
     CCS_ACK = "ccs_ack"
     CCS_PROBE = "ccs_probe"      # stand-in CCS probing higher-priority host
     CCS_PROBE_ACK = "ccs_probe_ack"
-    #: Circuit sharing (``circuit_sharing=True`` only): a lane client
-    #: detaching from a shared circuit without closing the circuit.
-    LANE_CLOSE = "lane_close"
 
 
 #: Kinds that always flow tool <-> LPM (used for endpoint sanity checks).
@@ -88,13 +85,6 @@ class Message:
     #: omitted from the wire encoding when None so disabled runs stay
     #: byte-identical (see :mod:`repro.perf.spans`).
     trace: Optional[List[int]] = None
-    #: Lane tag when the message travels on a *shared* inter-host
-    #: circuit (``circuit_sharing=True``): the user whose per-user lane
-    #: the message belongs to, stamped by the transport at send time
-    #: and used by the receiving :class:`~repro.core.circuitpool.
-    #: CircuitPool` to demultiplex.  Omitted from the wire encoding
-    #: when None so unshared runs stay byte-identical.
-    lane: Optional[str] = None
 
     def make_reply(self, kind: MsgKind, sender_host: str,
                    payload: Optional[dict] = None) -> "Message":

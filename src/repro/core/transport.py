@@ -22,7 +22,6 @@ from typing import Dict, List
 from ..ids import INETD_SERVICE, PPM_SERVICE
 from ..tracing.events import TraceEventType
 from ..util import Deferred
-from .circuitpool import CircuitPool
 from .dgram import DatagramFabric
 from .messages import Message, MsgKind
 from .wire import message_size_bytes
@@ -61,13 +60,6 @@ class SiblingTransport:
         self.dgram = DatagramFabric(lpm)
         if lpm.config.transport == "datagram":
             self.dgram.bind()
-        #: Shared-circuit pool (multi-tenant mode): one physical
-        #: circuit per host pair, this LPM riding a per-user lane.
-        self.pool = None
-        if lpm.config.circuit_sharing and lpm.config.transport == "stream":
-            self.pool = CircuitPool.ensure(lpm.host, lpm.fabric,
-                                           lpm.host.node, lpm.name)
-            self.pool.register_user(lpm.user, self.accept_sibling)
 
     # ------------------------------------------------------------------
     # Link inventory
@@ -203,11 +195,13 @@ class SiblingTransport:
                  "from_host": lpm.name, "token": bootstrap["token"],
                  "secret": lpm.secret, "ccs_host": lpm.ccs_host,
                  "known": self.authenticated()}
-        if self.pool is not None:
-            self._open_lane(peer, hello, done)
-            return
 
         def established(endpoint) -> None:
+            if not endpoint.open:
+                # The acceptor refused the HELLO (a wrong token) before
+                # the dial completed: no HELLO_ACK and no close follow.
+                done.resolve(None)
+                return
             link = SiblingLink(peer, endpoint)
             link.opened_ms = lpm.sim.now_ms
             self.links[peer] = link
@@ -220,30 +214,6 @@ class SiblingTransport:
             setup_ms=lpm.cost.connect_ms,
             on_established=established,
             on_failed=lambda reason: done.resolve(None),
-            detect_ms=lpm.config.connection_detect_ms)
-
-    def _open_lane(self, peer: str, hello: dict, done: Deferred) -> None:
-        """Shared-circuit path: attach a lane to the pooled circuit and
-        run the HELLO handshake as an in-band message on the lane."""
-        lpm = self.lpm
-
-        def lane_ready(endpoint) -> None:
-            link = SiblingLink(peer, endpoint)
-            link.opened_ms = lpm.sim.now_ms
-            self.links[peer] = link
-            endpoint.on_message = lpm._sibling_on_message
-            endpoint.on_close = self.on_link_close
-            endpoint.context = {"await_ack": done}
-            greeting = Message(kind=MsgKind.HELLO,
-                               req_id=lpm.rpc.next_req_id(),
-                               origin=lpm.name, user=lpm.user,
-                               payload=hello)
-            self.send_on_link(link, greeting)
-
-        self.pool.attach(
-            peer, lpm.user, on_established=lane_ready,
-            on_failed=lambda reason: done.resolve(None),
-            setup_ms=lpm.cost.connect_ms,
             detect_ms=lpm.config.connection_detect_ms)
 
     def apply_topology_policy(self, known: List[str]) -> None:
@@ -317,11 +287,6 @@ class SiblingTransport:
                      forwarding: bool = False) -> None:
         lpm = self.lpm
         cost = lpm.cost.forward_ms if forwarding else lpm.cost.sibling_send_ms
-        # Stamp (or clear) the lane tag before sizing so shared-circuit
-        # traffic is charged for the bytes it actually carries.
-        lane = getattr(link.endpoint, "lane", None)
-        if message.lane != lane:
-            message.lane = lane
         nbytes = message_size_bytes(message)
         tracer = lpm.sim.tracer
         if tracer is not None and message.trace is not None:
@@ -343,8 +308,8 @@ class SiblingTransport:
         link = self.links.get(peer)
         if link is not None and link.endpoint is endpoint:
             del self.links[peer]
-        # A lane refused before its HELLO_ACK (or a circuit dying
-        # mid-handshake) must still fail the pending ensure_sibling.
+        # A channel refused before its HELLO_ACK (a wrong token) or
+        # dying mid-handshake must still fail the pending ensure_sibling.
         context = getattr(endpoint, "context", None) or {}
         waiter = context.get("await_ack")
         if waiter is not None:
@@ -364,5 +329,3 @@ class SiblingTransport:
                 link.endpoint.close()
         self.links.clear()
         self.dgram.unbind()
-        if self.pool is not None:
-            self.pool.unregister_user(self.lpm.user)

@@ -57,10 +57,6 @@ def _fields(message: Message) -> dict:
     # therefore identical simulated byte charges — to pre-span builds.
     if message.trace is not None:
         fields["trace"] = message.trace
-    # Likewise the lane tag: only shared-circuit traffic carries it, so
-    # single-tenant runs keep byte-identical encodings and byte charges.
-    if message.lane is not None:
-        fields["lane"] = message.lane
     return fields
 
 
@@ -94,18 +90,17 @@ def decode(data: bytes) -> Message:
                    reply_to=raw["reply_to"],
                    broadcast=_broadcast_from_dict(raw["broadcast"]),
                    final_dest=raw["final_dest"],
-                   trace=raw.get("trace"), lane=raw.get("lane"))
+                   trace=raw.get("trace"))
 
 
 def message_size_bytes(message: Message) -> int:
     """The size the network charges when this message crosses a link:
     exactly ``HEADER_BYTES + len(encode(message))``.
 
-    Only the sibling senders call it (``SiblingTransport.send_on_link``
-    and the circuit pool's ``LANE_CLOSE`` notice); a tool stream is a
-    zero-link host-local path whose cost is IPC time, not bytes.  The
-    JSON text is ASCII, so its length in characters is its length in
-    bytes and no bytes object is built.
+    Only the sibling sender calls it (``SiblingTransport.send_on_link``);
+    a tool stream is a zero-link host-local path whose cost is IPC
+    time, not bytes.  The JSON text is ASCII, so its length in
+    characters is its length in bytes and no bytes object is built.
     """
     PERF.size_calls += 1
     nbytes = HEADER_BYTES + len(_json(message))

@@ -78,15 +78,6 @@ Routing (``repro.core.routing``):
     the via-host index this counts only routes actually through the
     lost peer; the old full-cache scan examined every cached route.
 
-Shared circuits (``repro.core.circuitpool``):
-
-``circuit_shares``
-    Lane attachments that reused an existing (or in-flight) physical
-    circuit instead of dialing a new one — the multi-tenant link win.
-``circuit_lanes_attached``
-    Per-user lane endpoints created on shared circuits (both the
-    dialing and the accepting side count theirs).
-
 pmd authentication (``repro.unixsim.pmd``):
 
 ``auth_cache_hits``
@@ -176,8 +167,6 @@ _COUNTERS = (
     "gather_merges",
     "gather_records_merged",
     "route_invalidation_scans",
-    "circuit_shares",
-    "circuit_lanes_attached",
     "auth_cache_hits",
     "loadavg_idle_skips",
     "real_frames_sent",

@@ -62,17 +62,12 @@ def _argv_for(payload: dict) -> List[str]:
 class RealLpm:
     """One user's LPM on one serve process."""
 
-    def __init__(self, fabric, node, user: str, token: str,
-                 pool=None) -> None:
+    def __init__(self, fabric, node, user: str, token: str) -> None:
         self.fabric = fabric
         self.node = node
         self.name = node.host_name
         self.user = user
         self.token = token
-        #: Shared :class:`~repro.core.circuitpool.CircuitPool` when the
-        #: serve process runs with circuit sharing; sibling channels
-        #: then ride per-user lanes on pooled TCP connections.
-        self.pool = pool
         self.running = True
         self.secret = os.urandom(8).hex()
         self.ccs_host = self.name
@@ -86,8 +81,6 @@ class RealLpm:
         self._pending: Dict[int, tuple] = {}
         self._req_counter = 0
         self.tools: List = []
-        if pool is not None:
-            pool.register_user(user, self._accept_lane)
 
     # ------------------------------------------------------------------
     # Accepting connections (Figure 4's accept socket)
@@ -102,13 +95,12 @@ class RealLpm:
             endpoint.on_close = self._tool_on_close
             return
         if role == "sibling":
-            self._accept_lane(endpoint, payload)
+            self._accept_sibling(endpoint, payload)
             return
         endpoint.close()
 
-    def _accept_lane(self, endpoint, payload) -> None:
-        """Authenticate a sibling channel (private circuit or pooled
-        lane — the handshake is identical) and acknowledge it."""
+    def _accept_sibling(self, endpoint, payload) -> None:
+        """Authenticate a sibling channel and acknowledge it."""
         # Channel authentication at channel-creation time (section 3):
         # the pmd-issued token proves the trusted introduction.
         if payload.get("token") != self.token or \
@@ -179,20 +171,6 @@ class RealLpm:
         hello = {"role": "sibling", "user": self.user,
                  "from_host": self.name, "token": bootstrap["token"],
                  "secret": self.secret, "ccs_host": self.ccs_host}
-
-        if self.pool is not None:
-            def lane_ready(endpoint) -> None:
-                self._register_sibling(peer, endpoint)
-                endpoint.context = {"await_ack": done}
-                greeting = Message(kind=MsgKind.HELLO,
-                                   req_id=self._next_req_id(),
-                                   origin=self.name, user=self.user,
-                                   payload=hello)
-                endpoint.send(greeting)
-
-            self.pool.attach(peer, self.user, on_established=lane_ready,
-                             on_failed=lambda reason: done.resolve(None))
-            return
 
         def established(endpoint) -> None:
             self._register_sibling(peer, endpoint)
@@ -516,6 +494,4 @@ class RealLpm:
         for endpoint in list(self.siblings.values()):
             endpoint.close()
         self.siblings.clear()
-        if self.pool is not None:
-            self.pool.unregister_user(self.user)
         self.backend.shutdown()

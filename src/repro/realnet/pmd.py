@@ -14,7 +14,6 @@ from typing import Dict
 
 import os
 
-from ..core.circuitpool import CircuitPool
 from ..ids import INETD_SERVICE, PPM_SERVICE
 from .lpm import RealLpm
 
@@ -22,26 +21,19 @@ from .lpm import RealLpm
 class RealPmd:
     """One per serve process; owns every user's LPM on this host."""
 
-    def __init__(self, fabric, node, share_circuits: bool = False) -> None:
+    def __init__(self, fabric, node) -> None:
         self.fabric = fabric
         self.node = node
         #: user -> that user's RealLpm on this host.
         self.lpms: Dict[str, RealLpm] = {}
         self.requests_served = 0
-        #: Shared circuit pool (multi-tenant mode): every user's
-        #: sibling traffic to one peer host multiplexes over one real
-        #: TCP connection, demultiplexed by ``Message.lane``.
-        self.pool = None
-        if share_circuits:
-            self.pool = CircuitPool.ensure(node, fabric, node,
-                                           node.host_name)
         node.listen(INETD_SERVICE, self._on_bootstrap)
 
     def get_or_create_lpm(self, user: str) -> RealLpm:
         lpm = self.lpms.get(user)
         if lpm is None or not lpm.running:
             lpm = RealLpm(self.fabric, self.node, user,
-                          token=os.urandom(16).hex(), pool=self.pool)
+                          token=os.urandom(16).hex())
             self.lpms[user] = lpm
         return lpm
 

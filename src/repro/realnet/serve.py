@@ -30,8 +30,7 @@ def serve_host(host_name: str, registry_path: str,
                bind_address: str = "127.0.0.1",
                budget_s: Optional[float] = None,
                trace_spans: bool = False,
-               ready_line: bool = True,
-               share_circuits: bool = False) -> int:
+               ready_line: bool = True) -> int:
     """Run one real host until signalled or out of budget.
 
     Returns a process exit status (0 on a clean run).  When
@@ -45,7 +44,7 @@ def serve_host(host_name: str, registry_path: str,
         fabric.enable_span_tracing()
     node = RealNode(fabric, host_name, registry,
                     bind_address=bind_address)
-    pmd = RealPmd(fabric, node, share_circuits=share_circuits)
+    pmd = RealPmd(fabric, node)
     node.start()
     if ready_line:
         print("READY %s %d" % (host_name, node.port), flush=True)
@@ -84,15 +83,11 @@ def main(argv=None) -> int:
                         help="exit after this many wall seconds")
     parser.add_argument("--trace-spans", action="store_true",
                         help="enable span tracing in this process")
-    parser.add_argument("--share-circuits", action="store_true",
-                        help="multiplex all users' sibling channels to "
-                             "a peer host over one shared TCP circuit")
     options = parser.parse_args(argv)
     return serve_host(options.host, options.registry,
                       bind_address=options.bind,
                       budget_s=options.budget_s,
-                      trace_spans=options.trace_spans,
-                      share_circuits=options.share_circuits)
+                      trace_spans=options.trace_spans)
 
 
 if __name__ == "__main__":

@@ -89,13 +89,11 @@ class HostFleet:
 def launch_hosts(hosts: Sequence[str],
                  registry_path: Optional[str] = None,
                  budget_s: Optional[float] = 120.0,
-                 wait_s: float = 30.0,
-                 share_circuits: bool = False) -> HostFleet:
+                 wait_s: float = 30.0) -> HostFleet:
     """Spawn one ``repro serve`` process per host name and wait until
     every one has published its port.  ``budget_s`` is each serve
     process's own wall-clock bound — a crashed launcher cannot leave
-    servers running forever.  ``share_circuits`` passes
-    ``--share-circuits`` to every serve process.  Set
+    servers running forever.  Set
     ``REPRO_SERVE_LOG_DIR`` to keep each serve process's stderr
     (``serve-<host>.err``) for debugging."""
     owns_registry = registry_path is None
@@ -111,8 +109,6 @@ def launch_hosts(hosts: Sequence[str],
                 "--host", host, "--registry", registry_path]
         if budget_s is not None:
             argv += ["--budget-s", str(budget_s)]
-        if share_circuits:
-            argv.append("--share-circuits")
         stderr = subprocess.DEVNULL if log_dir is None else open(
             os.path.join(log_dir, "serve-%s.err" % host), "w")
         processes.append(subprocess.Popen(

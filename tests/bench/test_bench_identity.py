@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-scenarios = pytest.importorskip("benchmarks.perf.scenarios")
+workloads = pytest.importorskip("benchmarks.workloads")
 
 from repro.perf import PERF  # noqa: E402
 
@@ -34,7 +34,7 @@ def run_measured(scenario, **kwargs):
 
 
 @pytest.mark.parametrize("scenario, kwargs", [
-    (scenarios.multitenant_scenario,
+    (workloads.multitenant_scenario,
      dict(n_users=8, n_hosts=6, gateways=2, fanout=3,
           horizon_ms=20_000.0)),
 ], ids=["multitenant"])
@@ -58,7 +58,7 @@ def test_check_bench_reports_each_doctored_key():
     differences = load_check_bench().differences
     actual = {"wall_s": 0.5, "sim_ms_private": 1234.5, "events_run": 10,
               "links_private": 4, "push_reduction_x": 9.8,
-              "slo_shared": {"login": {"count": 1}}}
+              "slo_private": {"login": {"count": 1}}}
     assert differences("demo", dict(actual), actual) == []
     doctored = dict(actual, wall_s=9.9, sim_ms_private=1234.6, events_run=11,
                     push_reduction_x=1.0, only_recorded=3)

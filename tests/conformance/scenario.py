@@ -76,9 +76,9 @@ def run_scenario(client, hosts: Sequence[str]) -> Tuple[List, List]:
     return journal, table
 
 
-def run_shared_scenario(client_a, client_b,
-                        hosts: Sequence[str]) -> List:
-    """Two co-located users over one (shared) circuit; one journal.
+def run_two_user_scenario(client_a, client_b,
+                          hosts: Sequence[str]) -> List:
+    """Two co-located users, each over its own circuits; one journal.
 
     The interleaving is fixed — connect a, connect b, then each step
     for a before b — so the journal is deterministic on any backend.

@@ -16,7 +16,7 @@ import pytest
 
 from repro import HostClass, PPMClient, World, install
 
-from .scenario import HOSTS, run_scenario, run_shared_scenario
+from .scenario import HOSTS, run_scenario, run_two_user_scenario
 
 
 def _real_backend_available() -> bool:
@@ -101,13 +101,11 @@ def test_backends_agree_end_to_end():
 
 
 # ----------------------------------------------------------------------
-# Multi-tenant mode: two co-located users over a shared circuit
+# Two co-located users, each over its own private circuits
 # ----------------------------------------------------------------------
 
-def run_shared_on_netsim():
-    from repro import PPMConfig
-
-    world = World(seed=11, config=PPMConfig(circuit_sharing=True))
+def run_two_user_on_netsim():
+    world = World(seed=11)
     for name, host_class in zip(HOSTS, (HostClass.VAX_780,
                                         HostClass.VAX_750,
                                         HostClass.SUN_2)):
@@ -116,26 +114,21 @@ def run_shared_on_netsim():
     world.add_user("lfc", 1001)
     world.add_user("ramon", 1002)
     install(world)
-    journal = run_shared_scenario(PPMClient(world, "lfc", HOSTS[0]),
-                                  PPMClient(world, "ramon", HOSTS[0]),
-                                  HOSTS)
-    # Netsim lets us see inside: the two users' sibling channels to
-    # gamma really rode one physical circuit as two lanes.
-    pool = getattr(world.host(HOSTS[0]), "_circuit_pool", None)
-    assert pool is not None
-    return journal
+    return run_two_user_scenario(PPMClient(world, "lfc", HOSTS[0]),
+                                 PPMClient(world, "ramon", HOSTS[0]),
+                                 HOSTS)
 
 
-def run_shared_on_realnet():
+def run_two_user_on_realnet():
     from repro.realnet.session import RealSession, launch_hosts
 
-    with launch_hosts(HOSTS, budget_s=120.0, share_circuits=True) as fleet:
+    with launch_hosts(HOSTS, budget_s=120.0) as fleet:
         with RealSession(fleet.registry_path, "lfc", HOSTS[0]) as a, \
                 RealSession(fleet.registry_path, "ramon", HOSTS[0]) as b:
-            return run_shared_scenario(a.client, b.client, HOSTS)
+            return run_two_user_scenario(a.client, b.client, HOSTS)
 
 
-EXPECTED_SHARED_JOURNAL = [
+EXPECTED_TWO_USER_JOURNAL = [
     ("connect", "a", True),
     ("connect", "b", True),
     ("tool_ping", "a", True, "alpha"),
@@ -151,17 +144,17 @@ EXPECTED_SHARED_JOURNAL = [
 ]
 
 
-def test_netsim_runs_the_shared_scenario():
-    assert run_shared_on_netsim() == EXPECTED_SHARED_JOURNAL
+def test_netsim_runs_the_two_user_scenario():
+    assert run_two_user_on_netsim() == EXPECTED_TWO_USER_JOURNAL
 
 
 @needs_real
-def test_realnet_runs_the_shared_scenario():
-    assert run_shared_on_realnet() == EXPECTED_SHARED_JOURNAL
+def test_realnet_runs_the_two_user_scenario():
+    assert run_two_user_on_realnet() == EXPECTED_TWO_USER_JOURNAL
 
 
 @needs_real
-def test_backends_agree_on_shared_circuits():
-    """A two-user shared-circuit session produces identical journals
-    on the simulated and the real TCP backend."""
-    assert run_shared_on_netsim() == run_shared_on_realnet()
+def test_backends_agree_on_two_users():
+    """A two-user session produces identical journals on the simulated
+    and the real TCP backend."""
+    assert run_two_user_on_netsim() == run_two_user_on_realnet()

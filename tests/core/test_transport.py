@@ -118,6 +118,24 @@ def test_ensure_sibling_deduplicates_inflight_bootstraps():
     assert "beta" not in alpha.transport._pending_links
 
 
+def test_ensure_sibling_fails_when_channel_refused_before_ack():
+    world = build_world()
+    PPMClient(world, "lfc", "alpha").connect()
+    alpha = lpm_of(world, "alpha")
+    transport = alpha.transport
+    open_channel = transport._open_channel
+    # Present a token beta's pmd never issued: beta refuses the
+    # channel before any HELLO_ACK, and the waiter must still resolve.
+    transport._open_channel = lambda peer, bootstrap, done: open_channel(
+        peer, dict(bootstrap, token="forged"), done)
+    results = []
+    transport.ensure_sibling("beta").then(results.append)
+    world.run_for(10_000.0)
+    assert results == [None]
+    assert transport.authenticated() == []
+    assert "beta" not in transport._pending_links
+
+
 def test_datagram_session_registers_links_both_sides():
     world = build_world(config=PPMConfig(transport="datagram"))
     client = PPMClient(world, "lfc", "alpha").connect()

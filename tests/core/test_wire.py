@@ -141,8 +141,7 @@ _MESSAGES = st.builds(
     broadcast=st.none() | _STAMPS,
     final_dest=st.none() | _TEXT,
     trace=st.none() | st.lists(st.integers(min_value=0), min_size=2,
-                               max_size=2),
-    lane=st.none() | _TEXT)
+                               max_size=2))
 
 
 @given(_MESSAGES)

@@ -1,12 +1,13 @@
-"""Noisy-neighbor isolation on shared circuits.
+"""Noisy-neighbor isolation between co-located users.
 
-Circuit sharing multiplexes co-located users over one physical
-circuit per host pair; the risk it must not introduce is head-of-line
-blocking — one tenant's gather storm inflating another tenant's
-latencies.  The test drives a quiet baseline (the victim alone) and a
-noisy run (the same victim schedule plus a fleet of aggressors whose
-sessions gather across every leaf host) on identical worlds, and
-bounds the victim's p99 degradation by an SLO multiple.
+Every user's LPM keeps its own private circuits (section 3), but the
+tenants of one fleet still share host CPUs, the gateway hosts and the
+links between them; the risk is one tenant's gather storm inflating
+another tenant's latencies.  The test drives a quiet baseline (the
+victim alone) and a noisy run (the same victim schedule plus a fleet
+of aggressors whose sessions gather across every leaf host) on
+identical worlds, and bounds the victim's p99 degradation by an SLO
+multiple.
 """
 
 import pytest
@@ -16,12 +17,12 @@ workloads = pytest.importorskip("benchmarks.workloads")
 from repro.perf.histogram import LatencyHistogram  # noqa: E402
 
 #: The victim's noisy-run p99 may be at most this multiple of its
-#: quiet-run p99 for each measured operation.  The shared-circuit
-#: design keeps lanes independent at the protocol level, but the
-#: tenants still share host CPUs, so bounded (not zero) degradation is
-#: the contract: a storm of 24 full-fanout gather sessions measures
-#: ~3x on the victim's gather p99; head-of-line blocking across lanes
-#: would be an order of magnitude.
+#: quiet-run p99 for each measured operation.  No channel is shared
+#: between users, but their LPMs contend for the same host CPUs, so
+#: bounded (not zero) degradation is the contract: a storm of 24
+#: full-fanout gather sessions measures ~3x on the victim's gather
+#: p99; one tenant queued behind another's storm would be an order of
+#: magnitude.
 SLO_MULTIPLE = 5.0
 
 VICTIM_SESSIONS = 6
@@ -38,8 +39,7 @@ def drive(n_aggressors, seed=13):
     pick) is identical in every call; only the aggressor load varies.
     """
     world, names, users, homes = workloads.build_multitenant_world(
-        n_users=n_aggressors + 1, n_hosts=6, gateways=2, seed=seed,
-        sharing=True)
+        n_users=n_aggressors + 1, n_hosts=6, gateways=2, seed=seed)
     leaves = names[2:]
     victim = users[0]
     victim_home = homes[victim]
@@ -61,7 +61,7 @@ def drive(n_aggressors, seed=13):
                               session.start)
 
     # Aggressors: every session creates on and gathers across *all*
-    # leaves — the storm rides the same shared circuits as the victim.
+    # leaves — the storm loads the same hosts the victim uses.
     for j, user in enumerate(users[1:]):
         home = homes[user]
         for k in range(AGGRESSOR_SESSIONS_EACH):

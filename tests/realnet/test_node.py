@@ -5,6 +5,7 @@ client share the fabric, and ``run_until_true`` pumps both sides, so
 the tests exercise real sockets without spawning processes.
 """
 
+from repro.realnet.lpm import RealLpm
 from repro.realnet.node import READ_BYTES, RealNode
 from repro.realnet.pmd import RealPmd
 from repro.unixsim.inetd import INETD_SERVICE, PPM_SERVICE
@@ -126,6 +127,26 @@ def test_lpm_shutdown_unlistens_accept_service(fabric, node):
     assert fabric.run_until_true(lambda: bool(failures),
                                  timeout_ms=5_000)
     assert "no such service" in failures[0]
+    pmd.shutdown()
+
+
+def test_sibling_refused_before_ack_fails_ensure_sibling(fabric, node):
+    """A sibling channel the acceptor refuses (a token its pmd never
+    issued) must resolve ``ensure_sibling`` to None, not hang."""
+    pmd = RealPmd(fabric, node)
+    beta = RealNode(fabric, "beta", fabric.registry)
+    beta.start()
+    lpm = RealLpm(fabric, beta, "lfc", token="0" * 32)
+    open_channel = lpm._open_sibling_channel
+    lpm._open_sibling_channel = lambda peer, bootstrap, done: open_channel(
+        peer, dict(bootstrap, token="forged"), done)
+    results = []
+    lpm.ensure_sibling("alpha").then(results.append)
+    assert fabric.run_until_true(lambda: bool(results), timeout_ms=5_000)
+    assert results == [None]
+    assert "alpha" not in lpm.siblings
+    lpm.shutdown()
+    beta.close()
     pmd.shutdown()
 
 

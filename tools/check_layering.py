@@ -55,8 +55,7 @@ The real backend reads the kernel's process table in one place:
 
 Bytes are charged only where a message crosses a link:
 
-11. Only ``core/transport.py`` (a sibling send) and
-    ``core/circuitpool.py`` (the ``LANE_CLOSE`` notice) call
+11. Only ``core/transport.py`` (a sibling send) calls
     ``message_size_bytes``.  A tool stream is host-local, so sizing a
     tool message charges nothing and costs one more encode.
 
@@ -117,14 +116,13 @@ PROCFS_MODULE = os.path.join("localos", "procfs.py")
 #: Calls that open a path or list a directory (rule 10).
 PATH_CALLS = ("open", "os.open", "os.listdir", "os.scandir")
 
-#: The modules that may call ``message_size_bytes`` (rule 11),
+#: The one module that may call ``message_size_bytes`` (rule 11),
 #: relative to ``src/repro``.
-SIZING_MODULES = (os.path.join("core", "transport.py"),
-                  os.path.join("core", "circuitpool.py"))
+SIZING_MODULE = os.path.join("core", "transport.py")
 
 #: The modules extracted out of the god-class.  None may import lpm.
 LAYER_MODULES = ("transport", "rpc", "router", "gather",
-                 "processtable", "toolservice", "circuitpool")
+                 "processtable", "toolservice")
 
 #: Modules that must not touch the socket layers (transport owns them).
 SOCKET_FREE_MODULES = ("rpc", "router", "gather")
@@ -353,7 +351,7 @@ def check() -> List[str]:
                     errors.append(
                         "%s:%d opens a /proc path: only repro.localos."
                         "procfs reads /proc" % (module, line))
-            if module not in SIZING_MODULES:
+            if module != SIZING_MODULE:
                 for line in size_calls(source):
                     errors.append(
                         "%s:%d calls message_size_bytes: only a message "
