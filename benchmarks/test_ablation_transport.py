@@ -102,79 +102,31 @@ def run_ablation():
     return rows
 
 
-def build_session(transport, n_hosts=6):
-    """A full PPM session (LPM level, not raw transport)."""
-    from repro import PPMClient, PPMConfig, install, spinner_spec
-    from repro.unixsim import World
-    config = PPMConfig(transport=transport)
-    world = World(seed=19, config=config)
-    names = ["h%02d" % i for i in range(n_hosts)]
-    for name in names:
-        world.add_host(name, HostClass.VAX_780)
-    world.ethernet()
-    world.add_user("lfc", 1001)
-    install(world)
-    world.write_recovery_file("lfc", [names[0]])
-    client = PPMClient(world, "lfc", names[0]).connect()
-    for name in names[1:]:
-        client.create_process("job-%s" % name, host=name,
-                              program=spinner_spec(None))
-    client.snapshot()  # warm
-    return world, client
+def measure_auth_gap():
+    """One message on an established circuit and one datagram, sent at
+    the same instant between the same two hosts; returns each one's
+    send-to-delivery time in ms, (circuit, datagram)."""
+    sim, net, (src, dst) = build_network(2)
+    arrived = {}
 
+    def acceptor(endpoint, payload):
+        endpoint.on_message = lambda p, ep: arrived.setdefault(
+            "circuit", sim.now_ms)
 
-def run_lpm_level(transport):
-    from repro import ControlAction, GlobalPid
-    world, client = build_session(transport)
-    stats = world.network.stats
-    circuits = world.network.open_connection_count()
-    messages_before = stats.stream_messages + stats.datagrams_sent
-    start = world.sim.now_ms
-    forest = client.snapshot()
-    snapshot_ms = world.sim.now_ms - start
-    messages = (stats.stream_messages + stats.datagrams_sent
-                - messages_before)
-    # One warm remote stop: a single round trip, where per-message
-    # authentication cannot hide behind overlapped CPU.
-    target = sorted(forest.records)[0]
-    client.stop(target)
-    client.cont(target)
-    start = world.sim.now_ms
-    client.stop(target)
-    stop_ms = world.sim.now_ms - start
-    return {"transport": transport, "circuits": circuits,
-            "snapshot_ms": snapshot_ms, "stop_ms": stop_ms,
-            "messages": messages}
-
-
-def test_ablation_lpm_over_circuits_vs_datagrams(benchmark, publish):
-    """The same PPM session on both transports: circuits hold kernel
-    state and move fewer packets; datagrams hold none but pay acks and
-    per-message authentication (visible as snapshot latency)."""
-    rows = benchmark.pedantic(
-        lambda: [run_lpm_level("stream"), run_lpm_level("datagram")],
-        rounds=1, iterations=1)
-    table = format_table(
-        ["transport", "open circuits", "snapshot (ms)",
-         "remote stop (ms)", "packets per snapshot"],
-        [[r["transport"], r["circuits"], "%.1f" % r["snapshot_ms"],
-          "%.1f" % r["stop_ms"], r["messages"]] for r in rows],
-        title="A1b: a live PPM session over circuits vs datagrams "
-              "(6 hosts)")
-    write_result("ablation_transport_lpm.txt", table)
-    publish(table)
-
-    stream, dgram = rows
-    # Circuits: one per sibling pair plus the tool stream.
-    assert stream["circuits"] >= 5
-    assert dgram["circuits"] <= 1  # only the tool stream
-    # Datagrams move ~2x the packets (acks)...
-    assert dgram["messages"] > 1.5 * stream["messages"]
-    # ...and per-message authentication lands on the single-op critical
-    # path (~2 x 9 ms per round trip), while a fanned-out snapshot hides
-    # it behind the origin's serialised CPU.
-    assert dgram["stop_ms"] >= stream["stop_ms"] + 15.0
-    assert abs(dgram["snapshot_ms"] - stream["snapshot_ms"]) < 30.0
+    net.node(dst).listen("svc", acceptor)
+    endpoints = []
+    StreamConnection.connect(net, src, dst, "svc",
+                             setup_ms=DEFAULT_COST_MODEL.connect_ms,
+                             on_established=endpoints.append)
+    sim.run_until_true(lambda: bool(endpoints), timeout_ms=600_000.0)
+    dgram = DatagramTransport(net)
+    dgram.bind(dst, "svc",
+               lambda p, sender: arrived.setdefault("datagram", sim.now_ms))
+    sent_ms = sim.now_ms
+    endpoints[0].send("m", nbytes=112)
+    dgram.send(src, dst, "svc", "m", nbytes=112)
+    sim.run_until_true(lambda: len(arrived) == 2, timeout_ms=600_000.0)
+    return arrived["circuit"] - sent_ms, arrived["datagram"] - sent_ms
 
 
 def test_ablation_circuits_vs_datagrams(benchmark, publish):
@@ -198,7 +150,8 @@ def test_ablation_circuits_vs_datagrams(benchmark, publish):
     # flat — the "datagrams scale much better" half of the claim...
     assert rows[-1]["circuit_conns"] > 30 * rows[0]["circuit_conns"] / 5
     # ...while per-message authentication is datagrams' recurring price:
-    # each datagram pays auth that circuit messages do not.
-    sim, net, names = build_network(2)
-    per_msg_auth = DEFAULT_COST_MODEL.datagram_auth_ms
-    assert per_msg_auth > 0
+    # a datagram arrives later than a message on an already
+    # authenticated circuit, by exactly the authentication charge.
+    circuit_ms, datagram_ms = measure_auth_gap()
+    assert datagram_ms - circuit_ms == pytest.approx(
+        DEFAULT_COST_MODEL.datagram_auth_ms)

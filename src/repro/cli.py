@@ -277,6 +277,12 @@ def cmd_doctor(args) -> int:
             world.run_for(10_000.0)
         view = probe_world(world, alerts=alerts)
     report = run_doctor(view, baseline=baseline)
+    if view.registry_error is not None and not args.json:
+        # Nothing past the registry was probed: one line, not a table
+        # of checks judged on an empty fleet.
+        print("doctor: registry-readable FAIL — %s (exit %d)"
+              % (view.registry_error, report.exit_code))
+        return report.exit_code
     if args.write_baseline:
         p99s = write_baseline(args.write_baseline, view)
         print("wrote baseline (%d operation classes) to %s"

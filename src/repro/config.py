@@ -65,16 +65,6 @@ class PPMConfig:
     #: connected (the A3 ablation).
     topology_policy: str = "on_demand"
 
-    #: Transport between sibling LPMs: ``"stream"`` (the paper's TCP
-    #: virtual circuits) or ``"datagram"`` (the scalability alternative
-    #: discussed in section 3; per-message authentication, no kept
-    #: connections, ARQ reliability).
-    transport: str = "stream"
-
-    #: Datagram-transport retransmission timeout and retry budget.
-    datagram_rto_ms: float = 400.0
-    datagram_max_retries: int = 5
-
     #: Where the crash coordinator comes from: ``"recovery_file"`` (the
     #: paper's implemented design, section 5) or ``"name_server"`` (the
     #: alternative section 5 sketches: "LPMs would query the name server
@@ -110,10 +100,6 @@ class PPMConfig:
             raise ConfigError(
                 "topology_policy must be 'on_demand' or 'full_mesh', "
                 "got %r" % (self.topology_policy,))
-        if self.transport not in ("stream", "datagram"):
-            raise ConfigError(
-                "transport must be 'stream' or 'datagram', got %r"
-                % (self.transport,))
         if self.ccs_source not in ("recovery_file", "name_server"):
             raise ConfigError(
                 "ccs_source must be 'recovery_file' or 'name_server', "

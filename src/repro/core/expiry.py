@@ -1,14 +1,13 @@
-"""An amortised-constant-time expiring map.
+"""An amortised-constant-time expiring set.
 
-Several PPM caches retain entries for a fixed window of simulated time:
-the broadcast dedup seen-set (section 4's "scheme for not retransmitting
-old broadcast requests"), and the exactly-once request-dedup cache in
-the LPM.  A naive implementation rescans the whole map on every purge —
+The broadcast dedup seen-set (section 4's "scheme for not retransmitting
+old broadcast requests") retains stamps for a fixed window of simulated
+time.  A naive implementation rescans the whole set on every purge —
 O(n) per lookup, quadratic over a flood.  :class:`ExpiryMap` keeps a
-FIFO of ``(expiry, key)`` pairs alongside the dict; because every entry
-is inserted with the same constant window at non-decreasing simulated
-times, the FIFO is ordered by expiry and purging pops only the entries
-that actually expired — amortised O(1) per operation.
+FIFO of ``(expiry, key)`` pairs alongside a key -> expiry dict; because
+every entry is inserted with the same constant window at non-decreasing
+simulated times, the FIFO is ordered by expiry and purging pops only
+the entries that actually expired — amortised O(1) per operation.
 
 Semantics match the naive scan exactly: an entry whose expiry is
 *strictly less than* now is forgotten; an entry expiring exactly at now
@@ -18,13 +17,13 @@ is still live (the A2 window-boundary behaviour the ablation tests pin).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, Optional, Tuple
+from typing import Deque, Dict, Hashable, Tuple
 
 from ..perf import PERF
 
 
 class ExpiryMap:
-    """Dict-with-TTL whose purge cost is amortised O(1).
+    """Set-with-TTL whose purge cost is amortised O(1).
 
     Every ``add`` appends one FIFO record, so a refreshed key may have
     several records queued; only the dict is authoritative.  A popped
@@ -40,22 +39,14 @@ class ExpiryMap:
     def __init__(self, window_ms: float, now_fn) -> None:
         self.window_ms = window_ms
         self._now_fn = now_fn
-        self._entries: Dict[Hashable, Tuple[float, object]] = {}
+        self._entries: Dict[Hashable, float] = {}
         self._fifo: Deque[Tuple[float, Hashable]] = deque()
 
-    def add(self, key: Hashable, value: object = None) -> None:
+    def add(self, key: Hashable) -> None:
         """Insert ``key`` (or refresh it) with a fresh window."""
         expiry = self._now_fn() + self.window_ms
         self._fifo.append((expiry, key))
-        self._entries[key] = (expiry, value)
-
-    def get(self, key: Hashable, default: object = None) -> object:
-        """Return the live value for ``key``, or ``default``."""
-        self.purge()
-        entry = self._entries.get(key)
-        if entry is None:
-            return default
-        return entry[1]
+        self._entries[key] = expiry
 
     def __contains__(self, key: Hashable) -> bool:
         self.purge()
@@ -79,23 +70,14 @@ class ExpiryMap:
         while fifo and fifo[0][0] < now:
             PERF.dedup_entries_scanned += 1
             _, key = fifo.popleft()
-            entry = entries.get(key)
+            expiry = entries.get(key)
             # A missing or later-expiring entry means this record was
             # superseded by a refresh; the live record is behind us.
-            if entry is not None and entry[0] < now:
+            if expiry is not None and expiry < now:
                 del entries[key]
                 dropped += 1
         PERF.dedup_entries_expired += dropped
         return dropped
-
-    def discard(self, key: Hashable) -> None:
-        """Drop ``key`` immediately, if present.  Its queued FIFO
-        records are ignored when popped (entry already gone)."""
-        self._entries.pop(key, None)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._fifo.clear()
 
     def __repr__(self) -> str:
         return "ExpiryMap(window_ms=%r, live=%d)" % (

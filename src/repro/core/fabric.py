@@ -29,8 +29,7 @@ The endpoint contract
 ---------------------
 
 Every connection the fabric establishes or accepts is represented by an
-*endpoint* object with the shape netsim's ``StreamEndpoint`` and
-``core.dgram.DatagramEndpoint`` already share:
+*endpoint* object with the shape of netsim's ``StreamEndpoint``:
 
 ``send(payload, nbytes=..., extra_delay_ms=...)``
     Queue one message (usually a :class:`repro.core.messages.Message`)
@@ -125,24 +124,6 @@ class Fabric:
         the handshake has real cost); ``detect_ms`` bounds broken-
         connection detection.
         """
-        raise NotImplementedError
-
-    # -- datagram port ---------------------------------------------------
-
-    def datagram_bind(self, host: str, port: str,
-                      handler: Callable) -> None:
-        """Attach ``handler(payload, src_host)`` to the named datagram
-        port on ``host``."""
-        raise NotImplementedError
-
-    def datagram_unbind(self, host: str, port: str) -> None:
-        raise NotImplementedError
-
-    def datagram_send(self, src: str, dst: str, port: str, payload,
-                      nbytes: int = 256,
-                      extra_delay_ms: float = 0.0) -> None:
-        """Fire one unreliable datagram; silently dropped when
-        undeliverable (ARQ lives above, in ``core.dgram``)."""
         raise NotImplementedError
 
     # -- cost accounting -------------------------------------------------

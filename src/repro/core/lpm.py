@@ -14,10 +14,9 @@ distributes, and per-peer sockets for sibling LPMs and local tools.
 The LPM itself is a thin coordinator over four layers, one per facility
 the paper describes:
 
-* :mod:`repro.core.transport` — authenticated sibling channels, both
-  the stream circuits and the section 3 datagram alternative;
-* :mod:`repro.core.rpc` — request/reply with handlers, timeouts,
-  retransmission, and the server-side exactly-once cache;
+* :mod:`repro.core.transport` — authenticated sibling circuits
+  (section 3);
+* :mod:`repro.core.rpc` — request/reply with handlers and timeouts;
 * :mod:`repro.core.router` — forwarding over cached source-destination
   routes, route learning and invalidation;
 * :mod:`repro.core.gather` — the recursive snapshot/rstats collection
@@ -71,8 +70,8 @@ class LocalProcessManager:
         self.name = host.name
         self.world = host.world
         self.sim = host.sim
-        #: The backend seam: all connection establishment and datagram
-        #: traffic goes through here (see :mod:`repro.core.fabric`).
+        #: The backend seam: all connection establishment goes through
+        #: here (see :mod:`repro.core.fabric`).
         self.fabric = host.world.fabric
         self.user = user
         self.uid = host.uid_of(user)
@@ -177,10 +176,6 @@ class LocalProcessManager:
     @property
     def routes(self):
         return self.router.cache
-
-    @property
-    def dgram(self):
-        return self.transport.dgram
 
     @property
     def records(self) -> Dict:
@@ -314,8 +309,6 @@ class LocalProcessManager:
                 "host": self.name}
 
     def _handle_control(self, message: Message) -> None:
-        if self.rpc.note_request_started(message):
-            return
         tracer = self.sim.tracer
         span = None if tracer is None else tracer.start(
             "serve:control", host=self.name, parent=message.trace,
@@ -324,7 +317,6 @@ class LocalProcessManager:
         def acted() -> None:
             result = self._apply_control(message.payload["pid"],
                                          message.payload["action"])
-            self.rpc.note_request_done(message, result)
             reply = message.make_reply(MsgKind.CONTROL_ACK, self.name,
                                        result)
             self.router.route_send(reply)
@@ -335,8 +327,6 @@ class LocalProcessManager:
         self.sim.schedule(self._cpu(self.cost.signal_ms), acted)
 
     def _handle_create(self, message: Message) -> None:
-        if self.rpc.note_request_started(message):
-            return
         payload = message.payload
         tracer = self.sim.tracer
         span = None if tracer is None else tracer.start(
@@ -355,7 +345,6 @@ class LocalProcessManager:
                 result = {"ok": False, "error": str(exc)}
             else:
                 result = {"ok": True, "host": self.name, "pid": proc.pid}
-            self.rpc.note_request_done(message, result)
             reply = message.make_reply(MsgKind.CREATE_ACK, self.name,
                                        result)
             self.router.route_send(reply)

@@ -1,12 +1,12 @@
-"""The request/reply layer: outstanding requests, retries, exactly-once.
+"""The request/reply layer: outstanding requests and their timeouts.
 
 Section 6: "If responses are never received by a handler, they inform
 the dispatcher of the failure, which returns a failure message to the
 originator of the request."  This module owns everything about one
-remote conversation: req-id allocation, the pending table, timeout and
-LPM-level retransmission timers, reply correlation, and the server-side
-exactly-once cache that makes the datagram transport's at-least-once
-retries safe for side-effecting requests.
+remote conversation: req-id allocation, the pending table, the timeout
+timer and reply correlation.  Requests travel on section 3's
+authenticated circuits, which deliver each message once and in order,
+so the layer neither retransmits nor deduplicates.
 """
 
 from __future__ import annotations
@@ -14,21 +14,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ConnectionClosedError
-from ..perf import PERF
-from .expiry import ExpiryMap
 from .messages import Message, MsgKind
-from .router import ack_kind_for
-
-#: Sentinel in the exactly-once cache while the first execution of a
-#: request is still running (duplicates arriving meanwhile are dropped;
-#: the original's reply is on its way).
-REQUEST_PENDING = object()
-
-#: Side-effecting request kinds covered by LPM-level retransmission and
-#: the server's exactly-once cache.  Broadcast-stamped kinds must never
-#: be retried (the dedup seen-set would swallow the retry), and the CCS
-#: kinds have their own recovery-layer retry logic.
-RETRIED_KINDS = frozenset({MsgKind.CONTROL, MsgKind.CREATE})
 
 
 class PendingRequest:
@@ -38,8 +24,6 @@ class PendingRequest:
         self.on_reply = on_reply
         self.timer = timer
         self.handler = handler
-        #: At-least-once retransmission timer (datagram transport only).
-        self.retry_timer = None
 
 
 class RequestChannel:
@@ -53,12 +37,6 @@ class RequestChannel:
     def __init__(self, lpm) -> None:
         self.lpm = lpm
         self.pending: Dict[int, PendingRequest] = {}
-        #: Exactly-once guard for side-effecting sibling requests: maps
-        #: (origin, user, req_id) to the cached outcome so an LPM-level
-        #: retransmission re-sends the reply instead of re-running the
-        #: side effect.  Retained well past the client's own timeout.
-        self._done_requests = ExpiryMap(
-            lpm.config.request_timeout_ms * 4, lambda: lpm.sim.now_ms)
         self._req_counter = 0
 
     def next_req_id(self) -> int:
@@ -77,7 +55,6 @@ class RequestChannel:
         pending = self.pending.pop(req_id, None)
         if pending is not None:
             self.lpm.sim.cancel(pending.timer)
-            self.lpm.sim.cancel(pending.retry_timer)
         return pending
 
     # ------------------------------------------------------------------
@@ -139,7 +116,6 @@ class RequestChannel:
             pending = self.pending.pop(req_id, None)
             if pending is None:
                 return
-            lpm.sim.cancel(pending.retry_timer)
             lpm.pool.release(pending.handler)
             pending.on_reply(None)
 
@@ -163,60 +139,6 @@ class RequestChannel:
         else:
             transmit()
 
-        # Datagrams give no delivery guarantee once the endpoint's own
-        # ARQ budget is spent, so side-effecting requests carry an
-        # LPM-level at-least-once retransmission; the receiving LPM's
-        # exactly-once cache (see ``note_request_started``) keeps the
-        # end-to-end semantics exactly-once.  The retry period spans a
-        # full endpoint ARQ window so it only fires when the transport
-        # genuinely gave up (or the reply itself was lost).
-        if lpm.config.transport == "datagram" and broadcast is None \
-                and kind in RETRIED_KINDS:
-            self._arm_retry(req_id, next_hop, message)
-
-    def _arm_retry(self, req_id: int, next_hop: str,
-                   message: Message) -> None:
-        pending = self.pending.get(req_id)
-        if pending is None:
-            return
-        config = self.lpm.config
-        interval = config.datagram_rto_ms * \
-            (config.datagram_max_retries + 1)
-        pending.retry_timer = self.lpm.sim.schedule(
-            interval, self._retry, req_id, next_hop, message)
-
-    def _retry(self, req_id: int, next_hop: str,
-               message: Message) -> None:
-        lpm = self.lpm
-        pending = self.pending.get(req_id)
-        if pending is None:
-            return
-        pending.retry_timer = None
-        PERF.requests_retransmitted += 1
-        link = lpm.transport.link_to(next_hop)
-        if link is not None:
-            try:
-                lpm.transport.send_on_link(link, message)
-            except ConnectionClosedError:
-                pass
-            self._arm_retry(req_id, next_hop, message)
-            return
-
-        # The endpoint died (ARQ exhaustion under loss); re-introduce
-        # and resend.  A genuinely dead peer fails the introduction too,
-        # and the request then dies by its ordinary timeout.
-        def reconnected(relink) -> None:
-            if req_id not in self.pending:
-                return
-            if relink is not None and relink.endpoint.open:
-                try:
-                    lpm.transport.send_on_link(relink, message)
-                except ConnectionClosedError:
-                    pass
-            self._arm_retry(req_id, next_hop, message)
-
-        lpm.transport.ensure_sibling(next_hop).then(reconnected)
-
     # ------------------------------------------------------------------
     # Reply correlation
     # ------------------------------------------------------------------
@@ -227,47 +149,10 @@ class RequestChannel:
             return
         lpm = self.lpm
         lpm.sim.cancel(pending.timer)
-        lpm.sim.cancel(pending.retry_timer)
         lpm.pool.release(pending.handler)
         # Route learning from reply routes (section 4).
         lpm.router.learn_from_reply(message)
         pending.on_reply(message)
-
-    # ------------------------------------------------------------------
-    # Server-side exactly-once cache
-    # ------------------------------------------------------------------
-
-    def note_request_started(self, message: Message) -> bool:
-        """Exactly-once guard for side-effecting sibling requests.
-
-        Returns True when this request was already executed (the cached
-        reply is re-sent — the client's retransmission means the first
-        reply was lost) or is still executing (the duplicate is dropped;
-        the original's reply is on its way).  Otherwise records the
-        request as in progress and returns False.  The payload is
-        compared too, so a fresh request that happens to collide on
-        (origin, req_id) — e.g. after an origin restart — is never
-        answered from the cache.
-        """
-        key = (message.origin, message.user, message.req_id)
-        cached = self._done_requests.get(key)
-        if cached is not None and cached[0] is message.kind \
-                and cached[1] == message.payload:
-            PERF.requests_deduplicated += 1
-            result = cached[2]
-            if result is not REQUEST_PENDING:
-                reply = message.make_reply(
-                    ack_kind_for(message.kind), self.lpm.name, result)
-                self.lpm.router.route_send(reply)
-            return True
-        self._done_requests.add(
-            key, (message.kind, message.payload, REQUEST_PENDING))
-        return False
-
-    def note_request_done(self, message: Message, result: dict) -> None:
-        self._done_requests.add(
-            (message.origin, message.user, message.req_id),
-            (message.kind, message.payload, result))
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -276,5 +161,4 @@ class RequestChannel:
     def cancel_all(self) -> None:
         for pending in list(self.pending.values()):
             self.lpm.sim.cancel(pending.timer)
-            self.lpm.sim.cancel(pending.retry_timer)
         self.pending.clear()

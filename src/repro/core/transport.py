@@ -1,18 +1,18 @@
-"""The sibling transport layer: one interface over both section 3 schemes.
+"""The sibling transport layer: section 3's authenticated circuits.
 
 "Communication between sibling LPMs occurs through communication
 channels.  ... Channel authentication occurs at channel-creation time."
-(section 3)  The paper implements TCP virtual circuits and sketches a
-reliable-datagram alternative; this module owns both, presenting the
-LPM a single :class:`SiblingTransport` whose links all honour the same
+(section 3)  The paper implements these channels as TCP virtual
+circuits, one per peer host; this module owns them, presenting the LPM
+a single :class:`SiblingTransport` whose links honour the fabric's
 endpoint contract (`send`, `open`, `close`, `on_message`, `on_close`,
-`peer_name`) regardless of which scheme carries the bytes.
+`peer_name`).  The paper's datagram alternative is measured at the
+transport level only (ablation A1).
 
 Everything connection-shaped lives here: accepting sibling HELLOs,
-bootstrapping remote LPMs through inetd/pmd (Figure 2), the datagram
-introduction handshake, link teardown, and the per-message send cost
-accounting.  The LPM above only ever sees authenticated
-:class:`SiblingLink` objects.
+bootstrapping remote LPMs through inetd/pmd (Figure 2), link teardown,
+and the per-message send cost accounting.  The LPM above only ever
+sees authenticated :class:`SiblingLink` objects.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from typing import Dict, List
 from ..ids import INETD_SERVICE, PPM_SERVICE
 from ..tracing.events import TraceEventType
 from ..util import Deferred
-from .dgram import DatagramFabric
 from .messages import Message, MsgKind
 from .wire import message_size_bytes
 
 
 class SiblingLink:
-    """An authenticated channel to a sibling LPM (either transport)."""
+    """An authenticated channel to a sibling LPM."""
 
     def __init__(self, peer: str, endpoint) -> None:
         self.peer = peer
@@ -44,7 +43,7 @@ class SiblingTransport:
     its clock (``lpm.sim``), identity (``name``/``user``/``token``),
     serialised-CPU booking (``_cpu_occupy``), trace hook, and message
     dispatcher (``_sibling_on_message``); the transport in turn is the
-    only layer that touches stream connections or the datagram fabric.
+    only layer that touches stream connections.
     """
 
     def __init__(self, lpm) -> None:
@@ -55,11 +54,6 @@ class SiblingTransport:
         #: secret or the CCS identity.
         self.session_established = False
         self._pending_links: Dict[str, Deferred] = {}
-        #: Datagram fabric, bound only under the datagram transport
-        #: (section 3's scalability alternative).
-        self.dgram = DatagramFabric(lpm)
-        if lpm.config.transport == "datagram":
-            self.dgram.bind()
 
     # ------------------------------------------------------------------
     # Link inventory
@@ -168,10 +162,7 @@ class SiblingTransport:
             if not payload.get("ok"):
                 done.resolve(None)
                 return
-            if lpm.config.transport == "datagram":
-                self._open_datagram(peer, payload, done)
-            else:
-                self._open_channel(peer, payload, done)
+            self._open_channel(peer, payload, done)
 
         def bootstrap_established(endpoint) -> None:
             endpoint.on_message = bootstrap_replied
@@ -229,57 +220,6 @@ class SiblingTransport:
                 self.ensure_sibling(host)
 
     # ------------------------------------------------------------------
-    # Datagram transport (section 3's alternative)
-    # ------------------------------------------------------------------
-
-    def _open_datagram(self, peer: str, bootstrap: dict,
-                       done: Deferred) -> None:
-        """No circuit: introduce ourselves with the pmd token; every
-        subsequent message authenticates individually."""
-        def introduced(result) -> None:
-            if result is None:
-                done.resolve(None)
-
-        intro = self.dgram.introduce(peer, bootstrap["token"])
-        endpoint = self.dgram.endpoint_for(peer)
-        endpoint.context = (endpoint.context or {})
-        endpoint.context["await_link"] = done
-        intro.then(introduced)
-
-    def _register_datagram_sibling(self, peer: str, endpoint,
-                                   info: dict) -> SiblingLink:
-        lpm = self.lpm
-        link = SiblingLink(peer, endpoint)
-        link.authenticated = True
-        link.opened_ms = lpm.sim.now_ms
-        self.links[peer] = link
-        endpoint.on_message = lpm._sibling_on_message
-        endpoint.on_close = self.on_link_close
-        self._join_session(info)
-        lpm._trace(TraceEventType.CONN_OPEN, kind="sibling-datagram",
-                   peer=peer)
-        lpm.recovery.on_contact(peer)
-        self.apply_topology_policy(info.get("known", []))
-        return link
-
-    def on_datagram_intro(self, datagram: dict, endpoint) -> None:
-        """Server side of the datagram introduction."""
-        self._register_datagram_sibling(datagram["from_host"], endpoint,
-                                        datagram)
-
-    def on_datagram_intro_ack(self, datagram: dict, endpoint) -> None:
-        """Client side: the peer accepted our introduction."""
-        peer = datagram["from_host"]
-        link = self._register_datagram_sibling(peer, endpoint, datagram)
-        context = endpoint.context or {}
-        waiter = context.get("await_intro")
-        if waiter is not None:
-            waiter.resolve(endpoint)
-        link_waiter = context.get("await_link")
-        if link_waiter is not None:
-            link_waiter.resolve(link)
-
-    # ------------------------------------------------------------------
     # Sending and teardown
     # ------------------------------------------------------------------
 
@@ -323,9 +263,8 @@ class SiblingTransport:
             lpm.recovery.on_connection_lost(peer, reason)
 
     def shutdown(self) -> None:
-        """Close every sibling channel and unbind the datagram port."""
+        """Close every sibling channel."""
         for link in list(self.links.values()):
             if link.endpoint.open:
                 link.endpoint.close()
         self.links.clear()
-        self.dgram.unbind()

@@ -31,10 +31,6 @@ class DatagramTransport:
         self.sim = network.sim
         self.cost_model = cost_model
         self._handlers: dict = {}
-        #: Injected loss probability (0..1) for reliability testing;
-        #: draws come from the seeded simulation RNG.
-        self.loss_rate = 0.0
-        self.losses_injected = 0
 
     def bind(self, host: str, port: str,
              handler: Callable[[object, str], None]) -> None:
@@ -46,18 +42,11 @@ class DatagramTransport:
 
     def send(self, src: str, dst: str, port: str, payload,
              nbytes: int = 256,
-             extra_delay_ms: float = 0.0,
              on_dropped: Optional[Callable[[str], None]] = None) -> None:
         """Fire one datagram; silently dropped when undeliverable."""
         stats = self.network.stats
         stats.datagrams_sent += 1
         stats.datagram_bytes += nbytes
-        if self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate:
-            self.losses_injected += 1
-            stats.datagrams_dropped += 1
-            if on_dropped is not None:
-                on_dropped("lost")
-            return
         try:
             wire = self.network.transit_delay_ms(src, dst, nbytes)
         except UnreachableHostError:
@@ -67,7 +56,7 @@ class DatagramTransport:
             return
 
         auth = self.cost_model.datagram_auth_ms
-        deliver_at = self.sim.now_ms + wire + auth + extra_delay_ms
+        deliver_at = self.sim.now_ms + wire + auth
 
         def deliver() -> None:
             reason = None

@@ -2,10 +2,8 @@
 
 :class:`SimFabric` adapts the netsim substrate to the fabric contract
 documented in :mod:`repro.core.fabric`.  It holds no state of its own —
-every call delegates to the :class:`~repro.netsim.simulator.Simulator`,
-:class:`~repro.netsim.network.Network`, or
-:class:`~repro.netsim.datagram.DatagramTransport` the world already
-built — so wrapping netsim in it changes nothing about event ordering,
+every call delegates to the :class:`~repro.netsim.simulator.Simulator`
+or :class:`~repro.netsim.network.Network` the world already built — so wrapping netsim in it changes nothing about event ordering,
 wire bytes, or simulated time.  (The byte-identity of BENCH ``sim_ms``
 across the fabric refactor is asserted by the perf runner.)
 
@@ -28,12 +26,10 @@ class SimFabric:
     backend_name = "netsim"
 
     def __init__(self, sim: Simulator, network,
-                 datagrams=None,
                  tool_delay_fn: Optional[Callable[[str], float]] = None
                  ) -> None:
         self.sim = sim
         self.network = network
-        self.datagrams = datagrams
         #: Injected by the world: host name -> sender-side tool IPC
         #: cost under current load (Table 2's ``T`` scaled by
         #: :func:`repro.latency.load_factor`).
@@ -72,21 +68,6 @@ class SimFabric:
             self.network, src, dst, service, payload=payload,
             setup_ms=setup_ms, on_established=on_established,
             on_failed=on_failed, detect_ms=detect_ms)
-
-    # -- datagram port ---------------------------------------------------
-
-    def datagram_bind(self, host: str, port: str,
-                      handler: Callable) -> None:
-        self.datagrams.bind(host, port, handler)
-
-    def datagram_unbind(self, host: str, port: str) -> None:
-        self.datagrams.unbind(host, port)
-
-    def datagram_send(self, src: str, dst: str, port: str, payload,
-                      nbytes: int = 256,
-                      extra_delay_ms: float = 0.0) -> None:
-        self.datagrams.send(src, dst, port, payload, nbytes=nbytes,
-                            extra_delay_ms=extra_delay_ms)
 
     # -- cost accounting -------------------------------------------------
 

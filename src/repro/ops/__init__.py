@@ -10,9 +10,8 @@
 * :mod:`repro.ops.doctor` — the probes (netsim world in-process,
   realnet fleet over TCP) and :func:`run_doctor`.
 * :mod:`repro.ops.triggers` — prebuilt operational triggers (p99
-  regression, CCS flap, dedup-cache blowup,
-  retransmission storm, host down, watch onset) over the paper's
-  trigger engine.
+  regression, CCS flap, dedup-cache blowup, host down, watch onset)
+  over the paper's trigger engine.
 * :mod:`repro.ops.watch` — the continuous watch loop: interval
   sweeps over either backend and onset/clear edge detection between
   consecutive sweeps.
@@ -39,8 +38,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                  "read_journal", "render_incidents"),
     ".triggers": ("ccs_flap_trigger", "dedup_cache_blowup_trigger",
                   "host_down_trigger", "install_ops_triggers",
-                  "p99_regression_trigger", "retransmission_storm_trigger",
-                  "watch_onset_trigger"),
+                  "p99_regression_trigger", "watch_onset_trigger"),
     ".watch": ("DEFAULT_INTERVAL_MS", "RUNBOOK_ANCHORS", "WatchEdge",
                "Watcher", "watch_fleet", "watch_world"),
 })

@@ -9,7 +9,8 @@ view, so the same checks — and the same verdict names, details, and
 exit codes — serve both backends.
 
 Checks are ordered by the triage runbook (``docs/OPERATIONS.md``):
-daemon layer first, then LPMs and their processes, then outstanding
+the host registry first (nothing else can be probed without it), then
+the daemon layer, then LPMs and their processes, then outstanding
 obligations (RPC), then throttling/SLOs.  The doctor's exit code is
 the code of the *first* failing check in that order, so a non-zero
 exit always names the highest-priority broken layer.
@@ -27,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: and 14 are retired (they were ``overlay-degree`` and
 #: ``broadcast-coverage``) and must not be reused.
 EXIT_CODES = {
+    "registry-readable": 19,
     "daemon-liveness": 10,
     "lpm-liveness": 11,
     "orphan-processes": 12,
@@ -43,9 +45,6 @@ CHECK_ORDER = tuple(EXIT_CODES)
 # checks here and the triggers in :mod:`repro.ops.triggers` read these
 # names; each number is defined nowhere else.
 
-#: ``requests_retransmitted`` beyond this is an RPC anomaly (checked
-#: on the running total, triggered on the growth since arming).
-MAX_RETRANSMITS = 25
 #: Outstanding requests on any one LPM beyond this is an anomaly.
 MAX_PENDING_REQUESTS = 64
 #: A p99 beyond this factor times its recorded baseline regresses.
@@ -119,6 +118,9 @@ class WorldView:
     registry_entries: Dict[str, tuple] = field(default_factory=dict)
     #: realnet only: published hosts whose listener no longer answers.
     stale_entries: List[str] = field(default_factory=list)
+    #: realnet only: why the registry file could not be read (it
+    #: exists but does not parse); None when it was read.
+    registry_error: Optional[str] = None
     alerts: List[OpsAlert] = field(default_factory=list)
     #: When the probe sampled the world, on the backend clock
     #: (simulated ms on netsim, fabric wall-clock ms on realnet).
@@ -248,6 +250,21 @@ def offending_entities(result: CheckResult) -> Tuple[str, ...]:
 # The checks, in triage order
 # ----------------------------------------------------------------------
 
+def check_registry_readable(view: WorldView) -> CheckResult:
+    """The realnet host registry parses; without it no host can be
+    found, so every later check would judge an empty fleet."""
+    if view.registry_error is not None:
+        return CheckResult("registry-readable", False,
+                           view.registry_error)
+    if view.backend != "realnet":
+        return CheckResult("registry-readable", True,
+                           "no registry on the %s backend"
+                           % (view.backend,))
+    return CheckResult("registry-readable", True,
+                       "%d registry entries read"
+                       % len(view.registry_entries))
+
+
 def check_daemon_liveness(view: WorldView) -> CheckResult:
     """Every expected host is up and its daemon layer answers."""
     missing = [h for h in view.expected_hosts if h not in view.hosts]
@@ -302,27 +319,18 @@ def check_orphans(view: WorldView) -> CheckResult:
 
 
 def check_rpc_anomalies(view: WorldView) -> CheckResult:
-    """Retransmission and pending-request volumes look sane."""
-    retransmits = view.counters.get("requests_retransmitted", 0)
+    """No LPM has an outstanding-request backlog."""
     worst = max(view.lpms, key=lambda l: l.pending_requests,
                 default=None)
-    problems = []
-    if retransmits > MAX_RETRANSMITS:
-        problems.append("%d retransmissions (threshold %d)"
-                        % (retransmits, MAX_RETRANSMITS))
-    if worst is not None and \
-            worst.pending_requests > MAX_PENDING_REQUESTS:
-        problems.append("%d pending requests on %s@%s (threshold %d)"
-                        % (worst.pending_requests, worst.user,
-                           worst.host, MAX_PENDING_REQUESTS))
-    if problems:
-        return CheckResult("rpc-anomalies", False, "; ".join(problems),
-                           {"retransmits": retransmits})
-    return CheckResult(
-        "rpc-anomalies", True,
-        "%d retransmissions, max %d pending"
-        % (retransmits,
-           worst.pending_requests if worst is not None else 0))
+    pending = worst.pending_requests if worst is not None else 0
+    if pending > MAX_PENDING_REQUESTS:
+        return CheckResult(
+            "rpc-anomalies", False,
+            "%d pending requests on %s@%s (threshold %d)"
+            % (pending, worst.user, worst.host, MAX_PENDING_REQUESTS),
+            {"pending": pending})
+    return CheckResult("rpc-anomalies", True,
+                       "max %d pending" % (pending,))
 
 
 def p99_regression(op: str, block: Optional[dict],
@@ -400,6 +408,7 @@ def check_trigger_alerts(view: WorldView) -> CheckResult:
 
 #: name -> function; iterated in CHECK_ORDER by :func:`run_checks`.
 _CHECK_FNS = {
+    "registry-readable": check_registry_readable,
     "daemon-liveness": check_daemon_liveness,
     "lpm-liveness": check_lpm_liveness,
     "orphan-processes": check_orphans,

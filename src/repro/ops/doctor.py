@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from ..errors import RegistryError
 from ..perf import PERF
 from .checks import (
     DoctorReport,
@@ -143,12 +144,22 @@ def probe_fleet(registry_path: str,
     failure and a stale registry entry — exactly what a SIGKILLed
     serve process leaves behind.  ``fabric`` is passed through to the
     socket layer so a watch loop can reuse one dial fabric across
-    sweeps.
+    sweeps.  A registry file that does not parse probes nothing: the
+    view carries the reason for the ``registry-readable`` check.
     """
     from ..realnet.session import probe_fleet as _probe
 
-    raw = _probe(registry_path, expected_hosts=expected_hosts,
-                 timeout_ms=timeout_ms, fabric=fabric)
+    try:
+        raw = _probe(registry_path, expected_hosts=expected_hosts,
+                     timeout_ms=timeout_ms, fabric=fabric)
+    except RegistryError as exc:
+        return WorldView(backend="realnet", registry_error=str(exc),
+                         expected_hosts=tuple(sorted(expected_hosts
+                                                     or ())),
+                         counters=PERF.snapshot(),
+                         alerts=list(alerts) if alerts else [],
+                         probed_at_ms=None if fabric is None
+                         else float(fabric.now_ms))
     hosts: Dict[str, HostHealth] = {}
     lpms: List[LpmHealth] = []
     stale: List[str] = []

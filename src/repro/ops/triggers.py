@@ -19,10 +19,6 @@ the doctor's checks:
     The broadcast dedup seen-set exceeded ``MAX_DEDUP_ENTRIES``
     entries — stamps are not expiring (retention misconfigured or a
     flood loop).
-``ops:retransmission-storm``
-    ``PERF.requests_retransmitted`` grew by more than
-    ``MAX_RETRANSMITS`` since arming — the RPC layer is fighting loss
-    instead of making calls.
 ``ops:host-down``
     A ``FAILURE_DETECTED`` event was recorded (a sibling's circuit
     broke and the failure detector noticed).
@@ -51,7 +47,7 @@ from ..perf import PERF
 from ..tracing.events import TraceEventType
 from ..tracing.triggers import Trigger
 from .checks import (CCS_FLAP_WINDOW_MS, CCS_FLAPS, MAX_DEDUP_ENTRIES,
-                     MAX_RETRANSMITS, OpsAlert, p99_regression)
+                     OpsAlert, p99_regression)
 
 #: The operation class the p99 trigger judges.
 P99_OP = "rpc_rtt"
@@ -136,23 +132,6 @@ def dedup_cache_blowup_trigger(size_fn: Callable[[], int],
         predicate=predicate, once=True)
 
 
-def retransmission_storm_trigger(alerts: List[OpsAlert]) -> Trigger:
-    """Fire when retransmissions since arming exceed
-    ``MAX_RETRANSMITS``."""
-    start = PERF.requests_retransmitted
-
-    def predicate(event, history) -> bool:
-        return PERF.requests_retransmitted - start > MAX_RETRANSMITS
-
-    return Trigger(
-        name="ops:retransmission-storm",
-        action=_alerting(
-            "ops:retransmission-storm", alerts,
-            lambda: "%d retransmissions since armed (threshold %d)"
-            % (PERF.requests_retransmitted - start, MAX_RETRANSMITS)),
-        predicate=predicate, once=True)
-
-
 def host_down_trigger(alerts: List[OpsAlert]) -> Trigger:
     """Fire on the first detected sibling failure."""
     return Trigger(
@@ -224,7 +203,6 @@ def install_ops_triggers(engine,
     arm(ccs_flap_trigger(log))
     if dedup_size_fn is not None:
         arm(dedup_cache_blowup_trigger(dedup_size_fn, log))
-    arm(retransmission_storm_trigger(log))
     arm(host_down_trigger(log))
     arm(watch_onset_trigger(log))
     return log

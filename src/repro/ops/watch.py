@@ -49,6 +49,7 @@ DEFAULT_INTERVAL_MS = 1000.0
 #: records must match across backends, and the playbook chapter holds
 #: both backends' recovery actions side by side.
 RUNBOOK_ANCHORS: Dict[str, str] = {
+    "registry-readable": "docs/OPERATIONS.md#fast-recovery-playbook",
     "daemon-liveness": "docs/OPERATIONS.md#fast-recovery-playbook",
     "lpm-liveness": "docs/OPERATIONS.md#fast-recovery-playbook",
     "orphan-processes": "docs/OPERATIONS.md#fast-recovery-playbook",
@@ -83,7 +84,7 @@ class Watcher:
     transitions.  Side channels are both optional: a ``journal``
     persists edges, and a ``recorder`` turns them into ``WATCH_EDGE``
     trace events (which the ``ops:watch-onset`` trigger consumes).
-    ``checks`` narrows the watched set (default: all nine); a name
+    ``checks`` narrows the watched set (default: every check); a name
     outside ``CHECK_ORDER`` is a ``ValueError``, since it would watch
     nothing and report a sick world healthy.
     """

@@ -55,14 +55,6 @@ Stream delivery (``repro.netsim.stream``), one event per segment:
     The same count, kept under both names because the e2e benchmark's
     layer ladder reads each.
 
-Exactly-once request layer (``repro.core.rpc``):
-
-``requests_retransmitted``
-    Datagram-transport requests re-sent by the LPM layer after the ARQ
-    gave up or a reply went missing.
-``requests_deduplicated``
-    Duplicate requests absorbed by the server-side exactly-once cache.
-
 Gather merge (``repro.core.gather``):
 
 ``gather_merges``
@@ -162,8 +154,6 @@ _COUNTERS = (
     "heap_compactions",
     "stream_batched_deliveries",
     "stream_segments_drained",
-    "requests_retransmitted",
-    "requests_deduplicated",
     "gather_merges",
     "gather_records_merged",
     "route_invalidation_scans",

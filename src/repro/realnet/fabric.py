@@ -190,26 +190,6 @@ class AsyncioFabric(Fabric):
             endpoint.dispatch(frame)
         endpoint.start()
 
-    # -- datagram port ---------------------------------------------------
-    # The realnet backend carries everything over TCP; the datagram
-    # transport (PPMConfig(transport="datagram")) is a netsim-only
-    # scalability study for now.
-
-    def datagram_bind(self, host: str, port: str,
-                      handler: Callable) -> None:
-        raise NotImplementedError(
-            "realnet has no datagram transport; use transport='stream'")
-
-    def datagram_unbind(self, host: str, port: str) -> None:
-        raise NotImplementedError(
-            "realnet has no datagram transport; use transport='stream'")
-
-    def datagram_send(self, src: str, dst: str, port: str, payload,
-                      nbytes: int = 256,
-                      extra_delay_ms: float = 0.0) -> None:
-        raise NotImplementedError(
-            "realnet has no datagram transport; use transport='stream'")
-
     # -- cost accounting -------------------------------------------------
 
     def tool_send_delay_ms(self, host_name: str) -> float:

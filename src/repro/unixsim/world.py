@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional
 from ..config import DEFAULT_CONFIG, PPMConfig
 from ..errors import NoSuchHostError
 from ..latency import DEFAULT_COST_MODEL, CostModel, HostClass
-from ..netsim.datagram import DatagramTransport
 from ..netsim.fabric import SimFabric
 from ..netsim.network import Network
 from ..netsim.simulator import Simulator
@@ -34,14 +33,13 @@ class World:
                  granularity: Granularity = Granularity.FINE) -> None:
         self.sim = Simulator(seed=seed)
         self.network = Network(self.sim)
-        self.datagrams = DatagramTransport(self.network, cost_model)
         self.config = config
         self.cost_model = cost_model
         self.hosts: Dict[str, Host] = {}
         #: The backend seam (see :mod:`repro.core.fabric`): the protocol
         #: stack reaches the simulator only through this adapter.
         self.fabric = SimFabric(
-            self.sim, self.network, self.datagrams,
+            self.sim, self.network,
             tool_delay_fn=lambda host_name: self.hosts[host_name]
             .cpu_cost(self.cost_model.tool_ipc_ms))
         self.recorder = TraceRecorder(lambda: self.sim.now_ms,

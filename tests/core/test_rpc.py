@@ -1,16 +1,10 @@
 """Unit tests for the request/reply layer (repro.core.rpc): reply
-correlation, handler accounting, retransmission arming, and the
-server-side exactly-once cache."""
+correlation, handler accounting, timeouts and cancellation."""
 
-from repro import PPMClient, PPMConfig, spinner_spec
-from repro.core.messages import Message, MsgKind
-from repro.core.rpc import REQUEST_PENDING, RETRIED_KINDS
-from repro.perf import PERF
+from repro import PPMClient, spinner_spec
+from repro.core.messages import MsgKind
 
 from .conftest import build_world, lpm_of
-
-DGRAM = PPMConfig(transport="datagram", datagram_rto_ms=150.0,
-                  datagram_max_retries=4)
 
 
 def _session(config=None):
@@ -64,85 +58,6 @@ def test_timeout_fires_on_reply_none_and_releases_handler():
     assert replies == [None]
     assert alpha.rpc.pending == {}
     assert alpha.pool.busy_count() == busy_before
-
-
-def test_retry_timer_armed_only_for_datagram_side_effects():
-    world, alpha, _beta, gpid = _session(config=DGRAM)
-    assert RETRIED_KINDS == {MsgKind.CONTROL, MsgKind.CREATE}
-    alpha.send_request("beta", MsgKind.CONTROL,
-                       {"pid": gpid.pid, "action": "stop"},
-                       lambda reply: None)
-    (pending,) = alpha.rpc.pending.values()
-    assert pending.retry_timer is not None
-    world.run_for(5_000.0)
-
-    # Broadcast-stamped gathers must never be LPM-retried (the dedup
-    # seen-set would swallow the retry as a duplicate).
-    alpha.send_request("beta", MsgKind.GATHER,
-                       {"what": "snapshot", "visited": ["alpha", "beta"]},
-                       lambda reply: None,
-                       broadcast=alpha.broadcast.stamp())
-    (pending,) = alpha.rpc.pending.values()
-    assert pending.retry_timer is None
-    world.run_for(5_000.0)
-
-
-def test_stream_transport_never_arms_retry():
-    world, alpha, _beta, gpid = _session()
-    alpha.send_request("beta", MsgKind.CONTROL,
-                       {"pid": gpid.pid, "action": "stop"},
-                       lambda reply: None)
-    (pending,) = alpha.rpc.pending.values()
-    assert pending.retry_timer is None
-    world.run_for(5_000.0)
-
-
-def test_exactly_once_cache_drops_inflight_duplicates():
-    _world, _alpha, beta, _gpid = _session(config=DGRAM)
-    request = Message(kind=MsgKind.CONTROL, req_id=99, origin="alpha",
-                      user="lfc", payload={"pid": 1, "action": "stop"},
-                      route=["alpha", "beta"], final_dest="beta")
-    PERF.reset()
-    assert beta.rpc.note_request_started(request) is False
-    # A retransmission arriving while the original still executes is
-    # absorbed without re-sending anything.
-    assert beta.rpc.note_request_started(request) is True
-    assert PERF.requests_deduplicated == 1
-    key = ("alpha", "lfc", 99)
-    assert beta.rpc._done_requests.get(key)[2] is REQUEST_PENDING
-
-
-def test_exactly_once_cache_resends_cached_reply():
-    world, alpha, beta, _gpid = _session(config=DGRAM)
-    request = Message(kind=MsgKind.CONTROL, req_id=77, origin="alpha",
-                      user="lfc", payload={"pid": 2, "action": "stop"},
-                      route=["alpha", "beta"], final_dest="beta")
-    assert beta.rpc.note_request_started(request) is False
-    beta.rpc.note_request_done(request, {"ok": True, "cached": True})
-    received = []
-    alpha.rpc.register(77, received.append,
-                       alpha.sim.schedule(60_000.0, lambda: None))
-    PERF.reset()
-    assert beta.rpc.note_request_started(request) is True
-    assert PERF.requests_deduplicated == 1
-    world.run_for(5_000.0)
-    assert len(received) == 1
-    assert received[0].payload == {"ok": True, "cached": True}
-
-
-def test_exactly_once_cache_is_payload_sensitive():
-    _world, _alpha, beta, _gpid = _session(config=DGRAM)
-    request = Message(kind=MsgKind.CONTROL, req_id=55, origin="alpha",
-                      user="lfc", payload={"pid": 3, "action": "stop"},
-                      route=["alpha", "beta"], final_dest="beta")
-    assert beta.rpc.note_request_started(request) is False
-    beta.rpc.note_request_done(request, {"ok": True})
-    # Same (origin, req_id) but a different request — e.g. after an
-    # origin restart — must execute, not answer from the cache.
-    fresh = Message(kind=MsgKind.CONTROL, req_id=55, origin="alpha",
-                    user="lfc", payload={"pid": 4, "action": "kill"},
-                    route=["alpha", "beta"], final_dest="beta")
-    assert beta.rpc.note_request_started(fresh) is False
 
 
 def test_cancel_all_clears_pending():

@@ -1,8 +1,8 @@
 """Unit tests for the sibling transport layer (repro.core.transport):
-link lifecycle, channel authentication, duplicate accepts, the datagram
-introduction, and teardown."""
+link lifecycle, channel authentication, duplicate accepts, and
+teardown."""
 
-from repro import PPMClient, PPMConfig, spinner_spec
+from repro import PPMClient, spinner_spec
 from repro.core.messages import MsgKind
 from repro.core.transport import SiblingLink
 
@@ -134,19 +134,6 @@ def test_ensure_sibling_fails_when_channel_refused_before_ack():
     assert results == [None]
     assert transport.authenticated() == []
     assert "beta" not in transport._pending_links
-
-
-def test_datagram_session_registers_links_both_sides():
-    world = build_world(config=PPMConfig(transport="datagram"))
-    client = PPMClient(world, "lfc", "alpha").connect()
-    client.create_process("anchor", host="beta",
-                         program=spinner_spec(None))
-    alpha, beta = lpm_of(world, "alpha"), lpm_of(world, "beta")
-    # The introduction handshake authenticated both directions.
-    assert alpha.transport.authenticated() == ["beta"]
-    assert beta.transport.authenticated() == ["alpha"]
-    assert alpha.transport.links["beta"].endpoint is \
-        alpha.dgram.endpoint_for("beta")
 
 
 def test_shutdown_closes_links():

@@ -18,8 +18,8 @@ from repro.ops import (
     report_to_dict,
     run_checks,
 )
-from repro.ops.checks import (MAX_PENDING_REQUESTS, MAX_RETRANSMITS,
-                              SLO_FACTOR, SLO_MIN_COUNT)
+from repro.ops.checks import (MAX_PENDING_REQUESTS, SLO_FACTOR,
+                              SLO_MIN_COUNT)
 
 
 def healthy_view(**overrides) -> WorldView:
@@ -56,6 +56,7 @@ class TestContract:
         # Scripts match on these numbers: no code moves, and the
         # retired 13 and 14 are never handed to another check.
         assert EXIT_CODES == {
+            "registry-readable": 19,
             "daemon-liveness": 10,
             "lpm-liveness": 11,
             "orphan-processes": 12,
@@ -139,27 +140,42 @@ class TestOrphans:
 
 
 class TestRpcAnomalies:
-    def test_retransmission_storm_fails(self):
-        view = healthy_view(counters={"requests_retransmitted": 100})
-        report = run_checks(view)
-        result = result_for(report, "rpc-anomalies")
-        assert not result.ok and "100 retransmissions" in result.detail
-        assert report.exit_code == 15
-
     def test_pending_request_pileup_fails(self):
         view = healthy_view(lpms=[
             LpmHealth("alpha", "lfc", alive=True,
                       pending_requests=MAX_PENDING_REQUESTS + 1)])
-        result = result_for(run_checks(view), "rpc-anomalies")
+        report = run_checks(view)
+        result = result_for(report, "rpc-anomalies")
         assert not result.ok and "pending" in result.detail
+        assert report.exit_code == 15
 
-    def test_retransmits_fail_only_past_max_retransmits(self):
-        at_limit = healthy_view(
-            counters={"requests_retransmitted": MAX_RETRANSMITS})
+    def test_pending_fails_only_past_max_pending(self):
+        def view_with(pending):
+            return healthy_view(lpms=[
+                LpmHealth("alpha", "lfc", alive=True,
+                          pending_requests=pending)])
+        at_limit = view_with(MAX_PENDING_REQUESTS)
         assert result_for(run_checks(at_limit), "rpc-anomalies").ok
-        past = healthy_view(
-            counters={"requests_retransmitted": MAX_RETRANSMITS + 1})
+        past = view_with(MAX_PENDING_REQUESTS + 1)
         assert not result_for(run_checks(past), "rpc-anomalies").ok
+
+
+class TestRegistryReadable:
+    def test_netsim_has_no_registry(self):
+        result = result_for(run_checks(healthy_view()),
+                            "registry-readable")
+        assert result.ok and "netsim" in result.detail
+
+    def test_corrupt_registry_fails_first(self):
+        # An unreadable registry also leaves the expected hosts
+        # unprobed; the registry, not the daemons, names the exit.
+        view = healthy_view(
+            backend="realnet", hosts={},
+            registry_error="host registry /tmp/r.json is corrupt: x")
+        report = run_checks(view)
+        assert report.failing[0].name == "registry-readable"
+        assert "/tmp/r.json" in report.failing[0].detail
+        assert report.exit_code == 19
 
 
 class TestLatencySlo:

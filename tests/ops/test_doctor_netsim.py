@@ -10,6 +10,7 @@ from repro import (
     install,
 )
 from repro.ops import EXIT_CODES, probe_world
+from repro.ops.checks import MAX_PENDING_REQUESTS
 from repro.perf import PERF
 
 HOSTS = [("alpha", HostClass.VAX_780), ("beta", HostClass.VAX_750),
@@ -85,11 +86,13 @@ class TestFailureClasses:
         assert report.exit_code == EXIT_CODES["orphan-processes"]
         assert "stray-solver" in report.failing[0].detail
 
-    def test_rpc_retransmission_anomaly(self):
+    def test_rpc_pending_anomaly(self):
         world = build_world()
         start_session(world)
         world.run_for(1_000.0)
-        PERF.requests_retransmitted += 100
+        lpm = world.lpms[("alpha", "lfc")]
+        for req_id in range(10_000, 10_000 + MAX_PENDING_REQUESTS + 1):
+            lpm.rpc.register(req_id, lambda reply: None, None)
         report = world.doctor()
         assert [r.name for r in report.failing] == ["rpc-anomalies"]
         assert report.exit_code == EXIT_CODES["rpc-anomalies"]

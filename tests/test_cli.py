@@ -145,6 +145,35 @@ def test_doctor_baseline_roundtrip(tmp_path, capsys):
     assert "p99 within" in capsys.readouterr().out
 
 
+def test_doctor_corrupt_registry_exits_19_naming_the_path(tmp_path,
+                                                          capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text("{not json", encoding="utf-8")
+    assert main(["doctor", "--registry", str(registry)]) == 19
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert "registry-readable" in lines[0]
+    assert str(registry) in lines[0]
+
+
+def test_watch_corrupt_registry_records_an_onset(tmp_path, capsys):
+    import json
+
+    registry = tmp_path / "registry.json"
+    registry.write_text("{not json", encoding="utf-8")
+    journal = tmp_path / "journal.jsonl"
+    code = main(["watch", "--registry", str(registry),
+                 "--max-sweeps", "2", "--interval-ms", "10",
+                 "--journal", str(journal)])
+    assert code == 19
+    assert "ONSET registry-readable" in capsys.readouterr().out
+    records = [json.loads(line) for line in
+               journal.read_text(encoding="utf-8").splitlines()]
+    edges = [(r["check"], r["edge"]) for r in records
+             if r["kind"] == "incident"]
+    assert edges == [("registry-readable", "onset")]
+
+
 def test_watch_healthy_netsim_exits_zero(capsys):
     assert main(["watch", "--seed", "2", "--max-sweeps", "3"]) == 0
     out = capsys.readouterr().out

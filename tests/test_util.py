@@ -92,12 +92,18 @@ class TestConfig:
                        {"handler_pool_max": 0},
                        {"topology_policy": "ring"},
                        {"topology_policy": "sparse"},
-                       {"transport": "carrier-pigeon"},
                        {"request_timeout_ms": 0},
                        {"ccs_probe_interval_ms": 0},
                        {"recovery_retry_interval_ms": 0}):
             with pytest.raises(ConfigError):
                 PPMConfig(**kwargs)
+
+    def test_transport_is_not_a_knob(self):
+        # Sibling LPMs talk only over section 3's stream circuits; the
+        # datagram alternative is an ablation, not a configuration.
+        from repro import PPMConfig
+        with pytest.raises(TypeError):
+            PPMConfig(transport="stream")
 
     def test_with_overrides(self):
         from dataclasses import asdict

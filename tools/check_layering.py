@@ -8,14 +8,14 @@ eroding:
 
 1. ``lpm.py`` stays a coordinator: at most ``LPM_MAX_LINES`` lines.
 2. ``lpm.py`` imports only from its allowlist — in particular it must
-   never again import ``repro.netsim.stream`` or ``repro.core.dgram``
-   (sockets belong to the transport layer) or ``repro.core.routing``
-   (the route cache belongs to the router layer).
+   never again import ``repro.netsim.stream`` (sockets belong to the
+   transport layer) or ``repro.core.routing`` (the route cache belongs
+   to the router layer).
 3. The layer modules never import ``repro.core.lpm`` — the layering is
    one-directional; layers talk to the LPM only through the instance
    injected at construction.
-4. ``rpc`` / ``router`` / ``gather`` never import the socket layers
-   either; only ``transport`` touches streams and datagrams.
+4. ``rpc`` / ``router`` / ``gather`` never import the socket layer
+   either; only ``transport`` touches streams.
 
 The simulator substrate gets its own rules:
 
@@ -104,10 +104,10 @@ NETSIM_UPWARD = ("repro.core", "repro.unixsim", "repro.tracing",
                  "repro.baselines", "repro.localos", "repro.bench",
                  "repro.cli")
 
-#: ``lpm.py``'s length once the sparse overlay's dispatch rows and the
-#: cache-first LOCATE left it: the coordinator may shrink, not grow,
-#: unless a reason is written here.
-LPM_MAX_LINES = 539
+#: ``lpm.py``'s length once the LPM-level datagram transport's
+#: exactly-once cache and ``dgram`` facade left it: the coordinator may
+#: shrink, not grow, unless a reason is written here.
+LPM_MAX_LINES = 526
 
 #: The one module allowed to open /proc (rule 10), relative to
 #: ``src/repro``.
@@ -126,7 +126,7 @@ LAYER_MODULES = ("transport", "rpc", "router", "gather",
 
 #: Modules that must not touch the socket layers (transport owns them).
 SOCKET_FREE_MODULES = ("rpc", "router", "gather")
-SOCKET_LAYERS = ("repro.netsim.stream", "repro.core.dgram")
+SOCKET_LAYERS = ("repro.netsim.stream",)
 
 #: Every import prefix lpm.py may use.  Anything else is the god-class
 #: growing back; move the code into the owning layer instead.
