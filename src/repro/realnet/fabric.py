@@ -25,6 +25,13 @@ A predicate that changes by any other means is seen only at the
 timeout.  ``run_until_true`` is not re-entrant: a callback running
 under it (or under a serve process's ``run_forever``) must not call it.
 
+Inbound bytes need no task of their own: each endpoint is its
+socket's ``asyncio.Protocol`` (:mod:`repro.realnet.node`), so a read
+is decoded and dispatched inside the transport's callback, on the loop
+turn that found it readable.  The only tasks are a dial's (``connect``
+until the socket is up) and an accepted connection's
+``RealNode._accept_connection``.
+
 The clock is wall time in milliseconds since the fabric was built, so
 span tracers (which only need a ``now_ms``) produce real latency
 histograms over real sockets.
@@ -39,8 +46,8 @@ from typing import Callable, Optional
 from ..core.fabric import DEFAULT_DETECT_MS, Fabric
 from ..perf import PERF
 from ..perf.spans import DEFAULT_MAX_SPANS, SpanTracer
-from .framing import FrameDecoder, encode_frame
-from .node import READ_BYTES, RealEndpoint, cap_socket_reads
+from .framing import encode_frame
+from .node import RealEndpoint
 from .registry import HostRegistry
 
 
@@ -150,45 +157,37 @@ class AsyncioFabric(Fabric):
                 on_failed(reason)
             self.wake()
 
+        def answered(endpoint: RealEndpoint, answer) -> None:
+            if answer is None:
+                failed("%s during handshake" % (endpoint.lost_reason,))
+                return
+            if not isinstance(answer, dict) or not answer.get("ok"):
+                endpoint.close()
+                failed(answer.get("error", "refused")
+                       if isinstance(answer, dict) else "refused")
+                return
+            endpoint.peer_name = answer.get("host", dst)
+            if on_established is not None:
+                on_established(endpoint)
+            self.wake()
+            # Frames that rode in behind the accept (e.g. an eager
+            # HELLO_ACK) dispatch only after the caller installed handlers.
+            endpoint.release()
+
         address = self.registry.lookup(dst)
         if address is None:
             failed("unreachable: %s not in registry" % (dst,))
             return
         try:
-            reader, writer = await asyncio.open_connection(*address)
+            transport, _ = await self.loop.create_connection(
+                lambda: RealEndpoint(self, src, dst, greet=answered),
+                *address)
         except OSError as exc:
             failed("connect refused: %s" % (exc,))
             return
         PERF.real_connects += 1
-        cap_socket_reads(writer)
-        writer.write(encode_frame({"connect": service, "src": src,
-                                   "payload": payload}))
-        decoder = FrameDecoder()
-        frames = []
-        while not frames:
-            data = await reader.read(READ_BYTES)
-            if not data:
-                writer.close()
-                failed("closed during handshake")
-                return
-            frames = decoder.feed(data)
-        answer = frames[0]
-        if not isinstance(answer, dict) or not answer.get("ok"):
-            writer.close()
-            failed(answer.get("error", "refused")
-                   if isinstance(answer, dict) else "refused")
-            return
-        endpoint = RealEndpoint(self, reader, writer, local_name=src,
-                                peer_name=answer.get("host", dst),
-                                decoder=decoder)
-        if on_established is not None:
-            on_established(endpoint)
-        self.wake()
-        # Frames that rode in behind the accept (e.g. an eager
-        # HELLO_ACK) dispatch only after the caller installed handlers.
-        for frame in frames[1:]:
-            endpoint.dispatch(frame)
-        endpoint.start()
+        transport.write(encode_frame({"connect": service, "src": src,
+                                      "payload": payload}))
 
     # -- cost accounting -------------------------------------------------
 
@@ -198,7 +197,9 @@ class AsyncioFabric(Fabric):
     # -- teardown --------------------------------------------------------
 
     def close(self) -> None:
-        """Cancel outstanding tasks and close the loop."""
+        """Cancel outstanding tasks and close the loop, after one last
+        turn on which a transport closed since the last pump releases
+        its socket."""
         pending = [task for task in asyncio.all_tasks(self.loop)
                    if not task.done()]
         for task in pending:
@@ -206,4 +207,7 @@ class AsyncioFabric(Fabric):
         if pending:
             self.loop.run_until_complete(
                 asyncio.gather(*pending, return_exceptions=True))
+        else:
+            self.loop.call_soon(self.loop.stop)
+            self.loop.run_forever()
         self.loop.close()

@@ -8,13 +8,24 @@ simulator's ``NetworkNode`` multiplexes named services on one host.
 
 A :class:`RealEndpoint` satisfies the endpoint contract documented in
 :mod:`repro.core.fabric`: the protocol stack (and ``PPMClient``) uses
-it exactly as it uses a netsim ``StreamEndpoint``.
+it exactly as it uses a netsim ``StreamEndpoint``.  It is also the
+``asyncio.Protocol`` of its socket: the transport hands each read to
+``data_received``, which decodes the frames and dispatches them in
+that same callback.  There is no stream reader and no reader task, so
+an inbound message costs one turn of the event loop.
+
+Both ends run the same handshake inside the endpoint.  The first frame
+on a connection is the dialler's hello (``{"connect": service, "src":
+host, "payload": ...}``) or the node's answer (``{"ok": ...}``); it
+goes to the endpoint's ``greet`` callback, and every frame behind it is
+held until that side has installed its handlers (:meth:`RealEndpoint.
+release`).
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from ..errors import ConnectionClosedError
 from .framing import FrameDecoder, FramingError, encode_frame
@@ -29,7 +40,7 @@ STATUS_SERVICE = "__status__"
 READ_BYTES = 65536
 
 
-def cap_socket_reads(writer: asyncio.StreamWriter) -> None:
+def cap_socket_reads(transport: asyncio.Transport) -> None:
     """Have the transport ask its socket for ``READ_BYTES`` per read
     instead of asyncio's 256 KiB.  The selector transport allocates
     its ``recv()`` size afresh for every read and shrinks it to what
@@ -39,53 +50,76 @@ def cap_socket_reads(writer: asyncio.StreamWriter) -> None:
     ping's client CPU) or does not, depending on what else it has
     allocated: the same code ran at two speeds and changed between
     them in mid-run."""
-    writer.transport.max_size = READ_BYTES
+    transport.max_size = READ_BYTES
 
 
-class RealEndpoint:
-    """One side of a live TCP connection (endpoint contract)."""
+class RealEndpoint(asyncio.Protocol):
+    """One side of a live TCP connection (endpoint contract), and the
+    asyncio protocol that reads it."""
 
-    def __init__(self, fabric, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, local_name: str,
-                 peer_name: str,
-                 decoder: Optional[FrameDecoder] = None,
+    def __init__(self, fabric, local_name: str, peer_name: str,
+                 greet: Callable,
                  forget: Optional[Callable] = None) -> None:
         self.fabric = fabric
-        self.reader = reader
-        self.writer = writer
         self.local_name = local_name
         self.peer_name = peer_name
+        self.transport: Optional[asyncio.Transport] = None
         self.open = True
         self.on_message: Optional[Callable] = None
         self.on_close: Optional[Callable] = None
         self.context = None
-        self._decoder = decoder if decoder is not None else FrameDecoder()
-        self._reader_task: Optional[asyncio.Task] = None
+        self._decoder = FrameDecoder()
+        #: ``greet(endpoint, frame)`` takes the connection's first
+        #: frame, or None when the connection ended before one came;
+        #: it runs once.
+        self._greet: Optional[Callable] = greet
+        #: Frames held until :meth:`release`; None once released.
+        self._held: Optional[List] = []
+        #: Why the connection ended while frames were held.
+        self.lost_reason: Optional[str] = None
         #: ``forget(endpoint)`` runs once when this endpoint closes,
         #: whichever side closed first (the accepting node's cleanup).
         self._forget = forget
 
-    def start(self) -> None:
-        """Begin pulling frames off the socket (idempotent)."""
-        if self._reader_task is None and self.open:
-            self._reader_task = self.fabric.loop.create_task(
-                self._read_loop())
+    # -- asyncio.Protocol ------------------------------------------------
 
-    async def _read_loop(self) -> None:
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        cap_socket_reads(transport)
+
+    def data_received(self, data: bytes) -> None:
         try:
-            while self.open:
-                data = await self.reader.read(READ_BYTES)
-                if not data:
-                    self._closed("closed")
-                    return
-                for frame in self._decoder.feed(data):
-                    self.dispatch(frame)
-        except (ConnectionError, OSError):
-            self._closed("connection reset")
+            frames = self._decoder.feed(data)
         except FramingError:
-            self._closed("protocol error")
-        except asyncio.CancelledError:
-            raise
+            self._ended("protocol error")
+            return
+        held = self._held
+        if held is None:
+            for frame in frames:
+                self.dispatch(frame)
+            return
+        held += frames
+        if held and self._greet is not None:
+            greet, self._greet = self._greet, None
+            greet(self, held.pop(0))
+
+    def eof_received(self) -> None:
+        self._ended("closed")
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._ended("closed" if exc is None else "connection reset")
+
+    # -- the endpoint contract -------------------------------------------
+
+    def release(self) -> None:
+        """The handshake is done and handlers are installed: dispatch
+        the frames that came behind the first one, then report an end
+        of the connection that happened meanwhile."""
+        held, self._held = self._held, None
+        for frame in held:
+            self.dispatch(frame)
+        if self.lost_reason is not None:
+            self._closed(self.lost_reason)
 
     def dispatch(self, frame) -> None:
         if self.open and self.on_message is not None:
@@ -100,17 +134,30 @@ class RealEndpoint:
         if not self.open:
             raise ConnectionClosedError(
                 "%s -> %s" % (self.local_name, self.peer_name))
-        self.writer.write(encode_frame(payload))
+        self.transport.write(encode_frame(payload))
 
     def close(self) -> None:
         """Orderly close; the peer sees ``on_close('closed')`` via EOF.
         Idempotent, and (matching netsim) the initiator's own
         ``on_close`` does not fire."""
-        if not self.open:
+        if self.open:
+            self._shut()
+
+    def _ended(self, reason: str) -> None:
+        """The connection ended: EOF, a reset, or a frame that does not
+        decode.  Before :meth:`release` the end waits for it, and
+        before the first frame the handshake fails."""
+        if self._held is None:
+            self._closed(reason)
             return
+        if self.lost_reason is None:
+            self.lost_reason = reason
+        if self._greet is None:
+            self.transport.close()
+            return
+        greet, self._greet = self._greet, None
         self._shut()
-        if self._reader_task is not None:
-            self._reader_task.cancel()
+        greet(self, None)
 
     def _closed(self, reason: str) -> None:
         if not self.open:
@@ -124,10 +171,8 @@ class RealEndpoint:
         self.open = False
         if self._forget is not None:
             self._forget(self)
-        try:
-            self.writer.close()
-        except OSError:
-            pass
+        if self.transport is not None:
+            self.transport.close()
 
     def __repr__(self) -> str:
         return "RealEndpoint(%s <-> %s, %s)" % (
@@ -176,47 +221,44 @@ class RealNode:
     def start(self) -> None:
         """Bind to port 0, discover the kernel-assigned port, publish."""
         self.server = self.fabric.loop.run_until_complete(
-            asyncio.start_server(self._accept_connection,
-                                 self.bind_address, 0))
+            self.fabric.loop.create_server(self._new_endpoint,
+                                           self.bind_address, 0))
         self.port = self.server.sockets[0].getsockname()[1]
         self.registry.publish(self.host_name, self.bind_address,
                               self.port)
 
-    async def _accept_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        cap_socket_reads(writer)
-        decoder = FrameDecoder()
-        frames = []
-        try:
-            while not frames:
-                data = await reader.read(READ_BYTES)
-                if not data:
-                    writer.close()
-                    return
-                frames = decoder.feed(data)
-        except (ConnectionError, OSError, FramingError):
-            writer.close()
+    def _new_endpoint(self) -> RealEndpoint:
+        """The protocol of one accepted connection; it is tracked from
+        the start, so :meth:`close` reaches one still in its handshake."""
+        endpoint = RealEndpoint(self.fabric, self.host_name, "?",
+                                greet=self._on_hello,
+                                forget=self._accepted.discard)
+        self._accepted.add(endpoint)
+        return endpoint
+
+    def _on_hello(self, endpoint: RealEndpoint, hello) -> None:
+        if hello is not None:
+            self.fabric.loop.create_task(
+                self._accept_connection(endpoint, hello))
+
+    async def _accept_connection(self, endpoint: RealEndpoint,
+                                 hello) -> None:
+        """Accept one dialled connection: look up its service, answer,
+        and hand the endpoint to the service's acceptor."""
+        if not endpoint.open:
             return
-        hello = frames[0]
         service = hello.get("connect") if isinstance(hello, dict) else None
         acceptor = self.services.get(service)
         if acceptor is None:
-            writer.write(encode_frame(
-                {"ok": False, "error": "no such service: %r" % (service,)}))
-            writer.close()
+            endpoint.send(
+                {"ok": False, "error": "no such service: %r" % (service,)})
+            endpoint.close()
             return
-        endpoint = RealEndpoint(self.fabric, reader, writer,
-                                local_name=self.host_name,
-                                peer_name=hello.get("src", "?"),
-                                decoder=decoder,
-                                forget=self._accepted.discard)
-        self._accepted.add(endpoint)
-        writer.write(encode_frame({"ok": True, "host": self.host_name}))
+        endpoint.peer_name = hello.get("src", "?")
+        endpoint.send({"ok": True, "host": self.host_name})
         acceptor(endpoint, hello.get("payload"))
         self.fabric.wake()
-        for frame in frames[1:]:
-            endpoint.dispatch(frame)
-        endpoint.start()
+        endpoint.release()
 
     def close(self) -> None:
         """Stop listening, close accepted endpoints, withdraw the

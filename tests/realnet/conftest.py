@@ -22,10 +22,22 @@ def loopback():
 
 @pytest.fixture
 def fabric(loopback, tmp_path):
+    """A fabric whose loop records every exception it would only have
+    logged (a callback that raised, a task that died with nobody
+    awaiting it); the test fails at teardown if there was one.  A test
+    that provokes one on purpose installs its own handler."""
     registry = HostRegistry(str(tmp_path / "reg.json"))
     fabric = AsyncioFabric(registry, local_host="alpha")
+    unhandled = []
+    fabric.loop.set_exception_handler(
+        lambda loop, context: unhandled.append(context))
     yield fabric
     fabric.close()
+    if unhandled:
+        pytest.fail("the event loop had unhandled exceptions: %s" % (
+            "; ".join("%s (%r)" % (context.get("message"),
+                                   context.get("exception"))
+                      for context in unhandled),))
 
 
 @pytest.fixture

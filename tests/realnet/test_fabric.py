@@ -153,3 +153,38 @@ def test_a_ping_costs_one_wakeup_and_no_timer(loopback, monkeypatch):
             monkeypatch.undo()
     assert 100 <= wakeups <= 110
     assert timers_run == []
+
+
+def test_a_ping_costs_one_future_and_no_task(loopback, monkeypatch):
+    """An inbound frame is decoded and dispatched in the transport's
+    own callback: over 100 pings the client makes one future per pump
+    (the pump's own) and no task.  A stream reader would wait on a
+    future of its own, and a reader task would resume once per read."""
+    from repro.realnet.session import RealSession, launch_hosts
+
+    with launch_hosts(["alpha"], budget_s=60.0) as fleet:
+        with RealSession(fleet.registry_path, "lfc", "alpha") as session:
+            client = session.client.connect()
+            client.ping()
+            loop = session.fabric.loop
+            futures, tasks = [], []
+            create_future, create_task = loop.create_future, loop.create_task
+
+            def counting_create_future():
+                futures.append(True)
+                return create_future()
+
+            def counting_create_task(coro, **kwargs):
+                tasks.append(coro)
+                return create_task(coro, **kwargs)
+
+            monkeypatch.setattr(loop, "create_future", counting_create_future)
+            monkeypatch.setattr(loop, "create_task", counting_create_task)
+            before = PERF.real_pump_wakeups
+            for _ in range(100):
+                assert client.ping()["ok"]
+            wakeups = PERF.real_pump_wakeups - before
+            monkeypatch.undo()
+    assert 100 <= len(futures) <= 110
+    assert len(futures) == wakeups
+    assert tasks == []

@@ -85,3 +85,37 @@ def test_unknown_tag_rejected():
     frame = (1).to_bytes(4, "big") + b"X" + b"?"
     with pytest.raises(FramingError):
         FrameDecoder().feed(frame)
+
+
+@pytest.mark.parametrize("tagged_body", [
+    b"M{not json",                     # JSONDecodeError
+    b"J\xff\xfe",                      # UnicodeDecodeError
+    b'M{"kind":"tool_ping"}',          # KeyError
+    b'M{"kind":"no_such_kind"}',       # ValueError
+    b"M[1, 2]",                        # TypeError
+    b"J" + b"[" * 100_000 + b"]" * 100_000,  # RecursionError
+], ids=["not-json", "not-utf8", "missing-field", "unknown-kind",
+        "not-an-object", "too-deep"])
+def test_undecodable_body_is_a_framing_error(tagged_body):
+    frame = (len(tagged_body) - 1).to_bytes(4, "big") + tagged_body
+    with pytest.raises(FramingError, match="bad body"):
+        FrameDecoder().feed(frame)
+
+
+def test_torn_big_frame_is_parsed_once_when_whole():
+    """A frame many reads long is only appended to until it is whole;
+    ``pending_bytes`` counts what is held, and the frame after it in
+    the last read comes out too."""
+    big = encode_frame({"blob": "x" * (4 * 65536)})
+    blob = big + encode_frame(sample_message(9))
+    decoder = FrameDecoder()
+    got = []
+    cut = 65536
+    for start in range(0, len(big) - 1, cut):
+        stop = min(start + cut, len(big) - 1)
+        got.extend(decoder.feed(blob[start:stop]))
+        assert decoder.pending_bytes == stop
+    got.extend(decoder.feed(blob[len(big) - 1:]))
+    assert got[0] == {"blob": "x" * (4 * 65536)}
+    assert got[1].req_id == 9
+    assert decoder.pending_bytes == 0

@@ -5,6 +5,12 @@ client share the fabric, and ``run_until_true`` pumps both sides, so
 the tests exercise real sockets without spawning processes.
 """
 
+import asyncio
+import socket
+
+import pytest
+
+from repro.realnet.framing import encode_frame
 from repro.realnet.lpm import RealLpm
 from repro.realnet.node import READ_BYTES, RealNode
 from repro.realnet.pmd import RealPmd
@@ -223,9 +229,76 @@ def test_both_ends_read_in_capped_chunks(fabric, node):
     fabric.connect("tester", "alpha", "echo", on_established=established)
     assert fabric.run_until_true(lambda: "ep" in holder, timeout_ms=5_000)
     for endpoint in (holder["ep"], server_side[0]):
-        assert endpoint.writer.transport.max_size == READ_BYTES
+        assert endpoint.transport.max_size == READ_BYTES
     big = {"blob": "x" * (5 * READ_BYTES)}
     holder["ep"].send(big)
     assert fabric.run_until_true(lambda: bool(echoed), timeout_ms=5_000)
     assert echoed == [big]
     holder["ep"].close()
+
+
+#: Frame bodies that do not decode, one per way ``decode_body`` fails:
+#: not JSON, not UTF-8, a message missing a field, an unknown kind.
+BAD_BODIES = {
+    "not-json": b"M{not json",
+    "not-utf8": b"J\xff\xfe",
+    "missing-field": b'M{"kind":"tool_ping"}',
+    "unknown-kind": b'M{"kind":"no_such_kind","req_id":1,"origin":"a",'
+                    b'"user":"u","payload":{},"route":[],"reply_to":null,'
+                    b'"broadcast":null,"final_dest":null}',
+}
+
+
+def _raw_frame(tagged_body: bytes) -> bytes:
+    return (len(tagged_body) - 1).to_bytes(4, "big") + tagged_body
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BODIES))
+def test_undecodable_frame_closes_the_endpoint(fabric, node, case):
+    """A frame whose body does not decode is a protocol error: the
+    endpoint closes and its ``on_close`` says so."""
+    server_side, closed = [], []
+
+    def acceptor(endpoint, payload):
+        server_side.append(endpoint)
+        endpoint.on_message = lambda frame, ep: None
+        endpoint.on_close = lambda reason, ep: closed.append(reason)
+
+    node.listen("quiet", acceptor)
+    with socket.create_connection(("127.0.0.1", node.port)) as raw:
+        raw.sendall(encode_frame({"connect": "quiet", "src": "raw"}))
+        assert fabric.run_until_true(lambda: bool(server_side),
+                                     timeout_ms=5_000)
+        raw.sendall(_raw_frame(BAD_BODIES[case]))
+        assert fabric.run_until_true(lambda: bool(closed),
+                                     timeout_ms=5_000)
+    assert closed == ["protocol error"]
+    assert not server_side[0].open
+    assert not node._accepted
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BODIES))
+def test_undecodable_answer_fails_the_dial(fabric, case):
+    """A dial whose answer does not decode fires ``on_failed`` with a
+    reason (and not ``on_established``) instead of neither."""
+    garblers = []
+
+    class Garbler(asyncio.Protocol):
+        def connection_made(self, transport):
+            garblers.append(transport)
+            transport.write(_raw_frame(BAD_BODIES[case]))
+
+    server = fabric.loop.run_until_complete(
+        fabric.loop.create_server(Garbler, "127.0.0.1", 0))
+    fabric.registry.publish("garbler", "127.0.0.1",
+                            server.sockets[0].getsockname()[1])
+    outcomes = []
+    fabric.connect("tester", "garbler", "echo",
+                   on_established=lambda ep: outcomes.append("established"),
+                   on_failed=outcomes.append)
+    assert fabric.run_until_true(lambda: bool(outcomes), timeout_ms=5_000)
+    for transport in garblers:
+        transport.close()
+    server.close()
+    fabric.loop.run_until_complete(server.wait_closed())
+    assert outcomes == ["protocol error during handshake"]
