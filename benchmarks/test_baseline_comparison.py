@@ -100,10 +100,7 @@ def run_rexec(world):
     client = RexecClient(world, "lfc", "secret", "origin")
     spec = fork_tree_spec([("grandchild", 50.0, spinner_spec(None))])
     # rexec has no local management; the root runs unmanaged locally.
-    world.host("origin").kernel.spawn(
-        1001, "root", program=__import__(
-            "repro.core.progspec", fromlist=["build_program"]
-        ).build_program(spec))
+    world.host("origin").kernel.spawn(1001, "root", program=spec)
     roots = [client.rexec(host, "worker-%s" % host, spec)
              for host in HOSTS[1:]]
     world.run_for(2_000.0)

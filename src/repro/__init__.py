@@ -47,9 +47,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".core.control": ("ControlAction",),
     ".core.client": ("PPMClient",),
     ".core.ppm": ("PersonalProcessManager",),
-    ".core.progspec": ("build_program", "spinner_spec", "sleeper_spec",
-                       "worker_spec", "file_worker_spec",
-                       "fork_tree_spec"),
+    ".core.progspec": ("spinner_spec", "sleeper_spec", "worker_spec",
+                       "file_worker_spec", "fork_tree_spec"),
+    ".unixsim.programs": ("build_program",),
     ".core.resilient": ("ResilientComputation", "UnitSpec"),
     ".tracing.events": ("TraceEvent", "TraceEventType", "Granularity"),
     ".tracing.recorder": ("TraceRecorder",),

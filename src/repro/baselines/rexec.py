@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.progspec import build_program
 from ..errors import NoSuchProcessError, PPMError, ProcessPermissionError
 from ..ids import GlobalPid
 from ..netsim.stream import StreamConnection
@@ -80,10 +79,9 @@ class RexecDaemon:
             if not self.host.up:
                 return
             if request == "exec":
-                program = build_program(payload.get("program"))
                 proc = self.host.kernel.spawn(
                     uid, payload.get("command", "a.out"),
-                    ppid=self.proc.pid, program=program)
+                    ppid=self.proc.pid, program=payload.get("program"))
                 self._reply(endpoint, {"ok": True, "pid": proc.pid})
             elif request == "signal":
                 try:

@@ -22,8 +22,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".control": ("ControlAction",),
     ".client": ("PPMClient",),
     ".ppm": ("PersonalProcessManager",),
-    ".progspec": ("build_program", "spinner_spec", "sleeper_spec",
-                  "worker_spec", "file_worker_spec", "fork_tree_spec"),
+    ".progspec": ("spinner_spec", "sleeper_spec", "worker_spec",
+                  "file_worker_spec", "fork_tree_spec"),
+    "..unixsim.programs": ("build_program",),
     ".resilient": ("ResilientComputation", "UnitSpec"),
     ".files_tool": ("open_files_by_process", "render_open_files",
                     "render_closed_files", "render_fd_table",

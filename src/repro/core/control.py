@@ -10,12 +10,6 @@ dependencies" — any process of the user's, anywhere, by ``<host, pid>``.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING
-
-from ..unixsim.signals import Signal
-
-if TYPE_CHECKING:
-    from ..unixsim.kernel import Kernel
 
 
 class ControlAction(Enum):
@@ -29,24 +23,15 @@ class ControlAction(Enum):
     KILL = "kill"
 
 
-def apply_action(kernel: Kernel, pid: int, action: ControlAction,
-                 uid: int) -> None:
-    """Carry out one action through the local kernel's facilities
-    ("LPMs use primarily 4.3BSD mechanisms for intramachine process
-    control", section 4)."""
-    if action is ControlAction.STOP:
-        kernel.kill(pid, Signal.SIGSTOP, sender_uid=uid)
-    elif action is ControlAction.CONTINUE:
-        kernel.kill(pid, Signal.SIGCONT, sender_uid=uid)
-    elif action is ControlAction.FOREGROUND:
-        kernel.set_foreground(pid, True, sender_uid=uid)
-        kernel.kill(pid, Signal.SIGCONT, sender_uid=uid)
-    elif action is ControlAction.BACKGROUND:
-        kernel.set_foreground(pid, False, sender_uid=uid)
-        kernel.kill(pid, Signal.SIGCONT, sender_uid=uid)
-    elif action is ControlAction.TERMINATE:
-        kernel.kill(pid, Signal.SIGTERM, sender_uid=uid)
-    elif action is ControlAction.KILL:
-        kernel.kill(pid, Signal.SIGKILL, sender_uid=uid)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError("unknown action %r" % (action,))
+#: What each action does, on every backend: the signal it sends, by
+#: name, and the foreground flag set first (None: left as it is).  Each
+#: backend resolves the names in its own signal numbering once, at
+#: import.
+CONTROL_SIGNALS = {
+    ControlAction.STOP: ("SIGSTOP", None),
+    ControlAction.CONTINUE: ("SIGCONT", None),
+    ControlAction.FOREGROUND: ("SIGCONT", True),
+    ControlAction.BACKGROUND: ("SIGCONT", False),
+    ControlAction.TERMINATE: ("SIGTERM", None),
+    ControlAction.KILL: ("SIGKILL", None),
+}

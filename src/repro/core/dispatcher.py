@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..unixsim.process import ProcState
+from .hostos import ProcState
 
 
 class Handler:

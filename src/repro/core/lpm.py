@@ -38,12 +38,12 @@ from ..errors import ConnectionClosedError, ReproError
 from ..ids import GlobalPid
 from ..latency import load_factor
 from ..tracing.events import TraceEventType
-from ..unixsim.process import ProcState, trace_flags_from_names
 from ..util import Deferred
 from .broadcast import BroadcastEngine
-from .control import ControlAction, apply_action
+from .control import ControlAction
 from .dispatcher import HandlerPool
 from .gather import GatherEngine
+from .hostos import ProcState, trace_flags_from_names
 from .messages import Message, MsgKind
 from .processtable import INFRA_COMMANDS, ProcessTable
 from .recovery import RecoveryManager
@@ -301,7 +301,7 @@ class LocalProcessManager:
         except ValueError:
             return {"ok": False, "error": "unknown action %r" % (action_name,)}
         try:
-            apply_action(self.host.kernel, pid, action, self.uid)
+            self.host.kernel.control(pid, action, self.uid)
         except ReproError as exc:
             return {"ok": False, "error": "%s: %s"
                                           % (type(exc).__name__, exc)}

@@ -14,9 +14,7 @@ from typing import Dict, List, Optional
 
 from ..ids import GlobalPid
 from ..tracing.events import TraceEventType
-from ..unixsim.kernel import KernelEvent, KernelMessage
-from ..unixsim.process import ProcState
-from .progspec import build_program
+from .hostos import KernelEvent, KernelMessage, ProcState
 from .snapshot import ProcessRecord
 
 #: Commands that are PPM infrastructure, never part of the user's
@@ -98,9 +96,9 @@ class ProcessTable:
         """Create (and adopt) a user process with this LPM as creation
         server; returns the kernel process."""
         lpm = self.lpm
-        program = build_program(program_spec)
         proc = lpm.host.kernel.spawn(lpm.uid, command, tuple(args),
-                                     program=program, ppid=lpm.proc.pid,
+                                     program=program_spec,
+                                     ppid=lpm.proc.pid,
                                      foreground=foreground)
         lpm.host.kernel.adopt(lpm.uid, proc.pid, lpm.trace_flags)
         self.records[proc.pid] = ProcessRecord(

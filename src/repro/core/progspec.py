@@ -2,24 +2,15 @@
 
 Remote process creation sends *what to run* across the wire.  The PPM
 cannot ship live Python objects, so tools describe programs as plain
-dictionaries; the creating LPM builds the simulated program image with
-:func:`build_program`.  This keeps the whole protocol serialisable
-(checked by :mod:`repro.core.wire`).
+dictionaries.  The protocol stack passes a spec through unread to the
+host kernel's ``spawn``; the simulated kernel builds the program image
+with :func:`repro.unixsim.programs.build_program`.  This keeps the
+whole protocol serialisable (checked by :mod:`repro.core.wire`).
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-from ..errors import ReproError
-from ..unixsim.programs import (
-    FileWorkerProgram,
-    ForkTreeProgram,
-    Program,
-    SleeperProgram,
-    SpinnerProgram,
-    WorkerProgram,
-)
 
 
 def spinner_spec(duration_ms: Optional[float] = None) -> dict:
@@ -62,33 +53,3 @@ def fork_tree_spec(children, duration_ms: Optional[float] = None,
             "exit_status": exit_status,
             "children": [[command, delay_ms, child_spec]
                          for command, delay_ms, child_spec in children]}
-
-
-def build_program(spec: Optional[dict]) -> Optional[Program]:
-    """Materialise a program image from its wire spec."""
-    if spec is None:
-        return None
-    kind = spec.get("type")
-    if kind == "spinner":
-        return SpinnerProgram(spec.get("duration_ms"))
-    if kind == "sleeper":
-        return SleeperProgram(spec.get("duration_ms"))
-    if kind == "worker":
-        return WorkerProgram(spec["duration_ms"],
-                             exit_status=spec.get("exit_status", 0))
-    if kind == "file_worker":
-        return FileWorkerProgram(
-            spec["duration_ms"], spec.get("files", []),
-            close_after_ms=[(path, delay) for path, delay
-                            in spec.get("close_after_ms", [])],
-            exit_status=spec.get("exit_status", 0))
-    if kind == "fork_tree":
-        children = [(command, delay_ms,
-                     build_program(child_spec) if child_spec is not None
-                     else SpinnerProgram(None))
-                    for command, delay_ms, child_spec
-                    in spec.get("children", [])]
-        return ForkTreeProgram(children,
-                               duration_ms=spec.get("duration_ms"),
-                               exit_status=spec.get("exit_status", 0))
-    raise ReproError("unknown program spec type %r" % (kind,))

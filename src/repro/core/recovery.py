@@ -25,8 +25,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import List, Optional
 
+from ..ids import NAME_SERVICE
 from ..tracing.events import TraceEventType
-from ..unixsim.nameserver import NAME_SERVICE
 from .messages import Message, MsgKind
 
 #: Bound on consecutive name-server reassignment attempts per search.

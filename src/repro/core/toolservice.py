@@ -15,7 +15,7 @@ from typing import Optional
 from ..errors import ConnectionClosedError, ReproError
 from ..ids import GlobalPid
 from ..tracing.events import TraceEventType
-from ..unixsim.process import trace_flags_from_names
+from .hostos import trace_flags_from_names
 from .messages import Message, MsgKind
 
 

@@ -18,6 +18,8 @@ from .perf import PERF
 INETD_SERVICE = "inetd"
 #: The sub-service tools and remote LPMs request for PPM bootstrap.
 PPM_SERVICE = "ppm"
+#: The well-known service the CCS name server listens on.
+NAME_SERVICE = "ccsns"
 
 
 @dataclass(frozen=True, order=True)

@@ -27,20 +27,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.control import ControlAction
+from ..core.control import CONTROL_SIGNALS, ControlAction
 from ..core.snapshot import ProcessRecord, SnapshotForest
 from ..errors import NoSuchProcessError, PPMError
 from ..ids import GlobalPid
 from . import procfs
 
-_ACTION_SIGNALS = {
-    ControlAction.STOP: signal.SIGSTOP,
-    ControlAction.CONTINUE: signal.SIGCONT,
-    ControlAction.FOREGROUND: signal.SIGCONT,
-    ControlAction.BACKGROUND: signal.SIGCONT,
-    ControlAction.TERMINATE: signal.SIGTERM,
-    ControlAction.KILL: signal.SIGKILL,
-}
+#: The shared control table in this kernel's signal numbering; a real
+#: process has no terminal here, so the foreground flag is not kept.
+_ACTION_SIGNALS = {action: signal.Signals[name]
+                   for action, (name, _) in CONTROL_SIGNALS.items()}
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 Section 6 discusses the ``/proc`` "processes as files" mechanism as an
 elegant alternative the authors would have used for message delivery;
-here it supplies what the simulated kernel's event messages supply in
-:mod:`repro.unixsim`: process state and parent links.
+here it supplies what the kernel-socket messages of the host-OS
+contract (:mod:`repro.core.hostos`) carry: process state and parent
+links.
 
 This module is the only place in ``repro`` that opens ``/proc``
 (``tools/check_layering.py`` rule 10), and it reads every file through

@@ -18,12 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
-from ..errors import (
-    HostDownError,
-    NoSuchHostError,
-    SimulationError,
-    UnreachableHostError,
-)
+from ..errors import NoSuchHostError, SimulationError, UnreachableHostError
 from ..latency import HostClass
 from .link import Link
 from .simulator import Simulator
@@ -80,10 +75,6 @@ class NetworkStats:
         self.datagrams_sent = 0
         self.datagrams_dropped = 0
         self.datagram_bytes = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        """The current values as a plain dict."""
-        return dict(vars(self))
 
 
 class Network:
@@ -341,10 +332,3 @@ class Network:
         """Established circuits currently registered (the connection
         state the A1 ablation charges circuits for maintaining)."""
         return len(self._connections)
-
-    def require_up(self, name: str) -> NetworkNode:
-        """The named node, raising :class:`HostDownError` if crashed."""
-        node = self.node(name)
-        if not node.up:
-            raise HostDownError(name)
-        return node

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Set
 
 from ..core.fabric import DEFAULT_DETECT_MS, Fabric
 from ..perf import PERF
@@ -71,6 +71,9 @@ class AsyncioFabric(Fabric):
         #: The future a blocked ``run_until_true`` sleeps on; None while
         #: nobody pumps (always, in a serve process).
         self._waiter: Optional[asyncio.Future] = None
+        #: Every endpoint whose socket is still open, dialled or
+        #: accepted; :meth:`close` closes what is left.
+        self.endpoints: Set[RealEndpoint] = set()
 
     # -- clock and timers ------------------------------------------------
 
@@ -197,9 +200,13 @@ class AsyncioFabric(Fabric):
     # -- teardown --------------------------------------------------------
 
     def close(self) -> None:
-        """Cancel outstanding tasks and close the loop, after one last
-        turn on which a transport closed since the last pump releases
-        its socket."""
+        """Close every endpoint still open, cancel outstanding tasks and
+        close the loop, after one last turn on which the transports
+        closed since the last pump release their sockets.  An endpoint
+        whose peer closed first may not have read the EOF yet, so it is
+        closed here rather than left to the peer."""
+        for endpoint in list(self.endpoints):
+            endpoint.close()
         pending = [task for task in asyncio.all_tasks(self.loop)
                    if not task.done()]
         for task in pending:

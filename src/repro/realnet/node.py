@@ -86,6 +86,7 @@ class RealEndpoint(asyncio.Protocol):
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
         cap_socket_reads(transport)
+        self.fabric.endpoints.add(self)
 
     def data_received(self, data: bytes) -> None:
         try:
@@ -107,6 +108,7 @@ class RealEndpoint(asyncio.Protocol):
         self._ended("closed")
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.fabric.endpoints.discard(self)
         self._ended("closed" if exc is None else "connection reset")
 
     # -- the endpoint contract -------------------------------------------

@@ -34,9 +34,6 @@ class SimFilesystem:
         if self._files.pop(path, None) is not None:
             self.version += 1
 
-    def paths(self) -> List[str]:
-        return sorted(self._files)
-
     # ------------------------------------------------------------------
     # Home-directory conventions
     # ------------------------------------------------------------------

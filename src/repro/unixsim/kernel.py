@@ -21,11 +21,10 @@ The paper's efficiency claims are preserved structurally:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..config import KERNEL_MESSAGE_BYTES
+from ..core.control import CONTROL_SIGNALS, ControlAction
+from ..core.hostos import KernelEvent, KernelMessage
 from ..errors import (
     AdoptionError,
     NoSuchProcessError,
@@ -42,6 +41,7 @@ from .process import (
     ProcState,
     TraceFlag,
 )
+from .programs import build_program
 from .proctable import ProcessTable
 from .signals import Signal, SignalAction, default_action
 
@@ -51,18 +51,9 @@ ROOT_UID = 0
 INIT_PID = 1
 
 
-class KernelEvent(Enum):
-    """Event classes posted to an LPM's kernel socket."""
-
-    FORK = "fork"
-    EXEC = "exec"
-    EXIT = "exit"
-    SIGNAL = "signal"
-    STOPPED = "stopped"
-    CONTINUED = "continued"
-    FILE_OPENED = "file_opened"
-    FILE_CLOSED = "file_closed"
-
+#: The shared control table in 4.3BSD numbering.
+_CONTROL = {action: (Signal[name], foreground)
+            for action, (name, foreground) in CONTROL_SIGNALS.items()}
 
 #: Which tracing flag gates each event class.
 _EVENT_FLAG = {
@@ -75,21 +66,6 @@ _EVENT_FLAG = {
     KernelEvent.FILE_OPENED: TraceFlag.FILES,
     KernelEvent.FILE_CLOSED: TraceFlag.FILES,
 }
-
-
-@dataclass
-class KernelMessage:
-    """The 112-byte message deposited on the LPM's kernel socket."""
-
-    event: KernelEvent
-    host: str
-    pid: int
-    ppid: int
-    uid: int
-    command: str
-    timestamp_ms: float
-    details: dict = field(default_factory=dict)
-    size_bytes: int = KERNEL_MESSAGE_BYTES
 
 
 class Kernel:
@@ -125,7 +101,11 @@ class Kernel:
               program=None, ppid: int = INIT_PID,
               state: ProcState = ProcState.RUNNING,
               foreground: bool = True) -> Process:
-        """fork+exec in one step, the common path for daemons and logins."""
+        """fork+exec in one step, the common path for daemons and logins.
+        ``program`` is a program image or its wire spec (a dict), which
+        is built here: the protocol stack passes specs through unread."""
+        if isinstance(program, dict):
+            program = build_program(program)
         self._check_running()
         parent = self.procs.get(ppid)
         pid = self.procs.allocate_pid()
@@ -338,6 +318,16 @@ class Kernel:
             proc.program.on_continue(self, proc)
         self.loadavg.note_change()
         self._post_event(proc, KernelEvent.CONTINUED, {})
+
+    def control(self, pid: int, action: ControlAction,
+                sender_uid: int) -> None:
+        """Carry out one control action with the kernel's own signals
+        ("LPMs use primarily 4.3BSD mechanisms for intramachine process
+        control", section 4)."""
+        signal, foreground = _CONTROL[action]
+        if foreground is not None:
+            self.set_foreground(pid, foreground, sender_uid=sender_uid)
+        self.kill(pid, signal, sender_uid=sender_uid)
 
     def set_foreground(self, pid: int, foreground: bool,
                        sender_uid: int) -> None:

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..ids import NAME_SERVICE
 from .process import ProcState
-
-#: The well-known service the name server listens on.
-NAME_SERVICE = "ccsns"
 
 
 class CcsNameServer:

@@ -10,62 +10,9 @@ the paper likens to its METRIC-derived monitor).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum, IntFlag
 from typing import List, Optional, Tuple
 
-
-class ProcState(Enum):
-    """Scheduling states.  Only RUNNING processes sit on the run queue
-    and therefore contribute to the load average."""
-
-    RUNNING = "running"
-    SLEEPING = "sleeping"
-    STOPPED = "stopped"
-    ZOMBIE = "zombie"
-    #: Reaped and gone from the process table; kept on the record the LPM
-    #: retains ("we chose to retain exit information while there are
-    #: children alive", section 2).
-    DEAD = "dead"
-
-    @property
-    def alive(self) -> bool:
-        return self not in _GONE
-
-
-#: The states of a process that has exited (a module tuple: reading
-#: enum members off the class costs a metaclass lookup each).
-_GONE = (ProcState.ZOMBIE, ProcState.DEAD)
-
-
-class TraceFlag(IntFlag):
-    """Event classes an adopted process reports to its LPM.
-
-    The amount of recording is user-settable (section 2: LPMs "accept
-    parameters that determine the amount of process events recorded").
-    """
-
-    NONE = 0
-    FORK = 1
-    EXEC = 2
-    EXIT = 4
-    SIGNAL = 8
-    STATE = 16  # stop/continue transitions
-    RESOURCE = 32  # rusage samples at exit
-    FILES = 64  # file open/close activity (the section 7 files tool)
-    ALL = FORK | EXEC | EXIT | SIGNAL | STATE | RESOURCE | FILES
-
-
-#: Mapping between config-file flag names and TraceFlag bits.
-TRACE_FLAG_NAMES = {
-    "fork": TraceFlag.FORK,
-    "exec": TraceFlag.EXEC,
-    "exit": TraceFlag.EXIT,
-    "signal": TraceFlag.SIGNAL,
-    "state": TraceFlag.STATE,
-    "resource": TraceFlag.RESOURCE,
-    "files": TraceFlag.FILES,
-    "all": TraceFlag.ALL,
-}
+from ..core.hostos import ProcState, TraceFlag
 
 
 @dataclass(frozen=True)
@@ -90,14 +37,6 @@ class ClosedFile:
 
 #: Bound on per-process closed-file history kept in the PCB.
 CLOSED_FILE_HISTORY_LIMIT = 64
-
-
-def trace_flags_from_names(names) -> TraceFlag:
-    """Combine flag names (as stored in :class:`repro.config.PPMConfig`)."""
-    flags = TraceFlag.NONE
-    for name in names:
-        flags |= TRACE_FLAG_NAMES[name]
-    return flags
 
 
 @dataclass

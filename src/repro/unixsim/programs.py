@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ..errors import ReproError
+
 
 class Program:
     """Base class: a process image that does nothing until killed."""
@@ -311,3 +313,33 @@ class ForkTreeProgram(Program):
         for timer in self._spawn_timers:
             kernel.sim.cancel(timer)
         self._spawn_timers.clear()
+
+
+def build_program(spec: Optional[dict]) -> Optional[Program]:
+    """Materialise a program image from its wire spec."""
+    if spec is None:
+        return None
+    kind = spec.get("type")
+    if kind == "spinner":
+        return SpinnerProgram(spec.get("duration_ms"))
+    if kind == "sleeper":
+        return SleeperProgram(spec.get("duration_ms"))
+    if kind == "worker":
+        return WorkerProgram(spec["duration_ms"],
+                             exit_status=spec.get("exit_status", 0))
+    if kind == "file_worker":
+        return FileWorkerProgram(
+            spec["duration_ms"], spec.get("files", []),
+            close_after_ms=[(path, delay) for path, delay
+                            in spec.get("close_after_ms", [])],
+            exit_status=spec.get("exit_status", 0))
+    if kind == "fork_tree":
+        children = [(command, delay_ms,
+                     build_program(child_spec) if child_spec is not None
+                     else SpinnerProgram(None))
+                    for command, delay_ms, child_spec
+                    in spec.get("children", [])]
+        return ForkTreeProgram(children,
+                               duration_ms=spec.get("duration_ms"),
+                               exit_status=spec.get("exit_status", 0))
+    raise ReproError("unknown program spec type %r" % (kind,))

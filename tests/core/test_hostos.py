@@ -1,0 +1,199 @@
+"""The host-OS contract (``repro.core.hostos``): the protocol stack's
+process table and control path run over a kernel that has nothing but
+the contract's members, and both backends read the one control table."""
+
+import signal
+from types import SimpleNamespace
+
+import pytest
+
+from repro.core.control import CONTROL_SIGNALS, ControlAction
+from repro.core.hostos import (
+    HostKernel,
+    KernelEvent,
+    KernelMessage,
+    ProcState,
+    TraceFlag,
+)
+from repro.core.lpm import LocalProcessManager
+from repro.core.processtable import ProcessTable
+from repro.core.progspec import worker_spec
+from repro.errors import NoSuchProcessError
+from repro.ids import GlobalPid
+
+#: What each signal does to a fake process.
+_SIGNAL_STATES = {"SIGSTOP": ProcState.STOPPED,
+                  "SIGCONT": ProcState.RUNNING,
+                  "SIGTERM": ProcState.ZOMBIE,
+                  "SIGKILL": ProcState.ZOMBIE}
+
+#: The members :class:`HostKernel` declares.
+CONTRACT = {name for name in vars(HostKernel) if not name.startswith("_")} \
+    | set(HostKernel.__annotations__)
+
+
+class FakeKernel:
+    """A host with exactly the contract's members and no simulator."""
+
+    def __init__(self):
+        self.procs = SimpleNamespace(
+            find=lambda pid: self._table.get(pid),
+            children_of=lambda pid: [proc for proc in self._table.values()
+                                     if proc.ppid == pid],
+            alive_by_uid=lambda uid: [proc for proc in self._table.values()
+                                      if proc.uid == uid and proc.alive])
+        self.loadavg = SimpleNamespace(value=lambda: 0.0)
+        self.halted = False
+        self._table = {}
+        self._log = []
+        self._sockets = {}
+
+    def spawn(self, uid, command, args=(), program=None, ppid=1,
+              state=ProcState.RUNNING, foreground=True):
+        pid = 100 + len(self._table)
+        proc = self._table[pid] = SimpleNamespace(
+            pid=pid, ppid=ppid, uid=uid, command=command, state=state,
+            start_ms=5.0, end_ms=None, exit_status=None,
+            foreground=foreground, program=program,
+            rusage=SimpleNamespace(utime_ms=1.5, forks=0,
+                                   signals_received=0),
+            fd_table={}, closed_files=[])
+        proc.alive = True
+        return proc
+
+    def exit(self, pid, status=0, term_signal=None):
+        proc = self._table[pid]
+        proc.state, proc.alive = ProcState.ZOMBIE, False
+        proc.end_ms, proc.exit_status = 9.0, status
+
+    def control(self, pid, action, sender_uid):
+        proc = self._table.get(pid)
+        if proc is None:
+            raise NoSuchProcessError(str(pid))
+        name, foreground = CONTROL_SIGNALS[action]
+        self._log.append((pid, name, foreground))
+        if foreground is not None:
+            proc.foreground = foreground
+        proc.state = _SIGNAL_STATES[name]
+        proc.alive = proc.state.alive
+
+    def adopt(self, lpm_uid, pid, flags=TraceFlag.ALL):
+        self._log.append(("adopt", pid, flags))
+        return self._table[pid]
+
+    def set_trace_flags(self, lpm_uid, pid, flags):
+        self._log.append(("trace", pid, flags))
+
+    def register_lpm(self, uid, deliver):
+        self._sockets[uid] = deliver
+
+    def unregister_lpm(self, uid):
+        self._sockets.pop(uid, None)
+
+
+def fake_lpm(kernel):
+    """The LPM surface :class:`ProcessTable` and the control path use."""
+    lpm = SimpleNamespace(
+        name="alpha", user="lfc", uid=1001,
+        host=SimpleNamespace(kernel=kernel),
+        trace_flags=TraceFlag.EXIT | TraceFlag.STATE,
+        gpid_of=lambda pid: GlobalPid("alpha", pid),
+        is_running=lambda: True, traced=[],
+        _arm_ttl=lambda: None, _cancel_ttl=lambda: None)
+    lpm._trace = lambda event_type, gpid=None, **details: \
+        lpm.traced.append(event_type)
+    lpm.proc = kernel.spawn(1001, "lpm", state=ProcState.SLEEPING)
+    lpm.table = ProcessTable(lpm)
+    kernel.register_lpm(lpm.uid, lpm.table.on_kernel_message)
+    return lpm
+
+
+def test_the_fake_kernel_has_nothing_but_the_contract():
+    public = {name for name in vars(FakeKernel())
+              if not name.startswith("_")} | \
+        {name for name in vars(FakeKernel) if not name.startswith("_")}
+    assert public == CONTRACT
+
+
+def test_creation_passes_the_program_spec_through_unread():
+    kernel = FakeKernel()
+    lpm = fake_lpm(kernel)
+    spec = worker_spec(10.0, exit_status=2)
+    proc = lpm.table.create_local_process("job", program_spec=spec,
+                                          foreground=False)
+    assert proc.program is spec and proc.ppid == lpm.proc.pid
+    assert ("adopt", proc.pid, lpm.trace_flags) in kernel._log
+    record = lpm.table.records[proc.pid]
+    assert (record.command, record.state, record.foreground) \
+        == ("job", "running", False)
+
+
+def test_adoption_walks_the_live_descendants():
+    kernel = FakeKernel()
+    lpm = fake_lpm(kernel)
+    parent = kernel.spawn(1001, "make")
+    child = kernel.spawn(1001, "cc", ppid=parent.pid)
+    assert sorted(lpm.table.adopt_process(parent.pid)) \
+        == [parent.pid, child.pid]
+    assert lpm.table.records[child.pid].parent == \
+        GlobalPid("alpha", parent.pid)
+
+
+def test_kernel_messages_drive_the_records():
+    kernel = FakeKernel()
+    lpm = fake_lpm(kernel)
+    deliver = kernel._sockets[lpm.uid]
+    parent = lpm.table.create_local_process("sh")
+    child = kernel.spawn(1001, "ls", ppid=parent.pid)
+
+    def post(event, proc, **details):
+        deliver(KernelMessage(event=event, host="alpha", pid=proc.pid,
+                              ppid=proc.ppid, uid=1001,
+                              command=proc.command, timestamp_ms=7.0,
+                              details=details))
+
+    post(KernelEvent.FORK, child)
+    post(KernelEvent.STOPPED, child)
+    assert lpm.table.records[child.pid].state == "stopped"
+    post(KernelEvent.CONTINUED, child)
+    assert lpm.table.records[child.pid].state == "running"
+    kernel.exit(child.pid, status=4)
+    post(KernelEvent.EXIT, child, status=4)
+    [record] = lpm.table.local_records("rstats")
+    assert (record["pid"], record["parent"], record["exit_status"]) \
+        == (child.pid, ["alpha", parent.pid], 4)
+    assert record["rusage"]["utime_ms"] == 1.5
+
+
+@pytest.mark.parametrize("action", list(ControlAction))
+def test_every_control_action_reaches_the_kernel_once(action):
+    kernel = FakeKernel()
+    lpm = fake_lpm(kernel)
+    proc = lpm.table.create_local_process("job")
+    del kernel._log[:]
+    result = LocalProcessManager._apply_control(lpm, proc.pid, action.value)
+    assert result == {"ok": True, "pid": proc.pid, "action": action.value,
+                      "host": "alpha"}
+    name, foreground = CONTROL_SIGNALS[action]
+    assert kernel._log == [(proc.pid, name, foreground)]
+    assert proc.foreground is (True if foreground is None else foreground)
+
+
+def test_control_errors_become_replies():
+    lpm = fake_lpm(FakeKernel())
+    assert LocalProcessManager._apply_control(lpm, 999, "stop") == {
+        "ok": False, "error": "NoSuchProcessError: 999"}
+    assert not LocalProcessManager._apply_control(lpm, 999, "pause")["ok"]
+
+
+def test_both_backends_read_the_one_control_table():
+    from repro.localos.backend import _ACTION_SIGNALS
+    from repro.unixsim.kernel import _CONTROL
+    from repro.unixsim.signals import Signal
+
+    assert set(CONTROL_SIGNALS) == set(ControlAction)
+    for action, (name, foreground) in CONTROL_SIGNALS.items():
+        assert _CONTROL[action] == (Signal[name], foreground)
+        assert _ACTION_SIGNALS[action] == getattr(signal, name)
+    # The simulator keeps 4.3BSD numbering, whatever the host's is.
+    assert int(_CONTROL[ControlAction.STOP][0]) == 17

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.errors import ReproError
+from repro.core import build_program
 from repro.core.progspec import (
-    build_program,
     fork_tree_spec,
     sleeper_spec,
     spinner_spec,

@@ -10,10 +10,12 @@ import socket
 
 import pytest
 
+from repro.realnet.fabric import AsyncioFabric
 from repro.realnet.framing import encode_frame
 from repro.realnet.lpm import RealLpm
 from repro.realnet.node import READ_BYTES, RealNode
 from repro.realnet.pmd import RealPmd
+from repro.realnet.registry import HostRegistry
 from repro.unixsim.inetd import INETD_SERVICE, PPM_SERVICE
 
 
@@ -207,6 +209,30 @@ def test_node_close_closes_what_is_still_open(fabric):
     node.close()
     assert not server_side[0].open and not node._accepted
     client_side[0].close()
+
+
+def test_no_socket_outlives_the_node_and_the_fabric(loopback, tmp_path):
+    """Every transport, dialled or accepted, has released its socket
+    once the node and then the fabric have closed: one whose peer
+    closed first but whose EOF was never read, and one nobody closed."""
+    fabric = AsyncioFabric(HostRegistry(str(tmp_path / "reg.json")),
+                           local_host="alpha")
+    node = RealNode(fabric, "alpha", fabric.registry)
+    node.start()
+    server_side, client_side = [], []
+    node.listen("quiet", lambda ep, payload: server_side.append(ep))
+    for _ in range(2):
+        fabric.connect("tester", "alpha", "quiet",
+                       on_established=client_side.append)
+    assert fabric.run_until_true(
+        lambda: len(server_side) == len(client_side) == 2,
+        timeout_ms=5_000)
+    client_side[0].close()
+    node.close()
+    fabric.close()
+    assert not fabric.endpoints
+    for endpoint in server_side + client_side:
+        assert endpoint.transport.get_extra_info("socket").fileno() == -1
 
 
 def test_both_ends_read_in_capped_chunks(fabric, node):

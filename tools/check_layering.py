@@ -27,11 +27,14 @@ The simulator substrate gets its own rules:
 
 The backend abstraction (``repro.core.fabric``) adds its own rules:
 
-7. **No module in ``repro.core`` imports ``repro.netsim``, ever.**
-   The protocol stack sees backends only through the fabric contract;
-   the one adapter binding netsim to that contract lives in
-   ``netsim/fabric.py`` (below the seam, duck-typed).  This is the
-   rule that keeps the same stack runnable over real sockets.
+7. **No module in ``repro.core`` imports ``repro.netsim`` or
+   ``repro.unixsim``, ever** (``TYPE_CHECKING`` imports included).
+   The protocol stack sees backends only through its two contracts:
+   the fabric (``repro.core.fabric``; the one adapter binding netsim
+   to it lives in ``netsim/fabric.py``, below the seam) and the host
+   OS (``repro.core.hostos``, which the simulated kernel implements).
+   This is the rule that keeps the same stack runnable over real
+   sockets and real processes.
 8. Real-network primitives stay in their backends: ``asyncio`` /
    ``socket`` / ``selectors`` may be imported only by ``repro.realnet``
    (and ``socket`` by ``repro.localos``, which names real hosts).  The
@@ -40,8 +43,8 @@ The backend abstraction (``repro.core.fabric``) adds its own rules:
 9. ``repro.realnet`` never imports ``repro.netsim``: the two backends
    are siblings and must not entangle.  And a serve process loads only
    what it runs: at module level, ``repro.realnet`` and
-   ``repro.localos`` import no ``repro.unixsim`` module but
-   ``signals``, and nothing from ``repro.tracing`` or ``repro.ops``.
+   ``repro.localos`` import no ``repro.unixsim`` module, and nothing
+   from ``repro.tracing`` or ``repro.ops``.
    (The shared service-name constants live in ``repro.ids``.)
 
 The real backend reads the kernel's process table in one place:
@@ -82,11 +85,12 @@ SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
 REALNET = os.path.join(SRC_ROOT, "realnet")
 
 #: The packages a serve process runs (rule 9), and the prefixes they
-#: may not import at module level; ``repro.unixsim.signals`` is the
-#: one simulator module they share.
+#: may not import at module level.
 SERVE_PACKAGES = ("realnet", "localos")
 SERVE_BANNED = ("repro.unixsim", "repro.tracing", "repro.ops")
-SERVE_ALLOWED = ("repro.unixsim.signals",)
+
+#: The backends no ``repro.core`` module may import (rule 7).
+CORE_BANNED = ("repro.netsim", "repro.unixsim")
 
 #: Real-network primitives; only the packages named in
 #: :data:`NETWORK_API_ALLOWED` may import them (rule 8).
@@ -137,12 +141,12 @@ LPM_ALLOWED_PREFIXES = (
     "repro.ids",
     "repro.latency",
     "repro.tracing.events",
-    "repro.unixsim.process",
     "repro.util",
     "repro.core.broadcast",
     "repro.core.control",
     "repro.core.dispatcher",
     "repro.core.gather",
+    "repro.core.hostos",
     "repro.core.messages",
     "repro.core.processtable",
     "repro.core.recovery",
@@ -259,6 +263,16 @@ def _matches(name: str, prefixes: Sequence[str]) -> bool:
                for prefix in prefixes)
 
 
+def core_violations(path: str) -> List[str]:
+    """Rule 7 for one ``repro.core`` module: every import of a backend,
+    wherever in the file it is spelt."""
+    return ["core/%s imports %r: the protocol stack must depend only on "
+            "its contracts (repro.core.fabric, repro.core.hostos), never "
+            "on a backend" % (os.path.basename(path), name)
+            for name in sorted(module_imports(path, CORE_PACKAGE))
+            if _matches(name, CORE_BANNED)]
+
+
 def check() -> List[str]:
     errors: List[str] = []
 
@@ -307,18 +321,11 @@ def check() -> List[str]:
                               "simulator is single-threaded"
                               % (filename,))
 
-    # Rule 7: the protocol stack never reaches below the fabric seam.
+    # Rule 7: the protocol stack never reaches below its seams.
     for filename in sorted(os.listdir(CORE)):
         if not filename.endswith(".py"):
             continue
-        imports = module_imports(os.path.join(CORE, filename),
-                                 CORE_PACKAGE)
-        for name in sorted(imports):
-            if _matches(name, ("repro.netsim",)):
-                errors.append("core/%s imports %r: the protocol stack "
-                              "must depend only on the fabric contract "
-                              "(repro.core.fabric), never on a backend"
-                              % (filename, name))
+        errors += core_violations(os.path.join(CORE, filename))
 
     # Rules 8, 10 and 11: real-network primitives confined to their
     # backends, /proc to procfs, sizing to the sibling senders.
@@ -376,8 +383,7 @@ def check() -> List[str]:
             imports = module_imports(os.path.join(directory, filename),
                                      "repro." + package, top_level=True)
             for name in sorted(imports):
-                if _matches(name, SERVE_BANNED) and \
-                        not _matches(name, SERVE_ALLOWED):
+                if _matches(name, SERVE_BANNED):
                     errors.append(
                         "%s/%s imports %r at module level: a serve "
                         "process must not load the simulator"
