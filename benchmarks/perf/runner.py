@@ -1,4 +1,4 @@
-"""Hot-path microbenchmarks, writing the repo's perf trajectory.
+"""Hot-path microbenchmarks: five simulated scenarios, timed and counted.
 
 The scenarios cover the paths every experiment in the reproduction
 runs through:
@@ -41,37 +41,28 @@ runs through:
 Usage::
 
     PYTHONPATH=src python -m benchmarks.perf.runner [--smoke]
-        [--label before|after] [--output BENCH_core.json]
         [--budget-s SECONDS] [--trace-out trace.json] [--profile]
 
-Wall-clock and counter deltas are merged into ``BENCH_core.json`` at
-the repo root under the given label, so successive PRs accumulate a
-before/after trajectory.  ``--smoke`` shrinks every scenario so CI can
-assert the benchmarks still *run* without caring about timings;
-``--budget-s`` additionally fails the run (exit status 2) when the
-summed measured wall time exceeds the budget, so a hot-path regression
-fails the build rather than slipping through.
+Each scenario prints one JSON line: its simulated results, its
+counters and its measured wall time.  The runner writes no file except
+the one ``--trace-out`` names; the simulated values are pinned in
+``BENCH_core.json``, which only ``tools/check_bench.py --record``
+rewrites.  ``--smoke`` shrinks every scenario so CI can assert the
+benchmarks still *run* without caring about timings; ``--budget-s``
+additionally fails the run (exit status 2) when the summed measured
+wall time exceeds the budget, so a hot-path regression fails the
+build rather than slipping through.
 
 ``--profile`` wraps every scenario in cProfile and prints the top 20
 cumulative entries next to its result.
-
-Every run also appends each scenario's wall time to
-``wall_history.json`` (keyed by smoke/full mode);
-under ``--smoke`` the run fails (exit status 3) when a scenario takes
-more than twice its best recorded time, so CI catches gross wall-clock
-regressions without timing full-size runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
 
 from repro import PPMClient, PPMConfig, install, spinner_spec
 from repro.netsim import HostClass
@@ -363,72 +354,10 @@ def run_all(smoke: bool = False, trace_out=None,
     return results
 
 
-# ----------------------------------------------------------------------
-# Wall-clock history (regression guard for --smoke)
-# ----------------------------------------------------------------------
-
-#: Entries kept per scenario; older measurements roll off.
-_HISTORY_LIMIT = 20
-#: A smoke scenario this fast is all noise; never flag it.
-_HISTORY_FLOOR_S = 0.5
-
-
-def update_wall_history(path: str, mode: str, results: dict,
-                        enforce: bool) -> list:
-    """Append each scenario's wall time to the history file and return
-    regressions: scenarios slower than 2x their best recorded time.
-
-    Histories are keyed by mode (smoke/full).  Only ``enforce``
-    (smoke) runs report regressions, and only above an absolute floor,
-    so timing noise on sub-second scenarios never fails a build.
-    """
-    data = {"schema": 1, "modes": {}}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    bucket = data.setdefault("modes", {}).setdefault(mode, {})
-    stamp = time.strftime("%Y-%m-%d %H:%M:%S")
-    regressions = []
-    for name, metrics in results.items():
-        history = bucket.setdefault(name, [])
-        wall_s = metrics["wall_s"]
-        prior = [entry["wall_s"] for entry in history]
-        if enforce and prior:
-            best = min(prior)
-            if wall_s > 2.0 * best and wall_s > _HISTORY_FLOOR_S:
-                regressions.append((name, wall_s, best))
-        history.append({"wall_s": wall_s, "at": stamp})
-        del history[:-_HISTORY_LIMIT]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return regressions
-
-
-def merge_into(path: str, label: str, results: dict) -> None:
-    data = {"schema": 1, "benchmarks": {}}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    benches = data.setdefault("benchmarks", {})
-    for name, metrics in results.items():
-        benches.setdefault(name, {})[label] = metrics
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sizes; assert completion, not speed")
-    parser.add_argument("--label", default="after",
-                        help="label to file results under (before/after)")
-    parser.add_argument("--output",
-                        default=os.path.join(REPO_ROOT, "BENCH_core.json"),
-                        help="JSON trajectory file to merge into")
-    parser.add_argument("--no-write", action="store_true",
-                        help="run and print without touching the file")
     parser.add_argument("--budget-s", type=float, default=None,
                         help="fail (exit 2) if the summed measured wall "
                              "time exceeds this many seconds")
@@ -441,19 +370,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     results = run_all(smoke=args.smoke, trace_out=args.trace_out,
                       profile=args.profile)
-    if not args.no_write and not args.smoke:
-        merge_into(args.output, args.label, results)
-        print("merged under label %r into %s" % (args.label, args.output))
-    if not args.no_write:
-        regressions = update_wall_history(
-            os.path.join(REPO_ROOT, "wall_history.json"),
-            "smoke" if args.smoke else "full", results,
-            enforce=args.smoke)
-        if regressions:
-            for key, wall_s, best in regressions:
-                print("WALL-CLOCK REGRESSION: %s took %.3fs, more than "
-                      "2x its best recorded %.3fs" % (key, wall_s, best))
-            return 3
     if args.budget_s is not None:
         total_wall_s = sum(metrics["wall_s"] for metrics in results.values())
         print("total measured wall time: %.3fs (budget %.3fs)"

@@ -42,11 +42,6 @@ class RexecDaemon:
         self.requests = 0
 
     def _accept(self, endpoint, payload) -> None:
-        endpoint.on_message = self._on_message
-        if isinstance(payload, dict) and payload.get("request"):
-            self._serve(endpoint, payload)
-
-    def _on_message(self, payload, endpoint) -> None:
         if isinstance(payload, dict) and payload.get("request"):
             self._serve(endpoint, payload)
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..core.progspec import spinner_spec
 from ..unixsim.programs import SpinnerProgram
 from ..unixsim.signals import Signal
 
@@ -91,13 +90,3 @@ def measure_kernel_deliveries(world, host, lpm, target_pid: int,
     finally:
         kernel._lpm_hooks[uid] = original_hook
     return delays[:samples]
-
-
-def populate_remote_processes(client, host: str, count: int = 6,
-                              parent=None) -> list:
-    """Create the paper's per-remote-host workload: ``count`` user
-    processes on ``host`` (section 6 used six)."""
-    return [client.create_process("proc-%s-%d" % (host, index), host=host,
-                                  parent=parent,
-                                  program=spinner_spec(None))
-            for index in range(count)]

@@ -22,7 +22,7 @@ break cancels what is still in flight.  See ``docs/NETSIM.md``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..errors import ConnectionClosedError, UnreachableHostError
 from ..perf import PERF
@@ -328,9 +328,6 @@ class StreamConnection:
                 continue  # a crashed host hears nothing
             if endpoint.on_close is not None:
                 endpoint.on_close(reason, endpoint)
-
-    def endpoints(self) -> List[StreamEndpoint]:
-        return [self.a, self.b]
 
     def __repr__(self) -> str:
         return "StreamConnection(#%d %s <-> %s, %s)" % (

@@ -32,8 +32,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                 "HostHealth", "LpmHealth", "OpsAlert", "OrphanRecord",
                 "WorldView", "check_to_dict", "offending_entities",
                 "report_to_dict", "run_checks"),
-    ".doctor": ("alerts_from_engine", "load_baseline", "probe_fleet",
-                "probe_world", "run_doctor", "write_baseline"),
+    ".doctor": ("load_baseline", "probe_fleet", "probe_world",
+                "run_doctor", "write_baseline"),
     ".journal": ("IncidentJournal", "incident_records", "mttr_by_check",
                  "read_journal", "render_incidents"),
     ".triggers": ("ccs_flap_trigger", "dedup_cache_blowup_trigger",

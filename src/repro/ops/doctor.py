@@ -18,7 +18,7 @@ Both return a :class:`~repro.ops.checks.WorldView`; hand it to
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import RegistryError
 from ..perf import PERF
@@ -32,24 +32,16 @@ from .checks import (
     run_checks,
 )
 
-#: Trigger names with this prefix are operational alerts; the probes
-#: surface their firings in the doctor report.
-OPS_TRIGGER_PREFIX = "ops:"
-
-
 # ----------------------------------------------------------------------
 # The netsim probe
 # ----------------------------------------------------------------------
 
-def probe_world(world, alerts: Optional[List[OpsAlert]] = None,
-                engines: Iterable = ()) -> WorldView:
+def probe_world(world,
+                alerts: Optional[List[OpsAlert]] = None) -> WorldView:
     """Build a :class:`WorldView` from an in-process netsim world.
 
     ``alerts`` is an explicit alert log (see
-    :func:`repro.ops.triggers.install_ops_triggers`); ``engines`` are
-    :class:`~repro.tracing.triggers.TriggerEngine` instances whose
-    ``ops:``-prefixed firings should surface too (a PPM's
-    ``.triggers`` engine, typically).
+    :func:`repro.ops.triggers.install_ops_triggers`).
     """
     hosts: Dict[str, HostHealth] = {}
     for name, host in sorted(world.hosts.items()):
@@ -69,7 +61,7 @@ def probe_world(world, alerts: Optional[List[OpsAlert]] = None,
     orphans = _sim_orphans(world)
 
     tracer = world.sim.tracer
-    view = WorldView(
+    return WorldView(
         backend="netsim",
         expected_hosts=tuple(sorted(world.hosts)),
         hosts=hosts,
@@ -80,10 +72,6 @@ def probe_world(world, alerts: Optional[List[OpsAlert]] = None,
         alerts=list(alerts) if alerts else [],
         probed_at_ms=float(world.sim.now_ms),
     )
-    for engine in engines:
-        view.alerts.extend(alerts_from_engine(engine))
-    _dedupe_alerts(view)
-    return view
 
 
 def _sim_orphans(world) -> List[OrphanRecord]:
@@ -104,26 +92,6 @@ def _sim_orphans(world) -> List[OrphanRecord]:
                     host=host_name, user=user, pid=proc.pid,
                     command=proc.command))
     return orphans
-
-
-def alerts_from_engine(engine) -> List[OpsAlert]:
-    """The ``ops:``-prefixed firings of one trigger engine."""
-    return [OpsAlert(name=firing.trigger_name,
-                     detail=str(firing.event.event_type.name),
-                     time_ms=firing.time_ms)
-            for firing in engine.firings
-            if firing.trigger_name.startswith(OPS_TRIGGER_PREFIX)]
-
-
-def _dedupe_alerts(view: WorldView) -> None:
-    seen = set()
-    unique = []
-    for alert in view.alerts:
-        key = (alert.name, alert.time_ms)
-        if key not in seen:
-            seen.add(key)
-            unique.append(alert)
-    view.alerts = unique
 
 
 # ----------------------------------------------------------------------

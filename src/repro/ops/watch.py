@@ -158,7 +158,7 @@ class Watcher:
 def watch_world(world, interval_ms: float = DEFAULT_INTERVAL_MS,
                 max_sweeps: int = 8,
                 journal=None, checks: Optional[Sequence[str]] = None,
-                alerts=None, engines: Sequence = (),
+                alerts=None,
                 baseline: Optional[Dict[str, float]] = None,
                 on_sweep: Optional[Callable] = None) -> Watcher:
     """Watch an in-process netsim world.
@@ -178,7 +178,7 @@ def watch_world(world, interval_ms: float = DEFAULT_INTERVAL_MS,
                       t_ms=float(world.sim.now_ms))
     for _ in range(max_sweeps):
         world.run_for(interval_ms)
-        view = probe_world(world, alerts=alerts, engines=engines)
+        view = probe_world(world, alerts=alerts)
         report = run_doctor(view, baseline=baseline)
         edges = watcher.feed(report, t_ms=view.probed_at_ms)
         if on_sweep is not None:

@@ -7,8 +7,8 @@ unconditionally.  ``repro.perf.PERF`` is the singleton; every counter
 is documented in :mod:`repro.perf.counters` and in ``docs/PERF.md``.
 
 The ``benchmarks/perf`` runner resets the counters around each
-microbenchmark and records the deltas in ``BENCH_core.json`` so the
-repository carries a perf trajectory from PR to PR.
+microbenchmark and reports the deltas; ``tools/check_bench.py`` pins
+them, with every simulated time, in ``BENCH_core.json``.
 
 Beyond flat counters, :mod:`repro.perf.spans` adds opt-in causal span
 tracing (simulated-time spans with latency histograms, exported to

@@ -118,7 +118,7 @@ class World:
                        timeout_ms: float = 600_000.0) -> bool:
         return self.sim.run_until_true(predicate, timeout_ms=timeout_ms)
 
-    def doctor(self, alerts=None, engines=(), baseline=None):
+    def doctor(self, alerts=None, baseline=None):
         """Health-check this world: probe it and run every ops check.
 
         Read-only and opt-in (no messages, no RNG use, no events
@@ -126,7 +126,7 @@ class World:
         :class:`~repro.ops.checks.DoctorReport`.
         """
         from ..ops.doctor import probe_world, run_doctor
-        view = probe_world(self, alerts=alerts, engines=engines)
+        view = probe_world(self, alerts=alerts)
         return run_doctor(view, baseline=baseline)
 
     def __repr__(self) -> str:

@@ -9,7 +9,7 @@ from repro import (
     World,
     install,
 )
-from repro.ops import EXIT_CODES, probe_world
+from repro.ops import EXIT_CODES, OpsAlert, probe_world
 from repro.ops.checks import MAX_PENDING_REQUESTS
 from repro.perf import PERF
 
@@ -108,6 +108,14 @@ class TestFailureClasses:
         report = world.doctor(baseline={"rpc_rtt": 0.001})
         assert [r.name for r in report.failing] == ["latency-slo"]
         assert report.exit_code == EXIT_CODES["latency-slo"]
+
+    def test_two_onsets_in_one_sweep_are_two_alerts(self):
+        # One sweep can fail two checks at once; each onset is its own
+        # incident (ops.triggers.watch_onset_trigger), as on realnet.
+        alerts = [OpsAlert("ops:watch-onset", "daemon-liveness", 5.0),
+                  OpsAlert("ops:watch-onset", "orphan-processes", 5.0)]
+        view = probe_world(build_world(), alerts=alerts)
+        assert view.alerts == alerts
 
 
 class TestCounters:
