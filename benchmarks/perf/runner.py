@@ -64,10 +64,10 @@ import json
 import sys
 import time
 
-from repro import PPMClient, PPMConfig, install, spinner_spec
+from repro import PPMClient, PPMConfig, spinner_spec
+from repro.bench import fresh_world
 from repro.netsim import HostClass
 from repro.perf import PERF
-from repro.unixsim import World
 
 #: The counters each scenario reports (a subset keeps the JSON legible).
 _REPORTED = (
@@ -96,25 +96,33 @@ def _measure(fn):
     return metrics
 
 
+def _star_world(n_hosts: int, seed: int, config: PPMConfig = None):
+    """A fresh world of ``n_hosts`` VAX 11/780s named ``h00``, ``h01``,
+    ...; returns it and the names."""
+    names = ["h%02d" % i for i in range(n_hosts)]
+    return fresh_world([(name, HostClass.VAX_780) for name in names],
+                       seed=seed, config=config), names
+
+
+def _star_session(world, names) -> PPMClient:
+    """``lfc``'s tool on ``names[0]``, with one spinner on every other
+    host; returns the tool."""
+    origin = PPMClient(world, "lfc", names[0]).connect()
+    for name in names[1:]:
+        origin.create_process("job-%s" % name, host=name,
+                              program=spinner_spec(None))
+    return origin
+
+
 # ----------------------------------------------------------------------
 # Scenario 1: broadcast flood over a full mesh
 # ----------------------------------------------------------------------
 
 def bench_broadcast_flood(smoke: bool = False) -> dict:
     n_hosts = 4 if smoke else 12
-    config = PPMConfig(topology_policy="full_mesh")
-    world = World(seed=23, config=config)
-    names = ["h%02d" % i for i in range(n_hosts)]
-    for name in names:
-        world.add_host(name, HostClass.VAX_780)
-    world.ethernet()
-    world.add_user("lfc", 1001)
-    install(world)
-    world.write_recovery_file("lfc", [names[0]])
-    origin = PPMClient(world, "lfc", names[0]).connect()
-    for name in names[1:]:
-        origin.create_process("job-%s" % name, host=name,
-                              program=spinner_spec(None))
+    world, names = _star_world(
+        n_hosts, 23, PPMConfig(topology_policy="full_mesh"))
+    _star_session(world, names)
     world.run_for(2_000.0)  # let the full mesh finish wiring itself
 
     def run() -> dict:
@@ -143,18 +151,8 @@ def bench_broadcast_flood(smoke: bool = False) -> dict:
 def bench_snapshot(smoke: bool = False) -> dict:
     n_hosts = 6 if smoke else 40
     rounds = 1 if smoke else 3
-    world = World(seed=17)
-    names = ["h%02d" % i for i in range(n_hosts)]
-    for name in names:
-        world.add_host(name, HostClass.VAX_780)
-    world.ethernet()
-    world.add_user("lfc", 1001)
-    install(world)
-    world.write_recovery_file("lfc", [names[0]])
-    origin = PPMClient(world, "lfc", names[0]).connect()
-    for name in names[1:]:
-        origin.create_process("job-%s" % name, host=name,
-                              program=spinner_spec(None))
+    world, names = _star_world(n_hosts, 17)
+    origin = _star_session(world, names)
     origin.snapshot()  # warm-up, outside the measured window
 
     def run() -> dict:
@@ -180,20 +178,10 @@ def bench_span_overhead(smoke: bool = False, trace_out=None) -> dict:
     rounds = 1 if smoke else 3
 
     def session(traced: bool):
-        world = World(seed=29)
-        names = ["h%02d" % i for i in range(n_hosts)]
-        for name in names:
-            world.add_host(name, HostClass.VAX_780)
-        world.ethernet()
-        world.add_user("lfc", 1001)
-        install(world)
-        world.write_recovery_file("lfc", [names[0]])
+        world, names = _star_world(n_hosts, 29)
         tracer = enable_tracing(world.sim) if traced else None
         start = time.perf_counter()
-        origin = PPMClient(world, "lfc", names[0]).connect()
-        for name in names[1:]:
-            origin.create_process("job-%s" % name, host=name,
-                                  program=spinner_spec(None))
+        origin = _star_session(world, names)
         for _ in range(rounds):
             forest = origin.snapshot(prune=False)
             assert len(forest) == n_hosts - 1
@@ -234,18 +222,8 @@ def bench_watch_steady(smoke: bool = False) -> dict:
 
     n_hosts = 6 if smoke else 40
     sweeps = 20 if smoke else 200
-    world = World(seed=31)
-    names = ["h%02d" % i for i in range(n_hosts)]
-    for name in names:
-        world.add_host(name, HostClass.VAX_780)
-    world.ethernet()
-    world.add_user("lfc", 1001)
-    install(world)
-    world.write_recovery_file("lfc", [names[0]])
-    origin = PPMClient(world, "lfc", names[0]).connect()
-    for name in names[1:]:
-        origin.create_process("job-%s" % name, host=name,
-                              program=spinner_spec(None))
+    world, names = _star_world(n_hosts, 31)
+    _star_session(world, names)
     world.run_for(2_000.0)
 
     def run() -> dict:

@@ -21,8 +21,11 @@ from ..latency import HostClass
 from ..unixsim.world import World
 
 
-def _fresh_world(host_specs, seed: int = 11,
-                 config: PPMConfig = None) -> World:
+def fresh_world(host_specs, seed: int = 11,
+                config: PPMConfig = None) -> World:
+    """A world of ``host_specs`` (``(name, HostClass)`` pairs) on one
+    Ethernet, with user ``lfc`` (uid 1001), the PPM installed and the
+    recovery file naming the first host."""
     world = World(seed=seed, config=config or PPMConfig())
     for name, host_class in host_specs:
         world.add_host(name, host_class)
@@ -50,7 +53,7 @@ TABLE1_PAPER: Dict[HostClass, Dict[tuple, float]] = {
 def build_table1_world(host_class: HostClass, seed: int = 11):
     """One measured host plus its LPM and an adopted (sleeping) target
     process whose events exercise the kernel-socket path."""
-    world = _fresh_world([("probe", host_class)], seed=seed)
+    world = fresh_world([("probe", host_class)], seed=seed)
     client = PPMClient(world, "lfc", "probe").connect()
     target = client.create_process("target", program=sleeper_spec(None))
     lpm = world.lpms[("probe", "lfc")]
@@ -108,9 +111,9 @@ class Table2Chain:
 def build_table2_chain(seed: int = 11) -> Table2Chain:
     """Build and warm the chain: hostA - hostB - hostC in the overlay,
     with hostA never holding a direct channel to hostC."""
-    world = _fresh_world([("hostA", HostClass.VAX_780),
-                          ("hostB", HostClass.VAX_780),
-                          ("hostC", HostClass.VAX_780)], seed=seed)
+    world = fresh_world([("hostA", HostClass.VAX_780),
+                         ("hostB", HostClass.VAX_780),
+                         ("hostC", HostClass.VAX_780)], seed=seed)
     origin = PPMClient(world, "lfc", "hostA").connect()
     chain = Table2Chain(world=world, origin=origin, mid_client=None)
     chain.local = origin.create_process("anchor-local",
@@ -188,8 +191,8 @@ def build_figure5_topology(topology: Figure5Topology, seed: int = 11,
     the prescribed shape, and six processes per remote host.  Returns
     ``(world, origin_client)`` with channels and handlers warmed."""
     hosts = ["hostA"] + list(topology.remote_hosts)
-    world = _fresh_world([(name, HostClass.VAX_780) for name in hosts],
-                         seed=seed)
+    world = fresh_world([(name, HostClass.VAX_780) for name in hosts],
+                        seed=seed)
     clients: Dict[str, PPMClient] = {
         "hostA": PPMClient(world, "lfc", "hostA").connect()}
     created: Dict[str, GlobalPid] = {}

@@ -34,6 +34,7 @@ import sys
 from typing import List, Optional
 
 from . import __version__
+from .realnet.serve import add_serve_options, serve_from_options
 
 
 def build_demo_world(seed: int = 1, trace: bool = False):
@@ -198,14 +199,6 @@ def cmd_trace(args) -> int:
     print("open https://ui.perfetto.dev and load the file "
           "(one process row per simulated host)")
     return 0
-
-
-def cmd_serve(args) -> int:
-    """Run one real PPM host in this OS process (realnet backend)."""
-    from .realnet.serve import serve_host
-    return serve_host(args.host, args.registry,
-                      bind_address=args.bind, budget_s=args.budget_s,
-                      trace_spans=args.trace_spans)
 
 
 def cmd_run_real(args) -> int:
@@ -442,17 +435,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve = sub.add_parser(
         "serve", help="run one real PPM host process (asyncio TCP "
                       "backend)")
-    serve.add_argument("--host", required=True,
-                       help="overlay host name to serve")
-    serve.add_argument("--registry", required=True,
-                       help="shared host-registry file")
-    serve.add_argument("--bind", default="127.0.0.1",
-                       help="address to bind (default 127.0.0.1)")
-    serve.add_argument("--budget-s", type=float, default=None,
-                       help="exit after this many wall seconds")
-    serve.add_argument("--trace-spans", action="store_true",
-                       help="enable span tracing in this process")
-    serve.set_defaults(fn=cmd_serve)
+    add_serve_options(serve)
+    serve.set_defaults(fn=serve_from_options)
 
     run_real = sub.add_parser(
         "run-real", help="launch N real host processes and run the "

@@ -11,7 +11,7 @@ the simulated workloads; everything is in simulated milliseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
@@ -107,10 +107,6 @@ class PPMConfig:
         if self.ccs_source == "name_server" and not self.name_server_host:
             raise ConfigError(
                 "ccs_source='name_server' requires name_server_host")
-
-    def with_overrides(self, **kwargs) -> "PPMConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 #: Shared default configuration.

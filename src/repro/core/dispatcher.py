@@ -73,8 +73,7 @@ class HandlerPool:
                 self.lpm.host.kernel.exit(handler.proc.pid)
 
     def _note_busy(self) -> None:
-        busy = sum(1 for handler in self._handlers if handler.busy)
-        self.peak_busy = max(self.peak_busy, busy)
+        self.peak_busy = max(self.peak_busy, self.busy_count())
 
     def busy_count(self) -> int:
         return sum(1 for handler in self._handlers if handler.busy)

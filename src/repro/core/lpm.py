@@ -174,16 +174,8 @@ class LocalProcessManager:
         return self.transport.links
 
     @property
-    def routes(self):
-        return self.router.cache
-
-    @property
     def records(self) -> Dict:
         return self.table.records
-
-    @property
-    def _pending(self) -> Dict:
-        return self.rpc.pending
 
     def authenticated_siblings(self) -> List[str]:
         return self.transport.authenticated()

@@ -104,9 +104,7 @@ class PersonalProcessManager:
         delivery lag, and tool calls, plus span retention totals.
         """
         stats = PERF.snapshot()
-        stats["sim_events_run"] = self.world.sim.events_run
         stats["sim_now_ms"] = self.world.sim.now_ms
-        stats["sim_queue_compactions"] = self.world.sim.queue.compactions
         tracer = self.world.sim.tracer
         if tracer is not None:
             stats["latency_ms"] = tracer.latency_summary()

@@ -137,9 +137,6 @@ class SnapshotForest:
     def is_forest(self) -> bool:
         return len(self.roots()) > 1
 
-    def alive(self) -> List[ProcessRecord]:
-        return [r for r in self.records.values() if not r.exited]
-
     def by_host(self, host: str) -> List[ProcessRecord]:
         return sorted((r for r in self.records.values()
                        if r.gpid.host == host),

@@ -203,20 +203,6 @@ class RealBackend:
             self.control(gpid, action)
         return targets
 
-    def wait_all(self, timeout_s: float = 30.0) -> None:
-        """Wait for every directly spawned child to finish."""
-        deadline = time.time() + timeout_s
-        for record in list(self._live.values()):
-            if record.popen is None:
-                continue
-            remaining = max(deadline - time.time(), 0.01)
-            try:
-                record.popen.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                raise PPMError("pid %d did not exit in time"
-                               % (record.pid,))
-        self.refresh()
-
     # ------------------------------------------------------------------
     # The snapshot tool
     # ------------------------------------------------------------------

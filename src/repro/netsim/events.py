@@ -16,8 +16,7 @@ operation.
 
 from __future__ import annotations
 
-import math
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop
 from typing import Callable, Iterator, Optional
 
 from ..perf import PERF
@@ -64,40 +63,26 @@ class Event:
         if queue is not None:
             queue._note_event_cancelled()
 
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return "Event(t=%.3f, seq=%d, %s)" % (self.time_ms, self.seq, state)
-
 
 class EventQueue:
     """Lazily-cancelling heap of events in ``(time, seq)`` order."""
 
     def __init__(self) -> None:
+        #: ``(time_ms, seq, event)`` entries; :meth:`Simulator.schedule`
+        #: and :meth:`Simulator.schedule_at` are its only pushers.
         self._heap: list = []
-        self._live = 0
         #: Cancelled events still resident in the heap.
         self._cancelled = 0
-        self.compactions = 0
-
-    def push(self, event: Event) -> None:
-        """Insert ``event``, preserving the ``(time, seq)`` total order.
-
-        :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`
-        repeat these three steps inline; keep the three in step."""
-        event._queue = self
-        heappush(self._heap, (event.time_ms, event.seq, event))
-        self._live += 1
 
     def due(self, time_ms: float) -> Iterator[Event]:
         """Remove and yield, in ``(time, seq)`` order, each live event
         due at or before ``time_ms``; stop when there is none.
 
         This is the queue's one pop path: the simulator's run loops
-        iterate it, and :meth:`pop_due` takes its first event.
-        Cancelled events at the head are dropped on the way.  The heap
-        is read afresh for every event, because a callback run between
-        two yields may cancel enough events to :meth:`_compact`, which
-        replaces the heap list.
+        iterate it.  Cancelled events at the head are dropped on the
+        way.  The heap is read afresh for every event, because a
+        callback run between two yields may cancel enough events to
+        :meth:`_compact`, which replaces the heap list.
         """
         while True:
             heap = self._heap
@@ -114,17 +99,7 @@ class EventQueue:
                 heappop(heap)
                 event._queue = None
                 event.fired = True
-                self._live -= 1
                 yield event
-
-    def pop_due(self, time_ms: float) -> Optional[Event]:
-        """Remove and return the earliest live event due at or before
-        ``time_ms``, or None when there is none."""
-        return next(self.due(time_ms), None)
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or None when empty."""
-        return self.pop_due(math.inf)
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event, or None when empty."""
@@ -136,7 +111,6 @@ class EventQueue:
 
     def _note_event_cancelled(self) -> None:
         """Called by :meth:`Event.cancel` for a resident event."""
-        self._live -= 1
         self._cancelled += 1
         if (self._cancelled >= COMPACT_MIN_CANCELLED
                 and self._cancelled * 2 > len(self._heap)):
@@ -160,13 +134,9 @@ class EventQueue:
         heapify(survivors)
         self._heap = survivors
         self._cancelled = 0
-        self.compactions += 1
         PERF.heap_compactions += 1
 
     def __len__(self) -> int:
-        assert self._live >= 0, (
-            "event-queue live counter went negative (%d)" % (self._live,))
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self.peek_time() is not None
+        """Live events in the queue, counted over the heap when asked
+        (O(n)): an oracle for tests, never on the run path."""
+        return sum(1 for entry in self._heap if not entry[2].cancelled)

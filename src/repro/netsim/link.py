@@ -33,9 +33,6 @@ class Link:
     def endpoints(self) -> frozenset:
         return frozenset((self.a, self.b))
 
-    def connects(self, name: str) -> bool:
-        return name == self.a or name == self.b
-
     def other(self, name: str) -> str:
         if name == self.a:
             return self.b

@@ -27,15 +27,9 @@ class Simulator:
         self.queue = EventQueue()
         self.rng = random.Random(seed)
         self._seq = 0
-        self._events_run = 0
         #: Optional :class:`repro.perf.spans.SpanTracer`; None keeps
         #: every instrumentation site zero-cost.
         self.tracer = None
-
-    @property
-    def events_run(self) -> int:
-        """Total number of events executed so far."""
-        return self._events_run
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -46,9 +40,9 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay_ms`` simulated ms.
 
         Every timer and delivery comes through here or
-        :meth:`schedule_at`, so each builds its event and pushes it
-        itself (the steps of :meth:`EventQueue.push`) rather than
-        calling down a chain.
+        :meth:`schedule_at`, the queue's only pushers; each builds its
+        event and pushes it onto the heap itself rather than calling
+        down a chain.
         """
         if delay_ms < 0:
             raise SimulationError("cannot schedule into the past "
@@ -60,7 +54,6 @@ class Simulator:
         event = Event(time_ms, seq, callback, args)
         event._queue = queue
         heappush(queue._heap, (time_ms, seq, event))
-        queue._live += 1
         return event
 
     def schedule_at(self, time_ms: float, callback: Callable[..., None],
@@ -77,7 +70,6 @@ class Simulator:
         event = Event(time_ms, seq, callback, args)
         event._queue = queue
         heappush(queue._heap, (time_ms, seq, event))
-        queue._live += 1
         return event
 
     def cancel(self, event: Optional[Event]) -> None:
@@ -99,19 +91,10 @@ class Simulator:
     # Running
     # ------------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next event.  Returns False when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
-            return False
-        self._fire(event)
-        return True
-
     def _fire(self, event: Event) -> None:
         self.now_ms = event.time_ms
         callback, args = event.callback, event.args
         event.callback, event.args = None, ()
-        self._events_run += 1
         PERF.events_run += 1
         callback(*args)
 
@@ -141,16 +124,6 @@ class Simulator:
         """Run the next ``duration_ms`` of simulated time."""
         self.run_until(self.now_ms + duration_ms, max_events=max_events)
 
-    def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        """Run until no events remain.  Unsafe with recurring timers."""
-        executed = 0
-        while self.step():
-            executed += 1
-            if executed >= max_events:
-                raise SimulationError(
-                    "run_until_idle exceeded %d events; a recurring timer is "
-                    "probably still armed" % (max_events,))
-
     def run_until_true(self, predicate: Callable[[], bool],
                        timeout_ms: float = 600_000.0,
                        max_events: int = 10_000_000) -> bool:
@@ -162,7 +135,7 @@ class Simulator:
         later than the deadline stay queued.
 
         Every session spends its events here, so the fire step of
-        :meth:`step` is inlined rather than called.
+        :meth:`_fire` is inlined rather than called.
         """
         deadline = self.now_ms + timeout_ms
         if predicate():
@@ -171,7 +144,6 @@ class Simulator:
             self.now_ms = event.time_ms
             callback, args = event.callback, event.args
             event.callback, event.args = None, ()
-            self._events_run += 1
             PERF.events_run += 1
             callback(*args)
             if predicate():
@@ -185,7 +157,3 @@ class Simulator:
                 "run_until_true: negative timeout_ms=%r" % (timeout_ms,))
         self.now_ms = deadline
         return False
-
-    def __repr__(self) -> str:
-        return "Simulator(now=%.3f ms, pending=%d, run=%d)" % (
-            self.now_ms, len(self.queue), self._events_run)

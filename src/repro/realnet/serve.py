@@ -16,14 +16,10 @@ address lingers for the next run.
 
 from __future__ import annotations
 
+import argparse
 import signal
 import sys
 from typing import Optional
-
-from .fabric import AsyncioFabric
-from .node import RealNode
-from .pmd import RealPmd
-from .registry import HostRegistry
 
 
 def serve_host(host_name: str, registry_path: str,
@@ -38,6 +34,13 @@ def serve_host(host_name: str, registry_path: str,
     once the listener is bound — launchers wait on that line rather
     than polling the registry.
     """
+    # Imported here, so that ``repro``'s other subcommands can build
+    # the serve options without loading the realnet stack.
+    from .fabric import AsyncioFabric
+    from .node import RealNode
+    from .pmd import RealPmd
+    from .registry import HostRegistry
+
     registry = HostRegistry(registry_path)
     fabric = AsyncioFabric(registry, local_host=host_name)
     if trace_spans:
@@ -67,12 +70,9 @@ def serve_host(host_name: str, registry_path: str,
     return 0
 
 
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Run one real PPM host process.")
+def add_serve_options(parser: argparse.ArgumentParser) -> None:
+    """Add ``repro serve``'s options to ``parser``: the one definition
+    behind both ``python -m repro serve`` and :func:`main`."""
     parser.add_argument("--host", required=True,
                         help="overlay host name to serve")
     parser.add_argument("--registry", required=True,
@@ -83,11 +83,23 @@ def main(argv=None) -> int:
                         help="exit after this many wall seconds")
     parser.add_argument("--trace-spans", action="store_true",
                         help="enable span tracing in this process")
-    options = parser.parse_args(argv)
+
+
+def serve_from_options(options: argparse.Namespace) -> int:
+    """:func:`serve_host` with the options :func:`add_serve_options`
+    parsed."""
     return serve_host(options.host, options.registry,
                       bind_address=options.bind,
                       budget_s=options.budget_s,
                       trace_spans=options.trace_spans)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro serve",
+        description="Run one real PPM host process.")
+    add_serve_options(parser)
+    return serve_from_options(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -69,11 +69,5 @@ class LoadAverage:
             self._integrate_to(now_ms)
         return self._value
 
-    def force(self, value: float) -> None:
-        """Pin the average (used by calibration tests)."""
-        self._value = value
-        self._last_ms = self._now_fn()
-        self._last_n = self._runnable_fn()
-
     def __repr__(self) -> str:
         return "LoadAverage(la=%.2f, n=%d)" % (self._value, self._last_n)

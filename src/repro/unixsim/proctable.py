@@ -47,12 +47,6 @@ class ProcessTable:
     def remove(self, pid: int) -> None:
         self._procs.pop(pid, None)
 
-    def __contains__(self, pid: int) -> bool:
-        return pid in self._procs
-
-    def __len__(self) -> int:
-        return len(self._procs)
-
     def __iter__(self) -> Iterator[Process]:
         return iter(list(self._procs.values()))
 

@@ -56,8 +56,8 @@ class TestScenarios:
         chain = build_table2_chain()
         lpm_a = chain.world.lpms[("hostA", "lfc")]
         assert "hostC" not in lpm_a.authenticated_siblings()
-        assert lpm_a.routes.route_to("hostC") == ["hostA", "hostB",
-                                                  "hostC"]
+        assert lpm_a.router.cache.route_to("hostC") == [
+            "hostA", "hostB", "hostC"]
         assert chain.two_hop.host == "hostC"
         # Fresh targets land at the right distances.
         assert chain.fresh_target("within").host == "hostA"

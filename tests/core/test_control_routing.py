@@ -28,7 +28,7 @@ def build_chain(world):
 def test_snapshot_teaches_routes(world):
     alpha_client, _mid, leaf = build_chain(world)
     alpha_client.snapshot()
-    routes = lpm_of(world, "alpha").routes
+    routes = lpm_of(world, "alpha").router.cache
     assert routes.route_to("gamma") == ["alpha", "beta", "gamma"]
 
 
@@ -51,7 +51,7 @@ def test_control_without_route_uses_locate_broadcast(world):
     proc = world.host("gamma").kernel.procs.get(leaf.pid)
     assert proc.state.value == "stopped"
     # The locate reply taught the route for next time.
-    assert lpm_of(world, "alpha").routes.route_to("gamma") is not None
+    assert lpm_of(world, "alpha").router.cache.route_to("gamma") is not None
 
 
 def test_control_totally_unknown_host_opens_direct_channel(world):
@@ -70,7 +70,7 @@ def test_route_invalidated_when_intermediate_dies(world):
     alpha_client.snapshot()
     world.host("beta").crash()
     world.run_for(10_000.0)  # break detection
-    assert lpm_of(world, "alpha").routes.route_to("gamma") is None
+    assert lpm_of(world, "alpha").router.cache.route_to("gamma") is None
     # Control still succeeds: the LPM falls back to a direct channel.
     result = alpha_client.stop(leaf)
     assert result["ok"]

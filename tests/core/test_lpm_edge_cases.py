@@ -203,7 +203,7 @@ class TestMessageHygiene:
                         route=["beta", "alpha"], final_dest="alpha")
         lpm_beta.transport.send_on_link(lpm_beta.siblings["alpha"], rogue)
         world.run_for(1_000.0)  # no crash, nothing pending
-        assert 424242 not in lpm_alpha._pending
+        assert 424242 not in lpm_alpha.rpc.pending
 
     def test_duplicate_gather_reply_is_harmless(self, world):
         client = PPMClient(world, "lfc", "alpha").connect()

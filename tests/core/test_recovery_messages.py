@@ -85,7 +85,7 @@ class TestSoak:
         assert lpm.pool.size() <= config.handler_pool_max + 1
         assert lpm.pool.busy_count() == 0
         assert lpm.broadcast.seen_count() <= 10  # window purges
-        assert len(lpm._pending) == 0
+        assert len(lpm.rpc.pending) == 0
         assert len(world.recorder.events) <= 5_000
         assert len(world.sim.queue) < 200  # no timer leaks
         assert client.ping()["ok"]

@@ -48,11 +48,11 @@ def test_forward_without_next_hop_reports_failure_to_origin():
 
 def test_outbound_route_prefers_direct_link():
     _world, alpha, _beta = _chain()
-    alpha.routes.learn(["alpha", "delta", "beta"])
+    alpha.router.cache.learn(["alpha", "delta", "beta"])
     # A live direct link beats any cached overlay route...
     assert alpha.router.outbound_route("beta") == ["alpha", "beta"]
     # ...and without a link the cached route is used.
-    alpha.routes.learn(["alpha", "beta", "gamma"])
+    alpha.router.cache.learn(["alpha", "beta", "gamma"])
     assert alpha.router.outbound_route("gamma") == \
         ["alpha", "beta", "gamma"]
     assert alpha.router.outbound_route("epsilon") is None
@@ -65,14 +65,14 @@ def test_learn_from_reply_reverses_route():
                     route=["gamma", "beta", "alpha"], final_dest="alpha",
                     reply_to=5)
     alpha.router.learn_from_reply(reply)
-    assert alpha.routes.route_to("gamma") == ["alpha", "beta", "gamma"]
+    assert alpha.router.cache.route_to("gamma") == ["alpha", "beta", "gamma"]
     # Two-element routes are direct links, never worth caching.
     direct = Message(kind=MsgKind.CONTROL_ACK, req_id=10, origin="beta",
                      user="lfc", payload={"ok": True},
                      route=["beta", "alpha"], final_dest="alpha",
                      reply_to=6)
     alpha.router.learn_from_reply(direct)
-    assert alpha.routes.route_to("beta") is None
+    assert alpha.router.cache.route_to("beta") is None
 
 
 def test_learn_path_and_invalidate_via():
@@ -80,12 +80,12 @@ def test_learn_path_and_invalidate_via():
     alpha.router.learn_path(["alpha", "beta", "gamma"])
     alpha.router.learn_path(["alpha", "beta", "delta"])
     alpha.router.learn_path(["alpha", "beta"])  # direct: not cached
-    assert alpha.routes.route_to("gamma") == ["alpha", "beta", "gamma"]
-    assert alpha.routes.route_to("beta") is None
+    assert alpha.router.cache.route_to("gamma") == ["alpha", "beta", "gamma"]
+    assert alpha.router.cache.route_to("beta") is None
     PERF.reset()
     alpha.router.invalidate_via("beta")
-    assert alpha.routes.route_to("gamma") is None
-    assert alpha.routes.route_to("delta") is None
+    assert alpha.router.cache.route_to("gamma") is None
+    assert alpha.router.cache.route_to("delta") is None
     # The via-host index visits exactly the routes through the peer.
     assert PERF.route_invalidation_scans == 2
 

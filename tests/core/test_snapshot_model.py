@@ -100,7 +100,7 @@ def test_by_host_and_alive():
         record("beta", 1),
     ])
     assert [r.gpid.pid for r in forest.by_host("alpha")] == [1, 2]
-    assert len(forest.alive()) == 2
+    assert sum(not r.exited for r in forest.records.values()) == 2
     assert forest.hosts() == {"alpha", "beta"}
 
 

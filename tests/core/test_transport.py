@@ -84,13 +84,13 @@ def test_duplicate_accept_replaces_link():
 
 def test_link_close_removes_link_and_drops_routes():
     _world, alpha, _beta = _session()
-    alpha.routes.learn(["alpha", "beta", "gamma"])
+    alpha.router.cache.learn(["alpha", "beta", "gamma"])
     link = alpha.transport.links["beta"]
     alpha.transport.on_link_close("closed", link.endpoint)
     assert "beta" not in alpha.transport.links
     assert alpha.transport.authenticated() == []
     # Routes through the lost peer are invalidated with the link.
-    assert alpha.routes.route_to("gamma") is None
+    assert alpha.router.cache.route_to("gamma") is None
 
 
 def test_ensure_sibling_resolves_existing_link_immediately():

@@ -24,9 +24,10 @@ def test_advance_moves_forward():
     sim = Simulator()
     sim.run_until(10.0)
     assert sim.now_ms == 10.0
-    sim.schedule(0.5, lambda: None)
-    sim.step()
-    assert sim.now_ms == 10.5
+    seen = []
+    sim.schedule(0.5, lambda: seen.append(sim.now_ms))
+    assert sim.run_until_true(lambda: bool(seen), timeout_ms=1.0)
+    assert seen == [10.5] and sim.now_ms == 10.5
 
 
 def test_advance_to_current_instant_is_a_noop():
@@ -51,12 +52,9 @@ def test_moving_backwards_is_a_bug():
 def test_integer_times_are_coerced_to_float():
     sim = Simulator(start_ms=5)
     assert isinstance(sim.now_ms, float)
-    sim.schedule_at(6, lambda: None)
-    sim.step()
-    assert isinstance(sim.now_ms, float)
+    seen = []
+    sim.schedule_at(6, lambda: seen.append(sim.now_ms))
+    assert sim.run_until_true(lambda: bool(seen), timeout_ms=1.0)
+    assert seen == [6.0] and isinstance(seen[0], float)
     sim.run_until(7)
     assert isinstance(sim.now_ms, float)
-
-
-def test_repr_shows_current_time():
-    assert "123.000" in repr(Simulator(start_ms=123))

@@ -1,47 +1,56 @@
-"""Direct tests and properties for the event queue."""
+"""Direct tests and properties for the event queue.
+
+Events go in through :meth:`Simulator.schedule_at`, the queue's only
+pusher, and come out through :meth:`EventQueue.due`, its only pop path.
+"""
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.netsim.events import Event, EventQueue
+from repro.perf import PERF
 from repro.netsim import Network, Simulator, StreamConnection
+
+
+def _noop():
+    pass
+
+
+def first_due(queue, time_ms=math.inf):
+    """The earliest live event due by ``time_ms``, removed, or None."""
+    return next(queue.due(time_ms), None)
 
 
 class TestEventQueue:
     def test_pop_order(self):
-        queue = EventQueue()
-        for seq, time_ms in enumerate([30.0, 10.0, 20.0]):
-            queue.push(Event(time_ms, seq, lambda: None, ()))
-        times = [queue.pop().time_ms for _ in range(3)]
+        sim = Simulator()
+        for time_ms in [30.0, 10.0, 20.0]:
+            sim.schedule_at(time_ms, _noop)
+        times = [event.time_ms for event in sim.queue.due(math.inf)]
         assert times == [10.0, 20.0, 30.0]
-        assert queue.pop() is None
+        assert first_due(sim.queue) is None
 
     def test_cancelled_events_skipped(self):
-        queue = EventQueue()
-        keep = Event(10.0, 1, lambda: None, ())
-        drop = Event(5.0, 2, lambda: None, ())
-        queue.push(keep)
-        queue.push(drop)
+        sim = Simulator()
+        keep = sim.schedule_at(10.0, _noop)
+        drop = sim.schedule_at(5.0, _noop)
         drop.cancel()
-        assert queue.peek_time() == 10.0
-        assert queue.pop() is keep
-        assert len(queue) == 0
+        assert sim.queue.peek_time() == 10.0
+        assert first_due(sim.queue) is keep
+        assert len(sim.queue) == 0
 
     def test_bool_and_len(self):
-        queue = EventQueue()
-        assert not queue
-        event = Event(1.0, 1, lambda: None, ())
-        queue.push(event)
-        assert queue
-        assert len(queue) == 1
-
-    def test_event_repr_states(self):
-        event = Event(1.5, 3, lambda: None, ())
-        assert "pending" in repr(event)
+        # Truth falls back on the O(n) __len__: empty is false.
+        sim = Simulator()
+        assert not sim.queue
+        event = sim.schedule_at(1.0, _noop)
+        assert sim.queue
+        assert len(sim.queue) == 1
         event.cancel()
-        assert "cancelled" in repr(event)
+        assert not sim.queue and len(sim.queue._heap) == 1
 
     @given(st.lists(st.tuples(st.floats(min_value=0, max_value=1e6,
                                         allow_nan=False),
@@ -49,84 +58,71 @@ class TestEventQueue:
                     max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_pop_always_nondecreasing(self, entries):
-        queue = EventQueue()
-        for seq, (time_ms, cancel) in enumerate(entries):
-            event = Event(time_ms, seq, lambda: None, ())
-            queue.push(event)
+        sim = Simulator()
+        for time_ms, cancel in entries:
+            event = sim.schedule_at(time_ms, _noop)
             if cancel:
                 event.cancel()
         previous = -1.0
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
+        for event in sim.queue.due(math.inf):
             assert event.time_ms >= previous
             assert not event.cancelled
             previous = event.time_ms
-
+        assert len(sim.queue) == 0
 
     def test_pop_due_honours_its_deadline(self):
-        queue = EventQueue()
-        early = Event(10.0, 1, lambda: None, ())
-        late = Event(20.0, 2, lambda: None, ())
-        queue.push(late)
-        queue.push(early)
-        assert queue.pop_due(5.0) is None
+        sim = Simulator()
+        queue = sim.queue
+        late = sim.schedule_at(20.0, _noop)
+        early = sim.schedule_at(10.0, _noop)
+        assert first_due(queue, 5.0) is None
         assert len(queue) == 2
-        assert queue.pop_due(10.0) is early
+        assert first_due(queue, 10.0) is early
         assert early.fired
-        assert queue.pop_due(19.999) is None
+        assert first_due(queue, 19.999) is None
         assert not late.fired
-        assert queue.pop_due(20.0) is late
-        assert queue.pop_due(float("inf")) is None
+        assert first_due(queue, 20.0) is late
+        assert first_due(queue) is None
         assert len(queue) == 0
 
     def test_pop_due_drops_cancelled_heads_past_the_deadline(self):
-        queue = EventQueue()
-        events = [Event(float(t), t, lambda: None, ()) for t in range(1, 6)]
-        for event in events:
-            queue.push(event)
+        sim = Simulator()
+        queue = sim.queue
+        events = [sim.schedule_at(float(t), _noop) for t in range(1, 6)]
         for event in events[:3]:
             event.cancel()
         assert queue._cancelled == 3
         # Nothing live is due by t=3, but the cancelled heads go anyway.
-        assert queue.pop_due(3.0) is None
+        assert first_due(queue, 3.0) is None
         assert queue._cancelled == 0
         assert len(queue._heap) == 2
-        assert queue.pop_due(4.0) is events[3]
+        assert first_due(queue, 4.0) is events[3]
 
     def test_same_time_events_pop_in_seq_order(self):
-        queue = EventQueue()
-        events = [Event(7.0, seq, lambda: None, ()) for seq in (5, 2, 9, 1)]
-        for event in events:
-            queue.push(event)
-        popped = [queue.pop_due(7.0).seq for _ in events]
-        assert popped == [1, 2, 5, 9]
+        sim = Simulator(start_ms=2.0)
+        events = [sim.schedule_at(7.0, _noop) for _ in range(4)]
+        sim.schedule_at(3.0, _noop)
+        assert [event.seq for event in events] == [1, 2, 3, 4]
+        popped = [event.seq for event in sim.queue.due(7.0)]
+        assert popped == [5, 1, 2, 3, 4]
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=20),
                               st.booleans()), max_size=60),
            st.integers(min_value=0, max_value=20))
     @settings(max_examples=100, deadline=None)
     def test_pop_due_matches_sorted_live_prefix(self, entries, deadline):
-        queue = EventQueue()
+        sim = Simulator()
         live = []
-        for seq, (time_ms, cancel) in enumerate(entries):
-            event = Event(float(time_ms), seq, lambda: None, ())
-            queue.push(event)
+        for time_ms, cancel in entries:
+            event = sim.schedule_at(float(time_ms), _noop)
             if cancel:
                 event.cancel()
             else:
                 live.append(event)
         due = sorted((e for e in live if e.time_ms <= deadline),
                      key=lambda e: (e.time_ms, e.seq))
-        popped = []
-        while True:
-            event = queue.pop_due(float(deadline))
-            if event is None:
-                break
-            popped.append(event)
-        assert popped == due
-        assert len(queue) == len(live) - len(due)
+        assert list(sim.queue.due(float(deadline))) == due
+        assert len(sim.queue) == len(live) - len(due)
 
 
 class TestRunUntilTrue:
@@ -137,10 +133,11 @@ class TestRunUntilTrue:
             sim.schedule(1.0, forever)
 
         sim.schedule(0.0, forever)
+        before = PERF.events_run
         with pytest.raises(SimulationError, match="exceeded 50 events"):
             sim.run_until_true(lambda: False, timeout_ms=1_000.0,
                                max_events=50)
-        assert sim.events_run == 50
+        assert PERF.events_run - before == 50
 
     def test_max_events_reached_with_nothing_due_times_out(self):
         sim = Simulator()
@@ -162,9 +159,9 @@ class TestRunUntilTrue:
 
     def test_predicate_already_true_runs_nothing(self):
         sim = Simulator()
-        sim.schedule(0.0, lambda: None)
+        event = sim.schedule(0.0, lambda: None)
         assert sim.run_until_true(lambda: True, timeout_ms=-1.0)
-        assert sim.events_run == 0
+        assert not event.fired and len(sim.queue) == 1
 
     def test_clock_ends_on_deadline_with_later_events_queued(self):
         sim = Simulator(start_ms=5.0)

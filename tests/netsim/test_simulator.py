@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.netsim import Simulator
+from repro.perf import PERF
 
 
 def test_clock_starts_at_zero():
@@ -28,7 +29,7 @@ def test_events_fire_in_time_order():
     sim.schedule(30.0, fired.append, 3)
     sim.schedule(10.0, fired.append, 1)
     sim.schedule(20.0, fired.append, 2)
-    sim.run_until_idle()
+    sim.run_until(30.0)
     assert fired == [1, 2, 3]
 
 
@@ -37,7 +38,7 @@ def test_same_time_events_fire_in_scheduling_order():
     fired = []
     for i in range(20):
         sim.schedule(5.0, fired.append, i)
-    sim.run_until_idle()
+    sim.run_until(5.0)
     assert fired == list(range(20))
 
 
@@ -46,7 +47,7 @@ def test_cancelled_event_does_not_fire():
     fired = []
     event = sim.schedule(10.0, fired.append, "x")
     sim.cancel(event)
-    sim.run_until_idle()
+    sim.run_until(10.0)
     assert fired == []
     assert len(sim.queue) == 0
 
@@ -76,12 +77,11 @@ def test_nested_scheduling_from_callback():
 
     def first():
         fired.append("first")
-        sim.schedule(5.0, lambda: fired.append("second"))
+        sim.schedule(5.0, lambda: fired.append(("second", sim.now_ms)))
 
     sim.schedule(10.0, first)
-    sim.run_until_idle()
-    assert fired == ["first", "second"]
-    assert sim.now_ms == 15.0
+    sim.run_until(100.0)
+    assert fired == ["first", ("second", 15.0)]
 
 
 def test_run_until_advances_clock_even_when_idle():
@@ -119,9 +119,8 @@ def test_run_until_true_times_out():
     # The wait ends on its deadline, and the later event stays queued.
     assert sim.now_ms == 150.0
     assert fired == []
-    sim.run_until_idle()
+    sim.run_until(10_050.0)
     assert fired == ["late"]
-    assert sim.now_ms == 10_050.0
 
 
 def test_run_until_true_times_out_on_empty_queue():
@@ -142,7 +141,7 @@ def test_determinism_with_same_seed():
         for _ in range(50):
             sim.schedule(sim.rng.random() * 10.0 + 1.0, values.append,
                          sim.rng.random())
-        sim.run_until_idle()
+        sim.run_until(11.0)
         return values
 
     assert run(7) == run(7)
@@ -164,5 +163,6 @@ def test_events_run_counter():
     sim = Simulator()
     for _ in range(5):
         sim.schedule(1.0, lambda: None)
-    sim.run_until_idle()
-    assert sim.events_run == 5
+    before = PERF.events_run
+    sim.run_until(1.0)
+    assert PERF.events_run - before == 5

@@ -212,7 +212,7 @@ def test_burst_arrives_in_order_at_per_segment_times():
         expected.append((i, arrival))
     for i, extra in enumerate(extras):
         client.endpoint.send(i, nbytes=32, extra_delay_ms=extra)
-    sim.run_until_idle()
+    sim.run_until(expected[-1][1])
     assert deliveries == expected
 
 
@@ -239,9 +239,7 @@ def test_ending_mid_burst_cancels_each_inflight_segment(ending):
         sim.run_until_true(lambda: not client.endpoint.open,
                            timeout_ms=10_000.0)
     assert PERF.delta_since(base)["events_cancelled"] == 6
-    ended_at = sim.now_ms
-    sim.run_until_idle()
-    assert sim.now_ms == ended_at  # no event of the dead circuit remains
+    assert len(sim.queue) == 0  # no event of the dead circuit remains
     assert server.messages == [0, 1, 2, 3]
 
 
@@ -252,7 +250,7 @@ def test_close_mid_burst_cancels_timer_and_drops_inflight():
         client.endpoint.send(i, nbytes=32)
     client.endpoint.close()
     assert len(sim.queue) == 0  # deliveries cancelled, not leaked
-    sim.run_until_idle()
+    sim.run_for(1_000.0)
     assert server.messages == []
     assert server.closes == ["closed"]
 
@@ -271,7 +269,7 @@ def test_break_mid_burst_cancels_timers_and_detection():
     assert not conn._break_scheduled
     assert conn._detect_timer is None
     assert len(sim.queue) == 0
-    sim.run_until_idle()
+    sim.run_for(1_000.0)
     assert server.messages == []
 
 
@@ -320,7 +318,7 @@ def test_close_during_drain_stops_remaining_same_time_segments():
     server.endpoint.on_message = close_after_first
     for i in range(4):
         client.endpoint.send(i, nbytes=32)  # one arrival group of four
-    sim.run_until_idle()
+    sim.run_for(1_000.0)
     # The close inside the first delivery cancels the rest: the
     # remaining same-instant segments are lost, never delivered.
     assert server.messages == [0]

@@ -1,5 +1,6 @@
 """Host-registry tests: atomic publication of ephemeral addresses."""
 
+import fcntl
 import json
 import os
 import subprocess
@@ -57,6 +58,22 @@ def test_corrupt_registry_raises_and_is_left_alone(tmp_path, garbage):
         with pytest.raises(RegistryError, match=str(path)):
             update()
         assert path.read_bytes() == before
+
+
+def test_prune_removes_the_published_names_and_releases_the_lock(tmp_path):
+    path = str(tmp_path / "reg.json")
+    registry = HostRegistry(path)
+    for port, host in enumerate(("alpha", "beta", "gamma")):
+        registry.publish(host, "127.0.0.1", 6000 + port)
+    assert registry.prune(["alpha", "ghost", "gamma"]) == ["alpha", "gamma"]
+    assert registry.read() == {"beta": ("127.0.0.1", 6001)}
+    # A non-blocking probe takes the lock at once, so the prune let go
+    # of it and the next publish cannot block.
+    with open(path + ".lock", "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        fcntl.flock(lock, fcntl.LOCK_UN)
+    registry.publish("delta", "127.0.0.1", 6003)
+    assert sorted(registry.read()) == ["beta", "delta"]
 
 
 def test_write_is_atomic_replace(tmp_path):

@@ -106,14 +106,17 @@ class TestConfig:
             PPMConfig(transport="stream")
 
     def test_with_overrides(self):
-        from dataclasses import asdict
+        from dataclasses import asdict, replace
 
-        from repro import DEFAULT_CONFIG, PPMConfig
+        from repro import DEFAULT_CONFIG, ConfigError, PPMConfig
         before = asdict(DEFAULT_CONFIG)
-        config = DEFAULT_CONFIG.with_overrides(handler_pool_max=3)
+        config = replace(DEFAULT_CONFIG, handler_pool_max=3)
         assert config.handler_pool_max == 3
         assert config is not DEFAULT_CONFIG
         assert asdict(DEFAULT_CONFIG) == before
         assert DEFAULT_CONFIG == PPMConfig()
         assert config.lpm_time_to_live_ms == \
             DEFAULT_CONFIG.lpm_time_to_live_ms
+        # A frozen dataclass's replace re-runs __post_init__'s checks.
+        with pytest.raises(ConfigError):
+            replace(DEFAULT_CONFIG, topology_policy="ring")

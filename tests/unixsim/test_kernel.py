@@ -73,14 +73,14 @@ def test_exit_makes_zombie_then_parent_reaps(kernel):
     reaped = kernel.reap(parent.pid)
     assert reaped == [child]
     assert child.state is ProcState.DEAD
-    assert child.pid not in kernel.procs
+    assert kernel.procs.find(child.pid) is None
 
 
 def test_children_of_init_reaped_automatically(kernel):
     proc = kernel.spawn(1001, "job")  # child of init
     kernel.exit(proc.pid)
     assert proc.state is ProcState.DEAD
-    assert proc.pid not in kernel.procs
+    assert kernel.procs.find(proc.pid) is None
 
 
 def test_orphans_reparented_to_init(kernel):

@@ -62,12 +62,15 @@ def test_stopped_processes_leave_run_queue(world, alpha):
     assert alpha.load_average() < 0.05
 
 
-def test_force_pins_value(world, alpha):
-    alpha.kernel.loadavg.force(2.5)
-    assert alpha.load_average() == pytest.approx(2.5)
-    # Decays back toward the true runnable count afterwards.
-    world.run_for(600_000.0)
-    assert alpha.load_average() < 0.1
+def test_spinners_hold_a_load_band_until_cleared(world, alpha):
+    from repro.bench import raise_load_to_band
+    from repro.bench.workloads import clear_load
+
+    pids = raise_load_to_band(world, alpha, (2.0, 3.0))
+    assert 2.5 <= alpha.load_average() < 3.0
+    # Killing the spinners lets the average decay back to idle.
+    clear_load(world, alpha, pids)
+    assert alpha.load_average() < 0.2
 
 
 def test_idle_fast_path_skips_exp_without_changing_value(world, alpha):
@@ -92,15 +95,18 @@ def test_fast_path_is_exact_not_approximate():
     runnable = [2]
     la = LoadAverage(lambda: clock[0], lambda: runnable[0],
                      tau_ms=1_000.0)
-    la.force(2.0)  # converged: la == n == 2
+    # Converged: after 1000 tau, exp(-1000) underflows to 0.0, so the
+    # integration lands on la == n == 2 exactly.
+    clock[0] = 1_000_000.0
+    assert la.value() == 2.0
     PERF.reset()
-    clock[0] = 5_000.0
+    clock[0] = 1_005_000.0
     assert la.value() == 2.0
     assert PERF.loadavg_idle_skips == 1
     # A change in the runnable count leaves the fast path.
     runnable[0] = 0
     la.note_change()
-    clock[0] = 10_000.0
+    clock[0] = 1_010_000.0
     before = PERF.loadavg_idle_skips
     assert 0.0 < la.value() < 2.0  # genuine exponential decay resumed
     assert PERF.loadavg_idle_skips == before

@@ -98,4 +98,4 @@ def test_iteration_is_snapshot_safe():
     table.insert(proc(2))
     for p in table:
         table.remove(p.pid)  # must not blow up mid-iteration
-    assert len(table) == 0
+    assert list(table) == []
