@@ -82,7 +82,7 @@ class GatherEngine:
         from here) and ``missing`` (hosts that could not answer)."""
         lpm = self.lpm
         op = GatherOp(what, reply_fn)
-        tracer = lpm.sim.tracer
+        tracer = lpm.fabric.tracer
         if tracer is not None:
             op.span = tracer.start("gather:%s" % what, host=lpm.name,
                                    parent=trace_parent, cat="gather")
@@ -117,7 +117,7 @@ class GatherEngine:
                     timeout_ms=timeout_ms, broadcast=broadcast,
                     trace_parent=child_parent)
 
-        lpm.sim.schedule(collect_cost, collected)
+        lpm.fabric.schedule(collect_cost, collected)
 
     def _child_reply(self, op: GatherOp, peer: str,
                      reply: Optional[Message]) -> None:
@@ -128,7 +128,7 @@ class GatherEngine:
             op.missing.append(peer)
         else:
             op.merges_pending += 1
-            tracer = self.lpm.sim.tracer
+            tracer = self.lpm.fabric.tracer
             merge_span = None
             if tracer is not None and op.span is not None:
                 merge_span = tracer.start("merge:%s" % peer,
@@ -136,15 +136,15 @@ class GatherEngine:
                                           parent=op.span.ctx(),
                                           cat="gather")
             merge_cost = self.lpm._cpu_occupy(self.lpm.cost.snapshot_merge_ms)
-            self.lpm.sim.schedule(merge_cost, self._merged, op,
-                                  reply.payload, merge_span)
+            self.lpm.fabric.schedule(merge_cost, self._merged, op,
+                                     reply.payload, merge_span)
             return
         if op.complete:
             self._finish(op)
 
     def _merged(self, op: GatherOp, payload: dict,
                 merge_span=None) -> None:
-        tracer = self.lpm.sim.tracer
+        tracer = self.lpm.fabric.tracer
         if merge_span is not None and tracer is not None:
             tracer.finish(merge_span,
                           records=len(payload.get("records", [])))
@@ -175,7 +175,7 @@ class GatherEngine:
         # (section 4: replies carry the source-destination route).
         for path in paths.values():
             self.lpm.router.learn_path(list(path))
-        tracer = self.lpm.sim.tracer
+        tracer = self.lpm.fabric.tracer
         if op.span is not None and tracer is not None:
             tracer.finish(op.span, op="gather_complete",
                           records=len(records), missing=len(missing))
@@ -185,7 +185,7 @@ class GatherEngine:
     def handle_gather(self, message: Message, from_host: str) -> None:
         """Server side: a sibling's GATHER arrived."""
         lpm = self.lpm
-        tracer = lpm.sim.tracer
+        tracer = lpm.fabric.tracer
         # Duplicate-request suppression by signed timestamp (section 4).
         if not lpm.broadcast.should_accept(message.broadcast,
                                            hops=len(message.route)):

@@ -3,19 +3,21 @@
 In the paper the LPM touches its host only through a narrow surface:
 system calls, plus the fork/exec/exit/state-change messages the
 modified kernel deposits on the LPM's kernel socket (sections 2 and 4).
-This module holds the types that socket carries and :class:`HostKernel`,
-the methods :mod:`repro.core` calls.  :class:`repro.unixsim.kernel.Kernel`
-implements it; ``docs/BACKENDS.md`` says what the real backend still
-lacks.
+This module holds the types that socket carries, :class:`HostKernel`,
+the methods :mod:`repro.core` calls on a kernel, and :class:`HostServices`,
+everything else an LPM asks of its host.  :class:`repro.unixsim.kernel.Kernel`
+and :class:`repro.unixsim.host.Host` implement them; ``docs/BACKENDS.md``
+says what the real backend still lacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
-from typing import Any, Callable, Optional, Protocol, Tuple
+from typing import Any, Callable, List, Optional, Protocol, Tuple
 
 from ..config import KERNEL_MESSAGE_BYTES
+from ..latency import HostClass
 from .control import ControlAction
 
 
@@ -119,12 +121,6 @@ class HostKernel(Protocol):
     ``fd_table`` and ``closed_files``.  ``procs`` answers ``find(pid)``,
     ``children_of(pid)`` and ``alive_by_uid(uid)``; ``loadavg`` answers
     ``value()``.  ``program`` is an opaque spec the kernel interprets.
-
-    ``core/lpm.py`` also reaches, on ``host``: ``name``, ``sim``,
-    ``host_class``, ``uid_of``, ``fs.read_recovery_file``,
-    ``node.listen``/``unlisten``/``up`` and ``pmd_daemon.forget``; on
-    ``world``: ``fabric``, ``config``, ``cost_model``, ``recorder``,
-    ``lpms`` and ``lpm_factory``.
     """
 
     procs: Any
@@ -152,3 +148,32 @@ class HostKernel(Protocol):
                      deliver: Callable[[KernelMessage], None]) -> None: ...
 
     def unregister_lpm(self, uid: int) -> None: ...
+
+
+class HostServices(Protocol):
+    """What a :class:`~repro.core.lpm.LocalProcessManager` asks of the
+    host it runs on (its ``host``): the kernel, the password file, the
+    user's ``.recovery`` file, the service table its accept socket
+    listens in, and the pmd's record of the LPM.
+
+    Every member is read late: a reboot replaces ``kernel``, so an LPM
+    keeps the host, never a copy of a member.
+    """
+
+    name: str
+    host_class: HostClass
+    kernel: HostKernel
+
+    @property
+    def up(self) -> bool: ...
+
+    def uid_of(self, user: str) -> int: ...
+
+    def read_recovery_file(self, user: str) -> List[str]: ...
+
+    def listen(self, service: str,
+               acceptor: Callable[[Any, Any], None]) -> None: ...
+
+    def unlisten(self, service: str) -> None: ...
+
+    def forget_lpm(self, user: str) -> None: ...

@@ -43,7 +43,7 @@ from .broadcast import BroadcastEngine
 from .control import ControlAction
 from .dispatcher import HandlerPool
 from .gather import GatherEngine
-from .hostos import ProcState, trace_flags_from_names
+from .hostos import HostServices, ProcState, trace_flags_from_names
 from .messages import Message, MsgKind
 from .processtable import INFRA_COMMANDS, ProcessTable
 from .recovery import RecoveryManager
@@ -52,32 +52,34 @@ from .rpc import RequestChannel
 from .toolservice import ToolService
 from .transport import SiblingTransport
 
-__all__ = ["INFRA_COMMANDS", "LocalProcessManager", "install"]
+__all__ = ["LocalProcessManager", "install"]
 
 #: Trace granularity for adopted processes, as flag names from
-#: :mod:`repro.tracing.events` (section 2: "accept parameters that
-#: determine the amount of process events recorded"); tools change it
-#: per process with ``TOOL_SET_TRACE``.
+#: :data:`repro.core.hostos.TRACE_FLAG_NAMES` (section 2: "accept
+#: parameters that determine the amount of process events recorded");
+#: tools change it per process with ``TOOL_SET_TRACE``.
 DEFAULT_TRACE_FLAGS = ("fork", "exec", "exit", "signal", "state")
 
 
 class LocalProcessManager:
     """One user's process manager on one host."""
 
-    def __init__(self, host, user: str, token: str) -> None:
+    def __init__(self, fabric, host: HostServices, user: str, token: str,
+                 secret: str, config, cost, recorder) -> None:
+        #: Clock, timers, tracer and connections (:mod:`.fabric`).
+        self.fabric = fabric
+        #: Everything else the LPM asks of its machine.
         self.host = host
         #: The host's name, read on every message: a plain attribute.
         self.name = host.name
-        self.world = host.world
-        self.sim = host.sim
-        #: The backend seam: all connection establishment goes through
-        #: here (see :mod:`repro.core.fabric`).
-        self.fabric = host.world.fabric
         self.user = user
         self.uid = host.uid_of(user)
         self.token = token
-        self.config = self.world.config
-        self.cost = self.world.cost_model
+        #: Session secret for signing broadcast stamps; merged on HELLO.
+        self.secret = secret
+        self.config = config
+        self.cost = cost
+        self.recorder = recorder
         self.alive = True
 
         # The LPM is a user-level process of its owner.
@@ -86,13 +88,11 @@ class LocalProcessManager:
         self.table = ProcessTable(self)
         # Figure 4's end points: the accept socket...
         self.accept_service = "lpm:%s:%s" % (user, token[:8])
-        host.node.listen(self.accept_service, self._accept)
+        host.listen(self.accept_service, self._accept)
         # ...and the kernel socket.
         host.kernel.register_lpm(self.uid, self.table.on_kernel_message)
 
-        #: Session secret for signing broadcast stamps; merged on HELLO.
-        self.secret = "%016x" % self.sim.rng.getrandbits(64)
-        recovery_list = host.fs.read_recovery_file(user)
+        recovery_list = host.read_recovery_file(user)
         #: The crash coordinator site, "established by default by the
         #: system when the user first invokes the mechanism" (section 5).
         self.ccs_host = recovery_list[0] if recovery_list else host.name
@@ -100,7 +100,7 @@ class LocalProcessManager:
         self.pool = HandlerPool(self)
         self.broadcast = BroadcastEngine(
             host.name, self.config.broadcast_dedup_window_ms,
-            lambda: self.sim.now_ms, lambda: self.secret)
+            lambda: self.fabric.now_ms, lambda: self.secret)
         # The layers (see the module docstring) plus tool serving.
         self.transport = SiblingTransport(self)
         self.router = MessageRouter(self)
@@ -128,13 +128,13 @@ class LocalProcessManager:
         return GlobalPid(self.name, pid)
 
     def _trace(self, event_type: TraceEventType, gpid=None, **details):
-        self.world.recorder.record(event_type, self.name, self.user, gpid,
-                                   **details)
+        self.recorder.record(event_type, self.name, self.user, gpid,
+                             **details)
 
     def _cpu(self, base_ms: float) -> float:
         """Load- and class-scaled CPU cost on this host."""
-        host = self.host  # Host.load_average(), without two calls
-        la = host.kernel.loadavg.value() if host.node.up else 0.0
+        host = self.host
+        la = host.kernel.loadavg.value() if host.up else 0.0
         return base_ms * load_factor(host.host_class, la)
 
     def _cpu_occupy(self, base_ms: float) -> float:
@@ -145,12 +145,13 @@ class LocalProcessManager:
         Returns the delay from now until the booked work completes
         (queueing plus the load-scaled cost)."""
         cost = self._cpu(base_ms)
-        start = max(self.sim.now_ms, self._cpu_free_ms)
+        now_ms = self.fabric.now_ms
+        start = max(now_ms, self._cpu_free_ms)
         self._cpu_free_ms = start + cost
-        return (start - self.sim.now_ms) + cost
+        return (start - now_ms) + cost
 
     def is_running(self) -> bool:
-        return self.alive and self.proc.state.alive and self.host.node.up
+        return self.alive and self.proc.state.alive and self.host.up
 
     def describe_endpoints(self) -> dict:
         """Figure 4 data: the LPM's communication end points."""
@@ -258,7 +259,7 @@ class LocalProcessManager:
             self.router.forward(message, endpoint.peer_name)
             return
         delay = self._cpu_occupy(self.cost.sibling_recv_ms)
-        self.sim.schedule(delay, self._handle_sibling, message, endpoint)
+        self.fabric.schedule(delay, self._handle_sibling, message, endpoint)
 
     def _handle_sibling(self, message: Message, endpoint) -> None:
         if not self.is_running():
@@ -301,7 +302,7 @@ class LocalProcessManager:
                 "host": self.name}
 
     def _handle_control(self, message: Message) -> None:
-        tracer = self.sim.tracer
+        tracer = self.fabric.tracer
         span = None if tracer is None else tracer.start(
             "serve:control", host=self.name, parent=message.trace,
             cat="serve")
@@ -316,11 +317,11 @@ class LocalProcessManager:
                 tracer.finish(span, ok=bool(result.get("ok")))
 
         # signal delivery plus the kernel's confirmation (section 6).
-        self.sim.schedule(self._cpu(self.cost.signal_ms), acted)
+        self.fabric.schedule(self._cpu(self.cost.signal_ms), acted)
 
     def _handle_create(self, message: Message) -> None:
         payload = message.payload
-        tracer = self.sim.tracer
+        tracer = self.fabric.tracer
         span = None if tracer is None else tracer.start(
             "serve:create", host=self.name, parent=message.trace,
             cat="serve")
@@ -344,10 +345,10 @@ class LocalProcessManager:
                 tracer.finish(span, ok=bool(result.get("ok")))
 
         # The LPM is the ready process-creation server: a cheap fork.
-        self.sim.schedule(self._cpu(self.cost.server_fork_ms), created)
+        self.fabric.schedule(self._cpu(self.cost.server_fork_ms), created)
 
     def _handle_locate(self, message: Message, from_host: str) -> None:
-        tracer = self.sim.tracer
+        tracer = self.fabric.tracer
         if not self.broadcast.should_accept(message.broadcast,
                                             hops=len(message.route)):
             if tracer is not None:
@@ -404,7 +405,7 @@ class LocalProcessManager:
         stamp = self.broadcast.stamp()
         req_id = self.rpc.next_req_id()
         resolved = Deferred()
-        tracer = self.sim.tracer
+        tracer = self.fabric.tracer
         span = None if tracer is None else tracer.start(
             "broadcast:locate", host=self.name, parent=trace_parent,
             cat="broadcast", target="%s/%s" % (host, pid))
@@ -417,7 +418,7 @@ class LocalProcessManager:
                         outcome="found" if reply is not None else "timeout")
                 on_result(reply)
 
-        timer = self.sim.schedule(timeout_ms, on_ack, None)
+        timer = self.fabric.schedule(timeout_ms, on_ack, None)
         self.rpc.register(req_id, on_ack, timer)
         peers = self.authenticated_siblings()
         if not peers:
@@ -459,12 +460,12 @@ class LocalProcessManager:
         self._cancel_ttl()
         if self._user_has_presence():
             return
-        self._ttl_timer = self.sim.schedule(
+        self._ttl_timer = self.fabric.schedule(
             self.config.lpm_time_to_live_ms, self._ttl_expired)
 
     def _cancel_ttl(self) -> None:
         if self._ttl_timer is not None:
-            self.sim.cancel(self._ttl_timer)
+            self.fabric.cancel(self._ttl_timer)
             self._ttl_timer = None
 
     def _ttl_expired(self) -> None:
@@ -495,9 +496,8 @@ class LocalProcessManager:
         self.tools.clear()
         if not self.host.kernel.halted:
             self.host.kernel.unregister_lpm(self.uid)
-            self.host.node.unlisten(self.accept_service)
-            if self.host.pmd_daemon is not None:
-                self.host.pmd_daemon.forget(self.user)
+            self.host.unlisten(self.accept_service)
+            self.host.forget_lpm(self.user)
             self.pool.shutdown()
             if self.proc.alive:
                 self.host.kernel.exit(self.proc.pid)
@@ -507,11 +507,17 @@ class LocalProcessManager:
 def install(world) -> None:
     """Make a world's pmds able to create real LPMs.
 
-    Also hangs an ``lpms`` registry off the world (keyed by
-    ``(host, user)``) so tests and tools can reach LPM objects directly.
+    The one place that knows the world: each LPM gets its fabric,
+    config, cost model and recorder.  Also hangs an ``lpms`` registry
+    off the world (keyed by ``(host, user)``) so tests and tools can
+    reach LPM objects directly.
     """
     def factory(host, user, token):
-        lpm = LocalProcessManager(host, user, token)
+        # The simulator RNG's next draw after the pmd's token.
+        secret = "%016x" % world.sim.rng.getrandbits(64)
+        lpm = LocalProcessManager(world.fabric, host, user, token, secret,
+                                  world.config, world.cost_model,
+                                  world.recorder)
         world.lpms[(host.name, user)] = lpm
         return lpm
 

@@ -28,6 +28,7 @@ from typing import List, Optional
 from ..ids import NAME_SERVICE
 from ..tracing.events import TraceEventType
 from .messages import Message, MsgKind
+from .processtable import INFRA_COMMANDS
 
 #: Bound on consecutive name-server reassignment attempts per search.
 MAX_NS_ATTEMPTS = 5
@@ -58,7 +59,7 @@ class RecoveryManager:
 
     @property
     def recovery_list(self) -> List[str]:
-        return self.lpm.host.fs.read_recovery_file(self.lpm.user)
+        return self.lpm.host.read_recovery_file(self.lpm.user)
 
     @property
     def uses_name_server(self) -> bool:
@@ -294,7 +295,7 @@ class RecoveryManager:
 
     def _arm_probe_timer(self) -> None:
         self._cancel_probe_timer()
-        self._probe_timer = self.lpm.sim.schedule(
+        self._probe_timer = self.lpm.fabric.schedule(
             self.lpm.config.ccs_probe_interval_ms, self._probe_higher)
 
     def _probe_higher(self) -> None:
@@ -387,13 +388,13 @@ class RecoveryManager:
         if self._die_timer is None:
             self._trace(TraceEventType.TIME_TO_DIE_ARMED,
                         interval_ms=self.lpm.config.time_to_die_ms)
-            self._die_timer = self.lpm.sim.schedule(
+            self._die_timer = self.lpm.fabric.schedule(
                 self.lpm.config.time_to_die_ms, self._time_to_die)
         self._arm_retry_timer()
 
     def _arm_retry_timer(self) -> None:
         self._cancel_retry_timer()
-        self._retry_timer = self.lpm.sim.schedule(
+        self._retry_timer = self.lpm.fabric.schedule(
             self.lpm.config.recovery_retry_interval_ms, self._retry)
 
     def _retry(self) -> None:
@@ -420,7 +421,6 @@ class RecoveryManager:
             return
         self._trace(TraceEventType.TIME_TO_DIE_FIRED)
         kernel = self.lpm.host.kernel
-        from .lpm import INFRA_COMMANDS
         for proc in kernel.procs.alive_by_uid(self.lpm.uid):
             if proc.command in INFRA_COMMANDS:
                 continue
@@ -483,17 +483,17 @@ class RecoveryManager:
 
     def _cancel_die_timer(self) -> None:
         if self._die_timer is not None:
-            self.lpm.sim.cancel(self._die_timer)
+            self.lpm.fabric.cancel(self._die_timer)
             self._die_timer = None
 
     def _cancel_retry_timer(self) -> None:
         if self._retry_timer is not None:
-            self.lpm.sim.cancel(self._retry_timer)
+            self.lpm.fabric.cancel(self._retry_timer)
             self._retry_timer = None
 
     def _cancel_probe_timer(self) -> None:
         if self._probe_timer is not None:
-            self.lpm.sim.cancel(self._probe_timer)
+            self.lpm.fabric.cancel(self._probe_timer)
             self._probe_timer = None
 
     def cancel_timers(self) -> None:

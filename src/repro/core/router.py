@@ -72,7 +72,7 @@ class MessageRouter:
                 failure.final_dest = message.origin
                 self.route_send(failure)
             return
-        tracer = lpm.sim.tracer
+        tracer = lpm.fabric.tracer
         if tracer is not None and message.trace is not None:
             tracer.instant("hop:%s" % message.kind.value, host=lpm.name,
                            parent=message.trace, cat="route",

@@ -54,7 +54,7 @@ class RequestChannel:
     def cancel(self, req_id: int) -> Optional[PendingRequest]:
         pending = self.pending.pop(req_id, None)
         if pending is not None:
-            self.lpm.sim.cancel(pending.timer)
+            self.lpm.fabric.cancel(pending.timer)
         return pending
 
     # ------------------------------------------------------------------
@@ -75,7 +75,7 @@ class RequestChannel:
         joins when span tracing is enabled.
         """
         lpm = self.lpm
-        tracer = lpm.sim.tracer
+        tracer = lpm.fabric.tracer
         span = None
         if tracer is not None:
             # Opened before the unreachable-destination early returns so
@@ -119,8 +119,8 @@ class RequestChannel:
             lpm.pool.release(pending.handler)
             pending.on_reply(None)
 
-        timer = lpm.sim.schedule(timeout_ms + lpm._cpu(handler_cost),
-                                 timed_out)
+        timer = lpm.fabric.schedule(timeout_ms + lpm._cpu(handler_cost),
+                                    timed_out)
         self.pending[req_id] = PendingRequest(on_reply, timer, handler)
 
         def transmit() -> None:
@@ -135,7 +135,7 @@ class RequestChannel:
                     failed.on_reply(None)
 
         if handler_cost:
-            lpm.sim.schedule(lpm._cpu(handler_cost), transmit)
+            lpm.fabric.schedule(lpm._cpu(handler_cost), transmit)
         else:
             transmit()
 
@@ -148,7 +148,7 @@ class RequestChannel:
         if pending is None:
             return
         lpm = self.lpm
-        lpm.sim.cancel(pending.timer)
+        lpm.fabric.cancel(pending.timer)
         lpm.pool.release(pending.handler)
         # Route learning from reply routes (section 4).
         lpm.router.learn_from_reply(message)
@@ -160,5 +160,5 @@ class RequestChannel:
 
     def cancel_all(self) -> None:
         for pending in list(self.pending.values()):
-            self.lpm.sim.cancel(pending.timer)
+            self.lpm.fabric.cancel(pending.timer)
         self.pending.clear()

@@ -35,7 +35,7 @@ class ToolService:
         lpm = self.lpm
         if not lpm.is_running():
             return
-        tracer = lpm.sim.tracer
+        tracer = lpm.fabric.tracer
         if tracer is not None:
             # The serve span rides the request object (messages travel
             # by reference in-sim) so ``reply`` can close it no matter
@@ -53,7 +53,7 @@ class ToolService:
 
     def reply(self, endpoint, request: Message, payload: dict) -> None:
         lpm = self.lpm
-        tracer = lpm.sim.tracer
+        tracer = lpm.fabric.tracer
         if tracer is not None:
             span = getattr(request, "_span", None)
             if span is not None and span.end_ms is None:
@@ -79,7 +79,7 @@ class ToolService:
         lpm = self.lpm
         self.reply(endpoint, message,
                    {"ok": True, "host": lpm.name,
-                    "time_ms": lpm.sim.now_ms})
+                    "time_ms": lpm.fabric.now_ms})
 
     def _tool_tool_session_info(self, message: Message, endpoint) -> None:
         lpm = self.lpm
@@ -167,7 +167,7 @@ class ToolService:
 
             cost = lpm._cpu(lpm.cost.fork_ms + lpm.cost.exec_ms
                             + lpm.cost.adopt_ms)
-            lpm.sim.schedule(cost, created)
+            lpm.fabric.schedule(cost, created)
             return
 
         def remote_ready(link) -> None:
@@ -203,7 +203,7 @@ class ToolService:
                 self.reply(endpoint, message,
                            lpm._apply_control(pid, action))
 
-            lpm.sim.schedule(lpm._cpu(lpm.cost.signal_ms), acted)
+            lpm.fabric.schedule(lpm._cpu(lpm.cost.signal_ms), acted)
             return
 
         def send_control(allow_retry: bool = True) -> None:
@@ -282,7 +282,7 @@ class ToolService:
                 return
             self.reply(endpoint, message, {"ok": True, "adopted": pids})
 
-        lpm.sim.schedule(lpm._cpu(lpm.cost.adopt_ms), adopted)
+        lpm.fabric.schedule(lpm._cpu(lpm.cost.adopt_ms), adopted)
 
     def _tool_tool_set_trace(self, message: Message, endpoint) -> None:
         lpm = self.lpm

@@ -40,10 +40,11 @@ class SiblingTransport:
     """Owns every sibling channel of one LPM.
 
     The LPM injects itself as the upward interface: the transport uses
-    its clock (``lpm.sim``), identity (``name``/``user``/``token``),
-    serialised-CPU booking (``_cpu_occupy``), trace hook, and message
-    dispatcher (``_sibling_on_message``); the transport in turn is the
-    only layer that touches stream connections.
+    its fabric (``lpm.fabric``: clock, timers, connections), identity
+    (``name``/``user``/``token``), serialised-CPU booking
+    (``_cpu_occupy``), trace hook, and message dispatcher
+    (``_sibling_on_message``); the transport in turn is the only layer
+    that touches stream connections.
     """
 
     def __init__(self, lpm) -> None:
@@ -99,7 +100,7 @@ class SiblingTransport:
         peer = payload["from_host"]
         link = SiblingLink(peer, endpoint)
         link.authenticated = True
-        link.opened_ms = lpm.sim.now_ms
+        link.opened_ms = lpm.fabric.now_ms
         old = self.links.get(peer)
         if old is not None and old.endpoint.open:
             old.endpoint.close()
@@ -194,7 +195,7 @@ class SiblingTransport:
                 done.resolve(None)
                 return
             link = SiblingLink(peer, endpoint)
-            link.opened_ms = lpm.sim.now_ms
+            link.opened_ms = lpm.fabric.now_ms
             self.links[peer] = link
             endpoint.on_message = lpm._sibling_on_message
             endpoint.on_close = self.on_link_close
@@ -228,7 +229,7 @@ class SiblingTransport:
         lpm = self.lpm
         cost = lpm.cost.forward_ms if forwarding else lpm.cost.sibling_send_ms
         nbytes = message_size_bytes(message)
-        tracer = lpm.sim.tracer
+        tracer = lpm.fabric.tracer
         if tracer is not None and message.trace is not None:
             tracer.instant("send:%s" % message.kind.value, host=lpm.name,
                            parent=message.trace, cat="xport",

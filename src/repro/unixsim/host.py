@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..latency import HostClass, load_factor
 from ..tracing.events import TraceEventType
@@ -72,6 +72,19 @@ class Host:
     def uid_of(self, user: str) -> int:
         return self.users.require(user).uid
 
+    def read_recovery_file(self, user: str) -> List[str]:
+        return self.fs.read_recovery_file(user)
+
+    # ------------------------------------------------------------------
+    # Services (an LPM's accept socket)
+    # ------------------------------------------------------------------
+
+    def listen(self, service: str, acceptor: Callable) -> None:
+        self.node.listen(service, acceptor)
+
+    def unlisten(self, service: str) -> None:
+        self.node.unlisten(service)
+
     # ------------------------------------------------------------------
     # Daemons
     # ------------------------------------------------------------------
@@ -81,6 +94,11 @@ class Host:
         if self.pmd_daemon is None or not self.pmd_daemon.proc.alive:
             self.pmd_daemon = ProcessManagerDaemon(self)
         return self.pmd_daemon
+
+    def forget_lpm(self, user: str) -> None:
+        """Drop the pmd's record of the user's LPM (it exited)."""
+        if self.pmd_daemon is not None:
+            self.pmd_daemon.forget(user)
 
     # ------------------------------------------------------------------
     # User processes

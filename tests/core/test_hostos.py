@@ -1,25 +1,31 @@
-"""The host-OS contract (``repro.core.hostos``): the protocol stack's
-process table and control path run over a kernel that has nothing but
-the contract's members, and both backends read the one control table."""
+"""The host-OS contract (``repro.core.hostos``): a real LPM runs over a
+kernel and a host that have nothing but the contracts' members, with
+no simulated world, and both backends read the one control table."""
 
 import signal
 from types import SimpleNamespace
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.core.control import CONTROL_SIGNALS, ControlAction
 from repro.core.hostos import (
     HostKernel,
+    HostServices,
     KernelEvent,
     KernelMessage,
     ProcState,
     TraceFlag,
 )
 from repro.core.lpm import LocalProcessManager
-from repro.core.processtable import ProcessTable
+from repro.core.messages import Message, MsgKind
 from repro.core.progspec import worker_spec
 from repro.errors import NoSuchProcessError
 from repro.ids import GlobalPid
+from repro.latency import DEFAULT_COST_MODEL, HostClass
+from repro.netsim.fabric import SimFabric
+from repro.netsim.simulator import Simulator
+from repro.tracing.recorder import TraceRecorder
 
 #: What each signal does to a fake process.
 _SIGNAL_STATES = {"SIGSTOP": ProcState.STOPPED,
@@ -27,9 +33,17 @@ _SIGNAL_STATES = {"SIGSTOP": ProcState.STOPPED,
                   "SIGTERM": ProcState.ZOMBIE,
                   "SIGKILL": ProcState.ZOMBIE}
 
-#: The members :class:`HostKernel` declares.
-CONTRACT = {name for name in vars(HostKernel) if not name.startswith("_")} \
-    | set(HostKernel.__annotations__)
+
+def members(contract):
+    """The public members a contract class declares."""
+    return {name for name in vars(contract) if not name.startswith("_")} \
+        | set(contract.__annotations__)
+
+
+def public(fake):
+    """The public members a fake instance has."""
+    return {name for name in vars(fake) if not name.startswith("_")} | \
+        {name for name in vars(type(fake)) if not name.startswith("_")}
 
 
 class FakeKernel:
@@ -91,33 +105,105 @@ class FakeKernel:
         self._sockets.pop(uid, None)
 
 
-def fake_lpm(kernel):
-    """The LPM surface :class:`ProcessTable` and the control path use."""
-    lpm = SimpleNamespace(
-        name="alpha", user="lfc", uid=1001,
-        host=SimpleNamespace(kernel=kernel),
-        trace_flags=TraceFlag.EXIT | TraceFlag.STATE,
-        gpid_of=lambda pid: GlobalPid("alpha", pid),
-        is_running=lambda: True, traced=[],
-        _arm_ttl=lambda: None, _cancel_ttl=lambda: None)
-    lpm._trace = lambda event_type, gpid=None, **details: \
-        lpm.traced.append(event_type)
-    lpm.proc = kernel.spawn(1001, "lpm", state=ProcState.SLEEPING)
-    lpm.table = ProcessTable(lpm)
-    kernel.register_lpm(lpm.uid, lpm.table.on_kernel_message)
-    return lpm
+class FakeHost:
+    """A machine with exactly :class:`HostServices`' members: one
+    account, no ``.recovery`` file, a service table and no pmd."""
+
+    host_class = HostClass.VAX_780
+
+    def __init__(self, kernel):
+        self.name = "alpha"
+        self.kernel = kernel
+        self.up = True
+        self._services = {}
+        self._forgotten = []
+
+    def uid_of(self, user):
+        return {"lfc": 1001}[user]
+
+    def read_recovery_file(self, user):
+        return []
+
+    def listen(self, service, acceptor):
+        self._services[service] = acceptor
+
+    def unlisten(self, service):
+        self._services.pop(service, None)
+
+    def forget_lpm(self, user):
+        self._forgotten.append(user)
+
+
+class RecordingEndpoint:
+    """A tool stream that keeps every message the LPM sends on it."""
+
+    def __init__(self):
+        self.open = True
+        self.sent = []
+
+    def send(self, payload, nbytes=0, extra_delay_ms=0.0):
+        self.sent.append(payload)
+
+    def close(self):
+        self.open = False
+
+
+def lpm_over(kernel):
+    """A real LPM on a fake host, over a bare simulator's fabric: no
+    network, no world."""
+    sim = Simulator(seed=1)
+    return LocalProcessManager(
+        SimFabric(sim, network=None), FakeHost(kernel), "lfc",
+        "0123456789abcdef", "fedcba9876543210", DEFAULT_CONFIG,
+        DEFAULT_COST_MODEL, TraceRecorder(lambda: sim.now_ms))
+
+
+def serve(lpm, kind, **payload):
+    """One tool request through the LPM's tool service, run to its
+    reply."""
+    endpoint = RecordingEndpoint()
+    request = Message(kind=kind, req_id=1, origin=lpm.name, user=lpm.user,
+                      payload=payload)
+    lpm.tool_service.on_message(request, endpoint)
+    assert lpm.fabric.run_until_true(lambda: endpoint.sent,
+                                     timeout_ms=10_000.0)
+    [reply] = endpoint.sent
+    assert (reply.kind, reply.reply_to) == (MsgKind.TOOL_REPLY, 1)
+    return reply.payload
 
 
 def test_the_fake_kernel_has_nothing_but_the_contract():
-    public = {name for name in vars(FakeKernel())
-              if not name.startswith("_")} | \
-        {name for name in vars(FakeKernel) if not name.startswith("_")}
-    assert public == CONTRACT
+    assert public(FakeKernel()) == members(HostKernel)
+
+
+def test_the_fake_host_has_nothing_but_the_contract():
+    assert public(FakeHost(FakeKernel())) == members(HostServices)
+
+
+def test_an_lpm_serves_tools_with_no_world():
+    kernel = FakeKernel()
+    lpm = lpm_over(kernel)
+    assert lpm.accept_service in lpm.host._services
+    assert serve(lpm, MsgKind.TOOL_PING) == {
+        "ok": True, "host": "alpha", "time_ms": lpm.fabric.now_ms}
+    created = serve(lpm, MsgKind.TOOL_CREATE, command="job",
+                    program=worker_spec(10.0))
+    assert created == {"ok": True, "host": "alpha",
+                       "pid": created["pid"]}
+    assert kernel.procs.find(created["pid"]).ppid == lpm.proc.pid
+    snapshot = serve(lpm, MsgKind.TOOL_SNAPSHOT)
+    assert snapshot["ok"]
+    assert [(record["host"], record["pid"], record["command"])
+            for record in snapshot["records"]] == [
+        ("alpha", created["pid"], "job")]
+    lpm.shutdown("test over")
+    assert lpm.host._services == {} and lpm.host._forgotten == ["lfc"]
+    assert not lpm.proc.alive
 
 
 def test_creation_passes_the_program_spec_through_unread():
     kernel = FakeKernel()
-    lpm = fake_lpm(kernel)
+    lpm = lpm_over(kernel)
     spec = worker_spec(10.0, exit_status=2)
     proc = lpm.table.create_local_process("job", program_spec=spec,
                                           foreground=False)
@@ -130,7 +216,7 @@ def test_creation_passes_the_program_spec_through_unread():
 
 def test_adoption_walks_the_live_descendants():
     kernel = FakeKernel()
-    lpm = fake_lpm(kernel)
+    lpm = lpm_over(kernel)
     parent = kernel.spawn(1001, "make")
     child = kernel.spawn(1001, "cc", ppid=parent.pid)
     assert sorted(lpm.table.adopt_process(parent.pid)) \
@@ -141,7 +227,7 @@ def test_adoption_walks_the_live_descendants():
 
 def test_kernel_messages_drive_the_records():
     kernel = FakeKernel()
-    lpm = fake_lpm(kernel)
+    lpm = lpm_over(kernel)
     deliver = kernel._sockets[lpm.uid]
     parent = lpm.table.create_local_process("sh")
     child = kernel.spawn(1001, "ls", ppid=parent.pid)
@@ -168,10 +254,10 @@ def test_kernel_messages_drive_the_records():
 @pytest.mark.parametrize("action", list(ControlAction))
 def test_every_control_action_reaches_the_kernel_once(action):
     kernel = FakeKernel()
-    lpm = fake_lpm(kernel)
+    lpm = lpm_over(kernel)
     proc = lpm.table.create_local_process("job")
     del kernel._log[:]
-    result = LocalProcessManager._apply_control(lpm, proc.pid, action.value)
+    result = lpm._apply_control(proc.pid, action.value)
     assert result == {"ok": True, "pid": proc.pid, "action": action.value,
                       "host": "alpha"}
     name, foreground = CONTROL_SIGNALS[action]
@@ -180,10 +266,10 @@ def test_every_control_action_reaches_the_kernel_once(action):
 
 
 def test_control_errors_become_replies():
-    lpm = fake_lpm(FakeKernel())
-    assert LocalProcessManager._apply_control(lpm, 999, "stop") == {
+    lpm = lpm_over(FakeKernel())
+    assert lpm._apply_control(999, "stop") == {
         "ok": False, "error": "NoSuchProcessError: 999"}
-    assert not LocalProcessManager._apply_control(lpm, 999, "pause")["ok"]
+    assert not lpm._apply_control(999, "pause")["ok"]
 
 
 def test_both_backends_read_the_one_control_table():

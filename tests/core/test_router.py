@@ -94,7 +94,7 @@ def test_route_send_follows_recorded_route():
     world, alpha, beta = _chain()
     received = []
     beta.rpc.register(41, received.append,
-                      beta.sim.schedule(60_000.0, lambda: None))
+                      beta.fabric.schedule(60_000.0, lambda: None))
     reply = Message(kind=MsgKind.CONTROL_ACK, req_id=12, origin="alpha",
                     user="lfc", payload={"ok": True},
                     route=["alpha", "beta"], final_dest="beta",

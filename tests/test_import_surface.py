@@ -96,3 +96,44 @@ def test_layering_lint_reports_a_core_module_importing_the_simulator(
     assert [error.split("'")[1] for error in errors] == [
         "repro.netsim.stream", "repro.unixsim.kernel",
         "repro.unixsim.kernel.Kernel"]
+
+
+def test_layering_lint_reports_a_layer_importing_the_coordinator(tmp_path):
+    """Rule 3 covers the recovery manager and the handler pool, and
+    reads an import made inside a function."""
+    lint = load_lint()
+    assert {"recovery", "dispatcher"} <= set(lint.LAYER_MODULES)
+    source = tmp_path / "recovery.py"
+    source.write_text(
+        "from .messages import Message\n"
+        "def _time_to_die(self):\n"
+        "    from .lpm import INFRA_COMMANDS\n")
+    assert [error.split("'")[1] for error in
+            lint.layer_violations(str(source), "recovery")] == [
+        "repro.core.lpm", "repro.core.lpm.INFRA_COMMANDS"]
+    real = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src",
+                        "repro", "core", "recovery.py")
+    assert lint.layer_violations(real, "recovery") == []
+
+
+def test_layering_lint_reports_an_lpm_reaching_past_its_seams():
+    """Rule 12: no ``.world``/``.sim`` read outside ``install``, and on
+    a host only what :class:`~repro.core.hostos.HostServices`
+    declares."""
+    lint = load_lint()
+    members = lint.contract_members()
+    assert members == {"name", "host_class", "kernel", "up", "uid_of",
+                       "read_recovery_file", "listen", "unlisten",
+                       "forget_lpm"}
+    source = (
+        "def handle(lpm):\n"
+        "    window = lpm.world.config.broadcast_dedup_window_ms\n"
+        "    lpm.host.node.listen('svc', None)\n"
+        "    lpm.host.kernel.spawn(1, 'x')\n"
+        "    return lpm.fabric.now_ms + lpm.host.up\n"
+        "def install(world):\n"
+        "    world.sim.rng.getrandbits(64)\n")
+    assert lint.seam_violations(source, "lpm", members) == [
+        "lpm.py:2 reads .world: the LPM reaches its machine through the "
+        "fabric and its host",
+        "lpm.py:3 reads host.node, which HostServices does not declare"]

@@ -11,9 +11,10 @@ eroding:
    never again import ``repro.netsim.stream`` (sockets belong to the
    transport layer) or ``repro.core.routing`` (the route cache belongs
    to the router layer).
-3. The layer modules never import ``repro.core.lpm`` — the layering is
-   one-directional; layers talk to the LPM only through the instance
-   injected at construction.
+3. The layer modules (the recovery manager and the handler pool
+   included) never import ``repro.core.lpm``, not even inside a
+   function — the layering is one-directional; layers talk to the LPM
+   only through the instance injected at construction.
 4. ``rpc`` / ``router`` / ``gather`` never import the socket layer
    either; only ``transport`` touches streams.
 
@@ -61,6 +62,16 @@ Bytes are charged only where a message crosses a link:
 11. Only ``core/transport.py`` (a sibling send) calls
     ``message_size_bytes``.  A tool stream is host-local, so sizing a
     tool message charges nothing and costs one more encode.
+
+The LPM takes its seams, not the world:
+
+12. Outside ``lpm.install`` (the one place that knows the simulated
+    ``World``), the LPM's modules (:data:`LPM_MODULES`) read no
+    attribute named ``world`` or ``sim`` — the clock, timers and
+    tracer are the fabric's — and on a ``host`` they read only the
+    members ``repro.core.hostos.HostServices`` declares.  The lint
+    reads that member list from the Protocol's own source, so the
+    contract and the rule cannot drift apart.
 
 Run from the repo root::
 
@@ -126,7 +137,21 @@ SIZING_MODULE = os.path.join("core", "transport.py")
 
 #: The modules extracted out of the god-class.  None may import lpm.
 LAYER_MODULES = ("transport", "rpc", "router", "gather",
-                 "processtable", "toolservice")
+                 "processtable", "toolservice", "recovery", "dispatcher")
+
+#: The LPM's own modules (rule 12): the coordinator and its layers.
+LPM_MODULES = ("lpm",) + LAYER_MODULES
+
+#: The one function in ``lpm.py`` that may read the world (rule 12).
+WORLD_FUNCTIONS = ("install",)
+
+#: The names rule 12 forbids reading as an attribute.
+WORLD_ATTRIBUTES = ("world", "sim")
+
+#: The module and the class that declare what an LPM may read on its
+#: host (rule 12).
+HOSTOS_MODULE = os.path.join(CORE, "hostos.py")
+HOST_CONTRACT = "HostServices"
 
 #: Modules that must not touch the socket layers (transport owns them).
 SOCKET_FREE_MODULES = ("rpc", "router", "gather")
@@ -273,6 +298,70 @@ def core_violations(path: str) -> List[str]:
             if _matches(name, CORE_BANNED)]
 
 
+def layer_violations(path: str, module: str) -> List[str]:
+    """Rules 3 and 4 for one layer module: an import of the coordinator
+    anywhere in the file, and (for the socket-free layers) of the
+    socket layer."""
+    errors: List[str] = []
+    for name in sorted(module_imports(path, CORE_PACKAGE)):
+        if _matches(name, ("repro.core.lpm",)):
+            errors.append("%s.py imports %r: layers must not import "
+                          "upward into the coordinator" % (module, name))
+        if module in SOCKET_FREE_MODULES and _matches(name, SOCKET_LAYERS):
+            errors.append("%s.py imports %r: only the transport layer may "
+                          "touch sockets" % (module, name))
+    return errors
+
+
+def contract_members() -> Set[str]:
+    """The members :data:`HOST_CONTRACT` declares in its source: its
+    annotated attributes and its methods and properties."""
+    with open(HOSTOS_MODULE, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=HOSTOS_MODULE)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == HOST_CONTRACT:
+            members: Set[str] = set()
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    members.add(item.name)
+                elif isinstance(item, ast.AnnAssign) and \
+                        isinstance(item.target, ast.Name):
+                    members.add(item.target.id)
+            return members
+    raise LookupError("%s declares no class %s" % (HOSTOS_MODULE,
+                                                   HOST_CONTRACT))
+
+
+def seam_violations(source: str, module: str,
+                    host_members: Set[str]) -> List[str]:
+    """Rule 12 for one LPM module: every read of ``.world`` or ``.sim``,
+    and of a ``host`` member outside ``host_members``, except inside
+    the functions named in :data:`WORLD_FUNCTIONS`."""
+    tree = ast.parse(source)
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and \
+                node.name in WORLD_FUNCTIONS:
+            exempt.update(id(inner) for inner in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in exempt:
+            continue
+        owner = node.value
+        owner_name = owner.id if isinstance(owner, ast.Name) else \
+            owner.attr if isinstance(owner, ast.Attribute) else None
+        if node.attr in WORLD_ATTRIBUTES:
+            found.append((node.lineno, "%s.py:%d reads .%s: the LPM "
+                          "reaches its machine through the fabric and "
+                          "its host" % (module, node.lineno, node.attr)))
+        elif owner_name == "host" and node.attr not in host_members:
+            found.append((node.lineno, "%s.py:%d reads host.%s, which "
+                          "%s does not declare" % (
+                              module, node.lineno, node.attr,
+                              HOST_CONTRACT)))
+    return [error for _, error in sorted(found)]
+
+
 def check() -> List[str]:
     errors: List[str] = []
 
@@ -293,17 +382,15 @@ def check() -> List[str]:
 
     # Rules 3 and 4: the layers stay below the coordinator.
     for module in LAYER_MODULES:
-        path = os.path.join(CORE, "%s.py" % module)
-        imports = module_imports(path, CORE_PACKAGE)
-        for name in sorted(imports):
-            if _matches(name, ("repro.core.lpm",)):
-                errors.append("%s.py imports %r: layers must not import "
-                              "upward into the coordinator" %
-                              (module, name))
-            if module in SOCKET_FREE_MODULES and \
-                    _matches(name, SOCKET_LAYERS):
-                errors.append("%s.py imports %r: only the transport "
-                              "layer may touch sockets" % (module, name))
+        errors += layer_violations(os.path.join(CORE, "%s.py" % module),
+                                   module)
+
+    # Rule 12: the LPM reaches its machine only through its seams.
+    host_members = contract_members()
+    for module in LPM_MODULES:
+        with open(os.path.join(CORE, "%s.py" % module), "r",
+                  encoding="utf-8") as handle:
+            errors += seam_violations(handle.read(), module, host_members)
 
     # Rules 5 and 6: the simulator substrate stays at the bottom.
     for filename in sorted(os.listdir(NETSIM)):
