@@ -1,30 +1,7 @@
 """Command-line entry point: ``python -m repro``.
 
-Subcommands:
-
-* ``demo``  — build a small simulated network, run a representative
-  session, and print the tool output (a self-contained tour).
-* ``shell`` — the same world, but interactive: drive the PPM through
-  the :class:`repro.core.shell.PPMShell` command interpreter.
-* ``stats`` — run the demo session with span tracing enabled and
-  pretty-print ``PPM.perf_stats()``: the hot-path counters plus the
-  per-operation-class latency percentiles (and any operational
-  trigger alerts the session raised).
-* ``trace`` — the same session, exported as Chrome trace-event JSON
-  (load the file at https://ui.perfetto.dev).
-* ``serve`` — become one *real* PPM host: an asyncio TCP listener in
-  this OS process (the realnet backend; see ``docs/BACKENDS.md``).
-* ``run-real`` — launch N serve processes and drive the demo session
-  over real sockets with the same client code the simulator uses.
-* ``doctor`` — health-check a deployment and exit non-zero when it is
-  sick: the netsim demo world by default, or a live serve fleet with
-  ``--registry`` (see ``docs/OPERATIONS.md``).
-* ``watch`` — the doctor, continuously: sweep the deployment on an
-  interval, print and journal onset/clear edges between sweeps, and
-  exit with the first still-open incident's code (both backends).
-* ``incidents`` — render a watch journal back into a timeline plus
-  per-check MTTR.
-* ``version`` — print the package version.
+Each subcommand is one row of :data:`COMMANDS`: its name, help,
+handler and options.
 """
 
 from __future__ import annotations
@@ -95,10 +72,9 @@ def cmd_shell(args) -> int:
           "ucbernie; user lfc)")
     print("type 'help' for commands, 'quit' to exit, "
           "'run <ms>' to advance simulated time\n")
-    stream = args.input if args.input is not None else sys.stdin
     while True:
         print("ppm> ", end="", flush=True)
-        line = stream.readline()
+        line = sys.stdin.readline()
         if not line:
             break
         line = line.strip()
@@ -404,122 +380,105 @@ def cmd_version(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _arg(*flags, **kwargs):
+    """One ``add_argument`` call, as a table cell."""
+    return flags, kwargs
+
+
+SEED = (_arg("--seed", type=int, default=1),)
+
+#: ``doctor``'s and ``watch``'s deployment: the netsim demo world by
+#: default, a live serve fleet with ``--registry``.
+FLEET = (
+    _arg("--inject", choices=["dead-host"], default=None,
+         help="netsim only: crash ucbernie on purpose (CI self-test; "
+              "watch reboots it later)"),
+    _arg("--registry", default=None,
+         help="check the live fleet sharing this registry file "
+              "instead of netsim"),
+    _arg("--hosts", nargs="*", default=None,
+         help="expected fleet roster (realnet mode; catches hosts "
+              "that never published)"),
+    _arg("--timeout-ms", type=float, default=3000.0, dest="timeout_ms",
+         help="per-host probe timeout (realnet mode)"),
+    _arg("--baseline", default=None,
+         help="JSON p99 baseline for the latency SLO check (doctor "
+              "--write-baseline records one)"),
+)
+
+JSON = (_arg("--json", action="store_true",
+             help="emit the output as JSON"),)
+
+#: One row per subcommand: ``(name, help, handler, options)``.
+#: ``options`` is a tuple of :func:`_arg` cells, or a function that
+#: adds them (``repro serve``'s, which
+#: :func:`repro.realnet.serve.main` builds from too).
+COMMANDS = (
+    ("demo", "run a scripted demo session", cmd_demo, SEED),
+    ("shell", "interactive PPM shell", cmd_shell, SEED),
+    ("stats", "run a traced demo session and print perf stats",
+     cmd_stats, SEED),
+    ("trace", "run a traced demo session and export Chrome "
+              "trace-event JSON", cmd_trace, SEED + (
+        _arg("--out", default="trace.json",
+             help="output path (default: trace.json)"),)),
+    ("serve", "run one real PPM host process (asyncio TCP backend)",
+     serve_from_options, add_serve_options),
+    ("run-real", "launch N real host processes and run the demo "
+                 "session over real TCP", cmd_run_real, (
+        _arg("--hosts", type=int, default=3,
+             help="number of serve processes (default: 3)"),
+        _arg("--budget-s", type=float, default=60.0,
+             help="wall-clock budget per serve process"),
+        _arg("--trace-spans", action="store_true",
+             help="trace client-side spans"))),
+    ("doctor", "health-check a deployment: netsim demo world by "
+               "default, a live serve fleet with --registry",
+     cmd_doctor, SEED + FLEET + (
+        _arg("--write-baseline", default=None, dest="write_baseline",
+             help="record this run's p99s as the baseline"),) + JSON),
+    ("watch", "run the doctor continuously: sweep on an interval, "
+              "journal onset/clear edges", cmd_watch, SEED + (
+        _arg("--interval-ms", type=float, default=1000.0,
+             dest="interval_ms",
+             help="sweep interval: virtual ms on netsim, wall ms on "
+                  "realnet (default 1000)"),
+        _arg("--max-sweeps", type=int, default=8, dest="max_sweeps",
+             help="stop after this many sweeps (default 8)"),
+        _arg("--journal", default=None,
+             help="append incident records (JSONL) here; render "
+                  "later with `repro incidents`"),
+        _arg("--checks", nargs="*", default=None, type=_check_name,
+             help="watch only these checks (default: all)")) + FLEET),
+    ("incidents", "render a watch journal: timeline + MTTR per check",
+     cmd_incidents, (
+        _arg("journal",
+             help="JSONL journal written by `repro watch --journal`"),)
+     + JSON),
+    ("version", "print the version", cmd_version, ()),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser, one subparser per :data:`COMMANDS` row."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of the Berkeley Personal Process "
                     "Manager (Cabrera, Sechrest, Cáceres; ICDCS 1986).")
     sub = parser.add_subparsers(dest="command")
+    for name, help_text, handler, options in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        if callable(options):
+            options(command)
+        else:
+            for flags, kwargs in options:
+                command.add_argument(*flags, **kwargs)
+        command.set_defaults(fn=handler)
+    return parser
 
-    demo = sub.add_parser("demo", help="run a scripted demo session")
-    demo.add_argument("--seed", type=int, default=1)
-    demo.set_defaults(fn=cmd_demo)
 
-    shell = sub.add_parser("shell", help="interactive PPM shell")
-    shell.add_argument("--seed", type=int, default=1)
-    shell.set_defaults(fn=cmd_shell, input=None)
-
-    stats = sub.add_parser(
-        "stats", help="run a traced demo session and print perf stats")
-    stats.add_argument("--seed", type=int, default=1)
-    stats.set_defaults(fn=cmd_stats)
-
-    trace = sub.add_parser(
-        "trace", help="run a traced demo session and export Chrome "
-                      "trace-event JSON")
-    trace.add_argument("--seed", type=int, default=1)
-    trace.add_argument("--out", default="trace.json",
-                       help="output path (default: trace.json)")
-    trace.set_defaults(fn=cmd_trace)
-
-    serve = sub.add_parser(
-        "serve", help="run one real PPM host process (asyncio TCP "
-                      "backend)")
-    add_serve_options(serve)
-    serve.set_defaults(fn=serve_from_options)
-
-    run_real = sub.add_parser(
-        "run-real", help="launch N real host processes and run the "
-                         "demo session over real TCP")
-    run_real.add_argument("--hosts", type=int, default=3,
-                          help="number of serve processes (default: 3)")
-    run_real.add_argument("--budget-s", type=float, default=60.0,
-                          help="wall-clock budget per serve process")
-    run_real.add_argument("--trace-spans", action="store_true",
-                          help="trace client-side spans")
-    run_real.set_defaults(fn=cmd_run_real)
-
-    doctor = sub.add_parser(
-        "doctor", help="health-check a deployment: netsim demo world "
-                       "by default, a live serve fleet with --registry")
-    doctor.add_argument("--seed", type=int, default=1)
-    doctor.add_argument("--inject", choices=["dead-host"], default=None,
-                        help="netsim only: break the world before "
-                             "checking (CI self-test)")
-    doctor.add_argument("--registry", default=None,
-                        help="probe the live fleet sharing this "
-                             "registry file instead of netsim")
-    doctor.add_argument("--hosts", nargs="*", default=None,
-                        help="expected fleet roster (catches hosts "
-                             "that never published)")
-    doctor.add_argument("--timeout-ms", type=float, default=3000.0,
-                        dest="timeout_ms",
-                        help="per-host probe timeout (realnet mode)")
-    doctor.add_argument("--baseline", default=None,
-                        help="JSON p99 baseline for the latency SLO "
-                             "check (see --write-baseline)")
-    doctor.add_argument("--write-baseline", default=None,
-                        dest="write_baseline",
-                        help="record this run's p99s as the baseline")
-    doctor.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
-    doctor.set_defaults(fn=cmd_doctor)
-
-    watch = sub.add_parser(
-        "watch", help="run the doctor continuously: sweep on an "
-                      "interval, journal onset/clear edges")
-    watch.add_argument("--seed", type=int, default=1)
-    watch.add_argument("--interval-ms", type=float, default=1000.0,
-                       dest="interval_ms",
-                       help="sweep interval: virtual ms on netsim, "
-                            "wall ms on realnet (default 1000)")
-    watch.add_argument("--max-sweeps", type=int, default=8,
-                       dest="max_sweeps",
-                       help="stop after this many sweeps (default 8)")
-    watch.add_argument("--journal", default=None,
-                       help="append incident records (JSONL) here; "
-                            "render later with `repro incidents`")
-    watch.add_argument("--checks", nargs="*", default=None,
-                       type=_check_name,
-                       help="watch only these checks (default: all)")
-    watch.add_argument("--inject", choices=["dead-host"], default=None,
-                       help="netsim only: crash ucbernie mid-watch "
-                            "and reboot it later (CI self-test)")
-    watch.add_argument("--registry", default=None,
-                       help="watch the live fleet sharing this "
-                            "registry file instead of netsim")
-    watch.add_argument("--hosts", nargs="*", default=None,
-                       help="expected fleet roster (realnet mode)")
-    watch.add_argument("--timeout-ms", type=float, default=3000.0,
-                       dest="timeout_ms",
-                       help="per-host probe timeout (realnet mode)")
-    watch.add_argument("--baseline", default=None,
-                       help="JSON p99 baseline for the latency SLO "
-                            "check")
-    watch.set_defaults(fn=cmd_watch)
-
-    incidents = sub.add_parser(
-        "incidents", help="render a watch journal: timeline + MTTR "
-                          "per check")
-    incidents.add_argument("journal", help="JSONL journal written by "
-                                           "`repro watch --journal`")
-    incidents.add_argument("--json", action="store_true",
-                           help="emit records and MTTR stats as JSON")
-    incidents.set_defaults(fn=cmd_incidents)
-
-    version = sub.add_parser("version", help="print the version")
-    version.set_defaults(fn=cmd_version)
-
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "fn", None):
         parser.print_help()

@@ -151,7 +151,7 @@ class LocalProcessManager:
         return (start - now_ms) + cost
 
     def is_running(self) -> bool:
-        return self.alive and self.proc.state.alive and self.host.up
+        return self.alive and self.proc.state.alive
 
     def describe_endpoints(self) -> dict:
         """Figure 4 data: the LPM's communication end points."""

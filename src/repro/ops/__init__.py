@@ -31,7 +31,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".checks": ("CHECK_ORDER", "EXIT_CODES", "CheckResult", "DoctorReport",
                 "HostHealth", "LpmHealth", "OpsAlert", "OrphanRecord",
                 "WorldView", "check_to_dict", "offending_entities",
-                "report_to_dict", "run_checks"),
+                "run_checks"),
     ".doctor": ("load_baseline", "probe_fleet", "probe_world",
                 "run_doctor", "write_baseline"),
     ".journal": ("IncidentJournal", "incident_records", "mttr_by_check",

@@ -177,7 +177,15 @@ class DoctorReport:
         return 0
 
     def to_dict(self) -> dict:
-        return report_to_dict(self)
+        """The report as a plain dict (``repro doctor --json``)."""
+        view = self.view
+        return {
+            "backend": self.backend,
+            "ok": self.ok,
+            "exit_code": self.exit_code,
+            "probed_at_ms": view.probed_at_ms if view is not None else None,
+            "checks": [check_to_dict(r) for r in self.results],
+        }
 
     def render(self) -> str:
         from ..util import format_table
@@ -196,27 +204,17 @@ class DoctorReport:
 
 
 # ----------------------------------------------------------------------
-# The shared serialization (doctor --json and the watch journal)
+# Serialization (doctor --json)
 # ----------------------------------------------------------------------
 
 def check_to_dict(result: CheckResult) -> dict:
-    """One check as a plain dict — the *one* per-check schema, shared
-    by ``repro doctor --json`` and watch incident-journal records."""
+    """One check as a plain dict: the per-check schema of
+    ``repro doctor --json`` (:meth:`DoctorReport.to_dict`).  A watch
+    journal's incident record is its own schema
+    (:meth:`repro.ops.journal.IncidentJournal.record_edge`)."""
     return {"name": result.name, "ok": result.ok,
             "detail": result.detail, "exit_code": result.exit_code,
             "duration_ms": result.duration_ms, "data": result.data}
-
-
-def report_to_dict(report: "DoctorReport") -> dict:
-    """A full report as a plain dict (``repro doctor --json``)."""
-    view = report.view
-    return {
-        "backend": report.backend,
-        "ok": report.ok,
-        "exit_code": report.exit_code,
-        "probed_at_ms": view.probed_at_ms if view is not None else None,
-        "checks": [check_to_dict(r) for r in report.results],
-    }
 
 
 def offending_entities(result: CheckResult) -> Tuple[str, ...]:

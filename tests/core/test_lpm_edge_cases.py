@@ -162,6 +162,27 @@ class TestRequestFailurePaths:
         assert beta.is_running()
 
 
+class TestHostCrash:
+    def test_a_crash_stops_every_lpm_on_the_host_for_good(self, world):
+        # ``is_running`` reads no host flag: the crash's kernel halt
+        # marks each LPM's own process DEAD, and a reboot builds a new
+        # kernel, so the old process stays DEAD.
+        for user in ("lfc", "ramon"):
+            PPMClient(world, user, "beta").connect()
+        lpms = [lpm_of(world, "beta", user) for user in ("lfc", "ramon")]
+        assert all(lpm.is_running() for lpm in lpms)
+        host = world.host("beta")
+        host.crash()
+        for lpm in lpms:
+            assert not lpm.proc.state.alive
+            assert not lpm.is_running()
+        host.reboot()
+        assert host.up
+        for lpm in lpms:
+            assert not lpm.proc.state.alive
+            assert not lpm.is_running()
+
+
 class TestDeterminism:
     def build_and_run(self, seed):
         world = build_world(seed=seed)

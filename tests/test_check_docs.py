@@ -5,6 +5,8 @@ import os
 
 from repro.ops.watch import RUNBOOK_ANCHORS
 
+from .test_cli import subparsers
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -49,3 +51,28 @@ def test_runbook_anchors_name_real_headings():
         path, _, anchor = target.partition("#")
         assert anchor in check_docs.anchors_in(
             os.path.join(REPO_ROOT, path)), (check, target)
+
+
+def test_an_undocumented_table_row_is_reported_by_name(tmp_path,
+                                                       monkeypatch):
+    check_docs = _load_check_docs()
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+    cli = tmp_path / "src" / "repro" / "cli.py"
+    cli.parent.mkdir(parents=True)
+    cli.write_text(
+        "COMMANDS = (\n"
+        "    (\"demo\", \"run a demo\", cmd_demo, SEED),\n"
+        "    (\"ghost\", \"nobody wrote this up\", cmd_ghost, ()),\n"
+        ")\n", encoding="utf-8")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "OPERATIONS.md").write_text(
+        "Run `repro demo`.\n", encoding="utf-8")
+    assert check_docs.check_cli_coverage() == [
+        "CLI subcommand 'ghost' is not documented as 'repro ghost' "
+        "anywhere under docs/"]
+
+
+def test_the_lint_reads_every_subcommand_of_the_built_parser():
+    assert _load_check_docs().cli_subcommands(
+        os.path.join(REPO_ROOT, "src", "repro", "cli.py")) \
+        == list(subparsers())

@@ -1,12 +1,59 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
 import subprocess
 import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, build_parser, main
+
+#: Every subcommand's options and their defaults.  A shared option
+#: group that drops an option from one command, or adds one to
+#: another, changes a row here.
+PARSER_CONTRACT = {
+    "demo": {"--seed": 1},
+    "shell": {"--seed": 1},
+    "stats": {"--seed": 1},
+    "trace": {"--seed": 1, "--out": "trace.json"},
+    "serve": {"--host": None, "--registry": None, "--bind": "127.0.0.1",
+              "--budget-s": None, "--trace-spans": False},
+    "run-real": {"--hosts": 3, "--budget-s": 60.0, "--trace-spans": False},
+    "doctor": {"--seed": 1, "--inject": None, "--registry": None,
+               "--hosts": None, "--timeout-ms": 3000.0, "--baseline": None,
+               "--write-baseline": None, "--json": False},
+    "watch": {"--seed": 1, "--interval-ms": 1000.0, "--max-sweeps": 8,
+              "--journal": None, "--checks": None, "--inject": None,
+              "--registry": None, "--hosts": None, "--timeout-ms": 3000.0,
+              "--baseline": None},
+    "incidents": {"journal": None, "--json": False},
+    "version": {},
+}
+
+
+def subparsers():
+    """``{name: subparser}`` of the built ``repro`` parser."""
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_every_subcommand_keeps_its_options_and_defaults():
+    found = {name: {(action.option_strings[-1] if action.option_strings
+                     else action.dest): action.default
+                    for action in parser._actions
+                    if not isinstance(action, argparse._HelpAction)}
+             for name, parser in subparsers().items()}
+    assert found == PARSER_CONTRACT
+
+
+@pytest.mark.parametrize("name", [row[0] for row in COMMANDS])
+def test_every_table_row_prints_its_help(name, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([name, "--help"])
+    assert exit_info.value.code == 0
+    assert "usage: repro %s" % name in capsys.readouterr().out
 
 
 def test_version(capsys):
@@ -37,17 +84,14 @@ def test_demo_deterministic(capsys):
     assert first == second
 
 
-def test_shell_scripted(capsys):
-    import repro.cli as cli
-
-    script = io.StringIO(
+def test_shell_scripted(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
         "create ucbarpa job spinner\n"
         "run 1000\n"
         "run bogus\n"
         "snapshot\n"
-        "quit\n")
-    parser_args = type("Args", (), {"seed": 2, "input": script})
-    assert cli.cmd_shell(parser_args) == 0
+        "quit\n"))
+    assert main(["shell", "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert "created <ucbarpa," in out
     assert "advanced to" in out

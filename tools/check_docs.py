@@ -15,10 +15,11 @@ Three checks keep the docs from rotting as the codebase grows:
    ``docs/``, so no subsystem exists without a paragraph of
    architecture documentation.
 
-3. **CLI coverage** — every subcommand registered in
-   ``src/repro/cli.py`` (each ``add_parser("<name>")`` call) must be
-   mentioned as ``repro <name>`` somewhere under ``docs/``, so no
-   operator entry point ships undocumented (the CLI-surface table in
+3. **CLI coverage** — every subcommand in ``src/repro/cli.py``'s
+   ``COMMANDS`` table (the name that opens each row, read with ``ast``
+   so the lint needs no import path) must be mentioned as
+   ``repro <name>`` somewhere under ``docs/``, so no operator entry
+   point ships undocumented (the CLI-surface table in
    ``docs/OPERATIONS.md`` is the natural home).
 
 Run from the repo root::
@@ -30,6 +31,7 @@ Exit status 0 when clean, 1 with one line per violation otherwise.
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import sys
@@ -146,15 +148,22 @@ def check_package_coverage() -> List[str]:
     return errors
 
 
-_ADD_PARSER = re.compile(r"add_parser\(\s*[\"']([^\"']+)[\"']")
+def cli_subcommands(path: str) -> List[str]:
+    """The name that opens each row of the module-level ``COMMANDS``
+    tuple in ``path``, in table order."""
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                getattr(node.targets[0], "id", None) == "COMMANDS":
+            return [row.elts[0].value for row in node.value.elts]
+    return []
 
 
 def check_cli_coverage() -> List[str]:
     cli = os.path.join(REPO_ROOT, "src", "repro", "cli.py")
     if not os.path.exists(cli):
         return []
-    with open(cli, "r", encoding="utf-8") as handle:
-        subcommands = sorted(set(_ADD_PARSER.findall(handle.read())))
 
     text = ""
     docs = os.path.join(REPO_ROOT, "docs")
@@ -166,7 +175,7 @@ def check_cli_coverage() -> List[str]:
                     text += handle.read()
 
     errors: List[str] = []
-    for subcommand in subcommands:
+    for subcommand in cli_subcommands(cli):
         if "repro %s" % subcommand not in text:
             errors.append(
                 "CLI subcommand %r is not documented as 'repro %s' "
